@@ -10,6 +10,7 @@
 #include "vec/vec.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
@@ -191,11 +192,37 @@ compile_netlist(const netlist& nl,
 
 // -- executor -----------------------------------------------------------------
 
-template <int W>
-compiled_sim<W>::compiled_sim(
-    std::shared_ptr<const compiled_schedule> schedule)
+static_assert(compiled_sim::lane_words == vec::gate_words,
+              "compiled_sim: lane width must match the vec gate kernels");
+
+namespace {
+
+constexpr std::size_t lane_words = compiled_sim::lane_words;
+
+using lane_mask = std::array<std::uint64_t, lane_words>;
+
+// All-ones in lanes [0, count), zero above: the partial-batch mask.
+lane_mask first_lanes(int count) noexcept
+{
+    lane_mask mask{};
+    for (std::size_t k = 0; k < lane_words; ++k) {
+        const int lo = 64 * static_cast<int>(k);
+        if (count >= lo + 64) {
+            mask[k] = ~0ULL;
+        } else if (count > lo) {
+            mask[k] = (1ULL << (count - lo)) - 1;
+        } else {
+            mask[k] = 0;
+        }
+    }
+    return mask;
+}
+
+} // namespace
+
+compiled_sim::compiled_sim(std::shared_ptr<const compiled_schedule> schedule)
     : sched_(std::move(schedule)),
-      values_(sched_->net_count, wide_word<W>::zero()),
+      values_(sched_->net_count * lane_words, 0),
       last_(sched_->net_count, 0),
       toggles_(sched_->net_count, 0)
 {
@@ -204,15 +231,23 @@ compiled_sim<W>::compiled_sim(
     for (std::size_t i = 0; i < sched_->const_dense.size(); ++i) {
         const net_id slot = sched_->const_dense[i];
         const bool v = sched_->const_vals[i] != 0;
-        values_[slot] = v ? wide_word<W>::ones() : wide_word<W>::zero();
+        std::fill_n(values_.begin()
+                        + static_cast<std::ptrdiff_t>(slot * lane_words),
+                    lane_words, v ? ~0ULL : 0ULL);
         last_[slot] = v ? 1 : 0;
     }
 }
 
-template <int W>
-void compiled_sim<W>::dispatch_run(const compiled_run& run,
-                                   const wide_word<W>& toggle_mask,
-                                   int last_word, int last_bit)
+bool compiled_sim::lane_bit(net_id dense, int lane) const noexcept
+{
+    const std::uint64_t word =
+        values_[dense * lane_words + static_cast<std::size_t>(lane >> 6)];
+    return ((word >> (lane & 63)) & 1ULL) != 0;
+}
+
+void compiled_sim::dispatch_run(const compiled_run& run,
+                                const std::uint64_t* toggle_mask,
+                                int last_word, int last_bit)
 {
     if (run.kind == gate_kind::input || run.kind == gate_kind::constant) {
         throw std::logic_error("compiled_sim: unschedulable kind in run");
@@ -220,11 +255,9 @@ void compiled_sim<W>::dispatch_run(const compiled_run& run,
     // One indirect call per kind-homogeneous run into the dispatched
     // host-SIMD backend (src/vec/): the backend folds the kind switch at
     // compile time and fuses the transition popcount into the same pass,
-    // exactly as the pre-vec per-kind templates did -- but compiled once
-    // per ISA with real vector flags instead of hoping the baseline
-    // build auto-vectorizes. Dense renumbering makes the output slot the
-    // loop index, so value/toggle/last writes stream sequentially.
-    static_assert(sizeof(wide_word<W>) == sizeof(std::uint64_t) * W);
+    // compiled once per ISA with real vector flags. Dense renumbering
+    // makes the output slot the loop index, so value/toggle/last writes
+    // stream sequentially.
     vec::gate_run_args args;
     args.kind = static_cast<int>(run.kind);
     args.in0 = sched_->in0.data();
@@ -232,29 +265,20 @@ void compiled_sim<W>::dispatch_run(const compiled_run& run,
     args.in2 = sched_->in2.data();
     args.begin = run.begin;
     args.end = run.end;
-    args.values = values_.data()->w;
+    args.values = values_.data();
     args.toggles = toggles_.data();
     args.last = last_.data();
-    args.toggle_mask = toggle_mask.w;
+    args.toggle_mask = toggle_mask;
     args.last_word = last_word;
     args.last_bit = last_bit;
-    const vec::kernel_table& kt = vec::active();
-    if constexpr (W == 1) {
-        kt.exec_gates_w1(args);
-    } else if constexpr (W == 4) {
-        kt.exec_gates_w4(args);
-    } else {
-        static_assert(W == 8, "compiled_sim: no vec kernel for this W");
-        kt.exec_gates_w8(args);
-    }
+    vec::active().exec_gates(args);
 }
 
-template <int W>
-void compiled_sim<W>::apply(const std::vector<std::uint64_t>& input_words,
-                            int count)
+void compiled_sim::apply(const std::vector<std::uint64_t>& input_words,
+                         int count)
 {
     const compiled_schedule& s = *sched_;
-    if (input_words.size() != s.input_count * static_cast<std::size_t>(W)) {
+    if (input_words.size() != s.input_count * lane_words) {
         throw std::invalid_argument(
             "compiled_sim: input word count mismatch");
     }
@@ -262,10 +286,10 @@ void compiled_sim<W>::apply(const std::vector<std::uint64_t>& input_words,
         throw std::invalid_argument("compiled_sim: count out of range");
     }
 
-    const wide_word<W> batch_mask = wide_word<W>::first_lanes(count);
-    wide_word<W> toggle_mask = batch_mask;
+    const lane_mask batch_mask = first_lanes(count);
+    lane_mask toggle_mask = batch_mask;
     if (!initialized_) {
-        toggle_mask.w[0] &= ~1ULL; // first vector ever: no transition
+        toggle_mask[0] &= ~1ULL; // first vector ever: no transition
     }
     const int last_word = (count - 1) >> 6;
     const int last_bit = (count - 1) & 63;
@@ -277,11 +301,11 @@ void compiled_sim<W>::apply(const std::vector<std::uint64_t>& input_words,
     for (const auto& tc : s.tied_checks) {
         const std::uint64_t want = tc.value ? ~0ULL : 0ULL;
         const std::uint64_t* words =
-            input_words.data() + static_cast<std::size_t>(tc.pos) * W;
-        for (int k = 0; k < W; ++k) {
-            const std::uint64_t bad = (words[k] ^ want) & batch_mask.w[k];
+            input_words.data() + tc.pos * lane_words;
+        for (std::size_t k = 0; k < lane_words; ++k) {
+            const std::uint64_t bad = (words[k] ^ want) & batch_mask[k];
             if (bad != 0) {
-                const int lane = k * 64 + std::countr_zero(bad);
+                const std::size_t lane = k * 64 + std::countr_zero(bad);
                 std::ostringstream m;
                 m << "compiled_sim: stimulus contradicts tied input ";
                 if (!tc.name.empty()) {
@@ -298,20 +322,17 @@ void compiled_sim<W>::apply(const std::vector<std::uint64_t>& input_words,
 
     const vec::kernel_table& kt = vec::active();
     for (const compiled_schedule::live_input& li : s.live_inputs) {
-        wide_word<W> v{};
-        std::memcpy(v.w,
-                    input_words.data()
-                        + static_cast<std::size_t>(li.pos) * W,
-                    sizeof(v.w));
-        values_[li.dense] = v;
-        toggles_[li.dense] +=
-            kt.shift_transitions(v.w, toggle_mask.w, W, last_[li.dense]);
-        last_[li.dense] = static_cast<std::uint8_t>(
-            (v.w[last_word] >> last_bit) & 1ULL);
+        const std::uint64_t* src = input_words.data() + li.pos * lane_words;
+        std::uint64_t* dst = values_.data() + li.dense * lane_words;
+        std::copy(src, src + lane_words, dst);
+        toggles_[li.dense] += kt.shift_transitions(
+            dst, toggle_mask.data(), lane_words, last_[li.dense]);
+        last_[li.dense] =
+            static_cast<std::uint8_t>((dst[last_word] >> last_bit) & 1ULL);
     }
 
     for (const compiled_run& run : s.runs) {
-        dispatch_run(run, toggle_mask, last_word, last_bit);
+        dispatch_run(run, toggle_mask.data(), last_word, last_bit);
     }
 
     transitions_ +=
@@ -319,27 +340,16 @@ void compiled_sim<W>::apply(const std::vector<std::uint64_t>& input_words,
     initialized_ = true;
 }
 
-template <int W>
-bool compiled_sim<W>::value(net_id id, int lane) const
+bool compiled_sim::value(net_id id, int lane) const
 {
     if (lane < 0 || lane >= lane_capacity) {
         throw std::invalid_argument("compiled_sim: lane out of range");
     }
-    return values_[sched_->dense_of.at(id)].bit(lane);
+    return lane_bit(sched_->dense_of.at(id), lane);
 }
 
-template <int W>
-std::uint64_t compiled_sim<W>::word(net_id id, int block) const
-{
-    if (block < 0 || block >= W) {
-        throw std::invalid_argument("compiled_sim: block out of range");
-    }
-    return values_[sched_->dense_of.at(id)].w[block];
-}
-
-template <int W>
-std::uint64_t compiled_sim<W>::read_bus(const std::vector<net_id>& nets,
-                                        int lane) const
+std::uint64_t compiled_sim::read_bus(const std::vector<net_id>& nets,
+                                     int lane) const
 {
     if (nets.size() > 64) {
         throw std::invalid_argument(
@@ -351,14 +361,13 @@ std::uint64_t compiled_sim<W>::read_bus(const std::vector<net_id>& nets,
     std::uint64_t out = 0;
     for (std::size_t i = 0; i < nets.size(); ++i) {
         out |= static_cast<std::uint64_t>(
-                   values_[sched_->dense_of.at(nets[i])].bit(lane))
+                   lane_bit(sched_->dense_of.at(nets[i]), lane))
                << i;
     }
     return out;
 }
 
-template <int W>
-std::uint64_t compiled_sim<W>::total_toggles() const noexcept
+std::uint64_t compiled_sim::total_toggles() const noexcept
 {
     std::uint64_t total = 0;
     for (const std::uint64_t t : toggles_) {
@@ -367,33 +376,18 @@ std::uint64_t compiled_sim<W>::total_toggles() const noexcept
     return total;
 }
 
-template <int W>
-double compiled_sim<W>::switched_capacitance_ff(const tech_model& tech) const
+double compiled_sim::switched_capacitance_ff(const tech_model& tech) const
 {
-    // Accumulate in ORIGINAL net order: double addition is not
-    // associative, and this sum must equal logic_sim/logic_sim64's to the
-    // last bit (the bench and the differential suite compare exactly).
-    double total = 0.0;
-    for (std::size_t id = 0; id < sched_->dense_of.size(); ++id) {
-        const net_id slot = sched_->dense_of[id];
-        if (toggles_[slot] == 0) {
-            continue;
-        }
-        total += static_cast<double>(toggles_[slot])
-                 * tech.gate_cap_ff(sched_->kinds[slot]);
-    }
-    return total;
+    return schedule_switched_capacitance_ff(*sched_, toggles_, tech);
 }
 
-template <int W>
-void compiled_sim<W>::reset_stats()
+void compiled_sim::reset_stats()
 {
     std::fill(toggles_.begin(), toggles_.end(), 0);
     transitions_ = 0;
 }
 
-template <int W>
-sim_activity_state compiled_sim<W>::save_activity() const
+sim_activity_state compiled_sim::save_activity() const
 {
     sim_activity_state st;
     st.last = last_;
@@ -403,8 +397,7 @@ sim_activity_state compiled_sim<W>::save_activity() const
     return st;
 }
 
-template <int W>
-void compiled_sim<W>::load_activity(const sim_activity_state& st)
+void compiled_sim::load_activity(const sim_activity_state& st)
 {
     if (st.last.size() != last_.size()
         || st.toggles.size() != toggles_.size()) {
@@ -417,8 +410,7 @@ void compiled_sim<W>::load_activity(const sim_activity_state& st)
     initialized_ = st.initialized;
 }
 
-template <int W>
-void compiled_sim<W>::adopt_carry(const compiled_sim& src)
+void compiled_sim::adopt_carry(const compiled_sim& src)
 {
     if (sched_.get() != src.sched_.get()) {
         throw std::invalid_argument(
@@ -428,8 +420,7 @@ void compiled_sim<W>::adopt_carry(const compiled_sim& src)
     initialized_ = src.initialized_;
 }
 
-template <int W>
-void compiled_sim<W>::merge_stats(const compiled_sim& src)
+void compiled_sim::merge_stats(const compiled_sim& src)
 {
     if (sched_.get() != src.sched_.get()) {
         throw std::invalid_argument(
@@ -441,10 +432,6 @@ void compiled_sim<W>::merge_stats(const compiled_sim& src)
     transitions_ += src.transitions_;
 }
 
-template class compiled_sim<1>;
-template class compiled_sim<4>;
-template class compiled_sim<8>;
-
 double schedule_switched_capacitance_ff(const compiled_schedule& s,
                                         const std::vector<std::uint64_t>&
                                             toggles,
@@ -455,8 +442,8 @@ double schedule_switched_capacitance_ff(const compiled_schedule& s,
             "schedule_switched_capacitance_ff: toggle array size mismatch");
     }
     // Accumulate in ORIGINAL net order: double addition is not
-    // associative, and this sum must equal logic_sim/logic_sim64's to the
-    // last bit (the bench and the differential suite compare exactly).
+    // associative, and this sum must equal logic_sim's to the last bit
+    // (the bench and the differential suite compare exactly).
     double total = 0.0;
     for (std::size_t id = 0; id < s.dense_of.size(); ++id) {
         const net_id slot = s.dense_of[id];
@@ -471,48 +458,34 @@ double schedule_switched_capacitance_ff(const compiled_schedule& s,
 
 // -- executor pool ------------------------------------------------------------
 
-template <int W>
-compiled_sim_pool<W>& compiled_sim_pool<W>::global()
+compiled_sim_pool& compiled_sim_pool::global()
 {
     static compiled_sim_pool pool;
     return pool;
 }
 
-template <int W>
-typename compiled_sim_pool<W>::lease
-compiled_sim_pool<W>::acquire(std::shared_ptr<const compiled_schedule> sched)
+compiled_sim_pool::lease
+compiled_sim_pool::acquire(std::shared_ptr<const compiled_schedule> sched)
 {
     {
         const std::lock_guard<std::mutex> lock(mu_);
         const auto it = idle_.find(sched.get());
         if (it != idle_.end() && !it->second.empty()) {
-            std::unique_ptr<compiled_sim<W>> sim =
-                std::move(it->second.back());
+            std::unique_ptr<compiled_sim> sim = std::move(it->second.back());
             it->second.pop_back();
             return lease(this, std::move(sim));
         }
     }
-    return lease(this,
-                 std::make_unique<compiled_sim<W>>(std::move(sched)));
+    return lease(this, std::make_unique<compiled_sim>(std::move(sched)));
 }
 
-template <int W>
-std::size_t compiled_sim_pool<W>::idle_count(const compiled_schedule& sched)
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = idle_.find(&sched);
-    return it != idle_.end() ? it->second.size() : 0;
-}
-
-template <int W>
-void compiled_sim_pool<W>::give_back(std::unique_ptr<compiled_sim<W>> sim)
+void compiled_sim_pool::give_back(std::unique_ptr<compiled_sim> sim)
 {
     const std::lock_guard<std::mutex> lock(mu_);
     idle_[&sim->schedule()].push_back(std::move(sim));
 }
 
-template <int W>
-void compiled_sim_pool<W>::lease::release() noexcept
+void compiled_sim_pool::lease::release() noexcept
 {
     if (pool_ != nullptr && sim_ != nullptr) {
         // give_back only locks and moves; allocation failure aside it
@@ -525,10 +498,6 @@ void compiled_sim_pool<W>::lease::release() noexcept
     pool_ = nullptr;
     sim_.reset();
 }
-
-template class compiled_sim_pool<1>;
-template class compiled_sim_pool<4>;
-template class compiled_sim_pool<8>;
 
 // -- schedule persistence -----------------------------------------------------
 

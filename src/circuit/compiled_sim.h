@@ -1,46 +1,44 @@
 // Compile-then-run gate simulation: the energy hot path.
 //
-// logic_sim64 is an interpreter: one `switch (g.kind)` and three random
-// gathers per gate per batch, and a hard 64-lane ceiling. Every energy
-// figure in the repo (Fig. 2/3a/3b/4, Table I k-params, the measured mode
-// frontiers, the streaming governor's prepare pass) bottoms out in that
-// loop, so this module compiles the netlist once and then runs a schedule
-// with no per-gate dispatch at all:
+// Every energy figure in the repo (Fig. 2/3a/3b/4, Table I k-params, the
+// measured mode frontiers, the streaming governor's prepare pass) bottoms
+// out in gate-level switching activity. An interpreter pays one
+// `switch (g.kind)` and three random gathers per gate per vector, so this
+// module compiles the netlist once and then runs a schedule with no
+// per-gate dispatch at all:
 //
 //  * Gates are levelized and sorted by kind into homogeneous runs stored
 //    structure-of-arrays (in0[]/in1[]/in2[]/out[] index arrays per run).
 //    Each run is evaluated by a tight branch-free kernel instantiated per
 //    gate_kind from the shared truth table in circuit/gate_kinds.h, with
 //    the per-net toggle popcount fused into the same pass.
-//  * Lanes widen from 64 to 64*W via wide_word<W> (W = 1/4/8 -> 64/256/512
-//    vectors per levelized pass); the W-word inner loops auto-vectorize.
+//  * Every net carries 512 lanes (8 uint64_t words), so one levelized pass
+//    evaluates 512 consecutive input vectors.
 //  * Tied inputs (subword mode selects, DAS precision selects, gated
 //    operand LSBs) are baked in at compile time: constants are folded,
 //    static fan-out cones are pruned from the schedule, and their values
 //    are materialized once. A half-precision mode therefore simulates
 //    roughly half the netlist instead of masking it dynamically.
 //
-// The executor is bit-identical to logic_sim64 on the same vector stream
-// -- values, per-net toggles, switched capacitance, transitions, the
-// first-vector warm-up and the batch-boundary toggle carry -- for every
-// netlist, batch size and mode; tests/test_compiled_sim.cpp asserts this
-// differentially against both scalar and 64-lane oracles. Mode-specialized
-// schedules are only sound when the applied vectors actually honor the
-// ties, so apply() validates the tied input words and throws on a
-// violation instead of silently miscounting.
+// The executor is bit-identical to the scalar oracle (logic_sim) on the
+// same vector stream -- values, per-net toggles, switched capacitance,
+// transitions, the first-vector warm-up and the batch-boundary toggle
+// carry -- for every netlist, batch size and mode;
+// tests/test_compiled_sim.cpp asserts this differentially. Mode-
+// specialized schedules are only sound when the applied vectors actually
+// honor the ties, so apply() validates the tied input words and throws on
+// a violation instead of silently miscounting.
 //
 // Schedules are immutable after compilation and shared: one schedule
 // serves any number of concurrent executors (sweep threads construct a
-// private compiled_sim<W> each over the shared schedule, mirroring the
-// logic_sim64-over-shared-netlist pattern). compiled_netlist_cache keys
-// schedules on netlist *content* (structural hash), not address, so
+// private compiled_sim each over the shared schedule). compiled_netlist_cache
+// keys schedules on netlist *content* (structural hash), not address, so
 // identical netlists -- e.g. repeated dvafs_multiplier(16) constructions
 // -- share one compiled schedule process-wide, the frontier_cache pattern.
 
 #pragma once
 
 #include "circuit/netlist.h"
-#include "circuit/wide_word.h"
 
 #include <atomic>
 #include <cstdint>
@@ -167,36 +165,35 @@ double schedule_switched_capacitance_ff(const compiled_schedule& s,
                                             toggles,
                                         const tech_model& tech);
 
-// Wide-word executor over a compiled schedule; W uint64_t blocks = 64*W
-// lanes per pass. Same statistics contract as logic_sim64 (lanes ordered
-// in time, toggle carry across batches, warm-up first vector).
-template <int W>
+// Bit-parallel executor over a compiled schedule, 512 lanes per pass.
+// Same statistics contract as logic_sim (lanes ordered in time, toggle
+// carry across batches, warm-up first vector).
 class compiled_sim {
 public:
-    static constexpr int lane_capacity = 64 * W;
+    // Each net holds lane_words uint64_t words; lane v is bit v%64 of word
+    // v/64.
+    static constexpr int lane_words = 8;
+    static constexpr int lane_capacity = 64 * lane_words;
 
     explicit compiled_sim(std::shared_ptr<const compiled_schedule> schedule);
 
-    // Evaluates `count` (1..64*W) input vectors in one schedule pass.
-    // input_words holds W words per primary input, input-major (words
-    // [i*W, (i+1)*W) are input i's lanes; lane v = bit v%64 of word v/64
-    // -- dvafs_multiplier::pack_input_words with blocks=W produces this).
-    // Throws std::invalid_argument on a size/count mismatch or when a
-    // tied input's words contradict the schedule's baked-in constants.
+    // Evaluates `count` (1..lane_capacity) input vectors in one schedule
+    // pass. input_words holds lane_words words per primary input,
+    // input-major (words [i*lane_words, (i+1)*lane_words) are input i's
+    // lanes -- dvafs_multiplier::pack_input_words produces this). Throws
+    // std::invalid_argument on a size/count mismatch or when a tied
+    // input's words contradict the schedule's baked-in constants.
     void apply(const std::vector<std::uint64_t>& input_words, int count);
 
     // Value of a net under vector `lane` of the last batch (lane must be
-    // in [0, 64*W); lanes >= the last count are garbage, as in
-    // logic_sim64).
+    // in [0, lane_capacity); lanes >= the last count are garbage).
     bool value(net_id id, int lane) const;
-    // Raw lane block of a net.
-    std::uint64_t word(net_id id, int block) const;
 
     // Reads a multi-bit bus (LSB first) under vector `lane`. Throws
     // std::invalid_argument when the bus is wider than 64 nets.
     std::uint64_t read_bus(const std::vector<net_id>& nets, int lane) const;
 
-    // -- activity statistics (same contract as logic_sim64) ------------------
+    // -- activity statistics (same contract as logic_sim) --------------------
     std::uint64_t toggles(net_id id) const
     {
         return toggles_[sched_->dense_of.at(id)];
@@ -230,33 +227,25 @@ public:
     void merge_stats(const compiled_sim& src);
 
     const compiled_schedule& schedule() const noexcept { return *sched_; }
-    const std::shared_ptr<const compiled_schedule>&
-    schedule_ptr() const noexcept
-    {
-        return sched_;
-    }
 
 private:
     // Gate runs execute through the dispatched host-SIMD backend
     // (src/vec/): one indirect call per kind-homogeneous run, the kind
-    // switch and the W-word kernels live in the backend TU. Every backend
+    // switch and the 8-word kernels live in the backend TU. Every backend
     // is bit-identical to the scalar one, so engine results never depend
     // on the host ISA.
     void dispatch_run(const compiled_run& run,
-                      const wide_word<W>& toggle_mask, int last_word,
+                      const std::uint64_t* toggle_mask, int last_word,
                       int last_bit);
+    bool lane_bit(net_id dense, int lane) const noexcept;
 
     std::shared_ptr<const compiled_schedule> sched_;
-    std::vector<wide_word<W>> values_;
+    std::vector<std::uint64_t> values_; // lane_words per dense net
     std::vector<std::uint8_t> last_; // final-lane value of the prev batch
     std::vector<std::uint64_t> toggles_;
     std::uint64_t transitions_ = 0;
     bool initialized_ = false;
 };
-
-extern template class compiled_sim<1>;
-extern template class compiled_sim<4>;
-extern template class compiled_sim<8>;
 
 // Process-wide pool of warm executors, keyed by schedule. An executor is
 // three net_count-sized allocations (values, last, toggles); sweeps and
@@ -268,7 +257,6 @@ extern template class compiled_sim<8>;
 // re-establishes that state, so reuse is bit-invisible; the pool does not
 // scrub. Constant-net values are set at construction and never written,
 // so they stay valid across reuses of the same schedule.
-template <int W>
 class compiled_sim_pool {
 public:
     static compiled_sim_pool& global();
@@ -295,46 +283,39 @@ public:
         lease& operator=(const lease&) = delete;
         ~lease() { release(); }
 
-        compiled_sim<W>& operator*() const noexcept { return *sim_; }
-        compiled_sim<W>* operator->() const noexcept { return sim_.get(); }
-        compiled_sim<W>* get() const noexcept { return sim_.get(); }
+        compiled_sim& operator*() const noexcept { return *sim_; }
+        compiled_sim* operator->() const noexcept { return sim_.get(); }
+        compiled_sim* get() const noexcept { return sim_.get(); }
         explicit operator bool() const noexcept { return sim_ != nullptr; }
 
     private:
         friend class compiled_sim_pool;
         lease(compiled_sim_pool* pool,
-              std::unique_ptr<compiled_sim<W>> sim) noexcept
+              std::unique_ptr<compiled_sim> sim) noexcept
             : pool_(pool), sim_(std::move(sim))
         {
         }
         void release() noexcept;
 
         compiled_sim_pool* pool_ = nullptr;
-        std::unique_ptr<compiled_sim<W>> sim_;
+        std::unique_ptr<compiled_sim> sim_;
     };
 
     // An idle executor over `sched` (or a freshly constructed one).
     lease acquire(std::shared_ptr<const compiled_schedule> sched);
 
-    // Idle executors currently pooled for `sched` (tests).
-    std::size_t idle_count(const compiled_schedule& sched);
-
 private:
     compiled_sim_pool() = default;
-    void give_back(std::unique_ptr<compiled_sim<W>> sim);
+    void give_back(std::unique_ptr<compiled_sim> sim);
 
     std::mutex mu_;
     // Keyed by schedule address: schedules are immutable and cached for
     // the process lifetime (compiled_netlist_cache), so an address
     // identifies one schedule for as long as any executor can exist.
     std::map<const compiled_schedule*,
-             std::vector<std::unique_ptr<compiled_sim<W>>>>
+             std::vector<std::unique_ptr<compiled_sim>>>
         idle_;
 };
-
-extern template class compiled_sim_pool<1>;
-extern template class compiled_sim_pool<4>;
-extern template class compiled_sim_pool<8>;
 
 // Process-wide cache of compiled schedules, keyed on netlist content
 // (structural hash over gates and inputs) plus the tie set -- NOT on the

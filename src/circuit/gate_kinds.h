@@ -1,16 +1,16 @@
 // The single source of truth for gate semantics.
 //
 // Every engine that evaluates gates -- the scalar reference simulator, the
-// 64-lane interpreter, the compiled wide-word kernels and the three-valued
-// constant propagation behind cone pruning and the timing analyzer -- used
-// to carry its own per-kind switch table; a new gate kind meant editing
-// them all in lock-step. This header collapses them into one description:
+// compiled 512-lane kernels and the three-valued constant propagation
+// behind cone pruning and the timing analyzer -- used to carry its own
+// per-kind switch table; a new gate kind meant editing them all in
+// lock-step. This header collapses them into one description:
 //
 //  * gate_kind_arity(k)  -- fanin count (netlist::fanin_count delegates).
 //  * eval_gate_kind(...) -- the bitwise truth table, generic over any word
 //    type with &, |, ^ operators. Passing `ones` (the all-ones word: 1 for
-//    0/1 scalars, ~0 for uint64_t lanes, a broadcast wide_word) expresses
-//    inversion as xor, so one body serves every lane width.
+//    0/1 scalars, ~0 for uint64_t lanes) expresses inversion as xor, so
+//    one body serves every lane width.
 //  * eval_gate_kind_x(...) -- three-valued {0, 1, X} evaluation *derived*
 //    from the binary table by enumerating the unknown inputs (at most 8
 //    assignments for 3-input gates): if every completion agrees the gate
@@ -55,10 +55,10 @@ constexpr int gate_kind_arity(gate_kind k) noexcept
 }
 
 // Bitwise evaluation of one combinational gate kind. Word must support
-// & | ^ (wide_word, uint64_t, or 0/1-valued uint8_t all do); `ones` is the
-// all-ones word of that type. Every function below is lane-independent, so
-// the same body is correct for 1, 64 or 64*W lanes. Callers must not pass
-// gate_kind::input or gate_kind::constant.
+// & | ^ (uint64_t, 0/1-valued uint8_t and the vec backends' word wrapper
+// all do); `ones` is the all-ones word of that type. Every function below
+// is lane-independent, so the same body is correct for 1 or 64 lanes.
+// Callers must not pass gate_kind::input or gate_kind::constant.
 template <class Word>
 constexpr Word eval_gate_kind(gate_kind k, const Word& a, const Word& b,
                               const Word& c, const Word& ones)

@@ -3,15 +3,15 @@
 #include "circuit/gate_kinds.h"
 #include "circuit/tech.h"
 
-#include <bit>
+#include <algorithm>
 #include <stdexcept>
 
 namespace dvafs {
 
-// Both interpreters and the constant propagation below evaluate gates
+// The interpreter and the constant propagation below evaluate gates
 // through the one shared truth table in circuit/gate_kinds.h (the compiled
-// simulator's kernels use the same table with wide words), so a gate kind
-// is defined in exactly one place.
+// simulator's kernels use the same table over 64-lane words), so a gate
+// kind is defined in exactly one place.
 
 logic_sim::logic_sim(const netlist& nl)
     : nl_(nl),
@@ -113,113 +113,6 @@ double logic_sim::switched_capacitance_ff(const tech_model& tech) const
 }
 
 void logic_sim::reset_stats()
-{
-    std::fill(toggles_.begin(), toggles_.end(), 0);
-    transitions_ = 0;
-}
-
-logic_sim64::logic_sim64(const netlist& nl)
-    : nl_(nl),
-      values_(nl.size(), 0),
-      last_(nl.size(), 0),
-      toggles_(nl.size(), 0)
-{
-}
-
-void logic_sim64::apply(const std::vector<std::uint64_t>& input_words,
-                        int count)
-{
-    const auto& ins = nl_.inputs();
-    if (input_words.size() != ins.size()) {
-        throw std::invalid_argument("logic_sim64: input word count mismatch");
-    }
-    if (count < 1 || count > 64) {
-        throw std::invalid_argument("logic_sim64: count must be in [1, 64]");
-    }
-    for (std::size_t i = 0; i < ins.size(); ++i) {
-        values_[ins[i]] = input_words[i];
-    }
-
-    // Levelized pass: every gate function is bitwise, so the 64 lanes stay
-    // independent through arbitrary logic.
-    const auto& gates = nl_.gates();
-    std::uint64_t* v = values_.data();
-    for (std::size_t i = 0; i < gates.size(); ++i) {
-        const gate& g = gates[i];
-        if (g.kind == gate_kind::input) {
-            continue; // already set
-        }
-        if (g.kind == gate_kind::constant) {
-            v[i] = g.aux ? ~0ULL : 0ULL;
-            continue;
-        }
-        const int arity = gate_kind_arity(g.kind);
-        const std::uint64_t a = v[g.in0];
-        const std::uint64_t b = arity >= 2 ? v[g.in1] : 0ULL;
-        const std::uint64_t c = arity >= 3 ? v[g.in2] : 0ULL;
-        v[i] = eval_gate_kind<std::uint64_t>(g.kind, a, b, c, ~0ULL);
-    }
-
-    // Toggle accounting: transitions happen between adjacent lanes and
-    // across the batch boundary (previous batch's last lane -> lane 0).
-    // The first vector ever applied initializes state, as in logic_sim.
-    const std::uint64_t batch_mask =
-        count == 64 ? ~0ULL : ((1ULL << count) - 1);
-    std::uint64_t first_mask = ~0ULL;
-    if (!initialized_) {
-        first_mask = ~1ULL;
-    }
-    for (std::size_t i = 0; i < values_.size(); ++i) {
-        const std::uint64_t w = values_[i];
-        const std::uint64_t shifted =
-            (w << 1) | static_cast<std::uint64_t>(last_[i]);
-        toggles_[i] += static_cast<std::uint64_t>(
-            std::popcount((w ^ shifted) & batch_mask & first_mask));
-        last_[i] = static_cast<std::uint8_t>((w >> (count - 1)) & 1ULL);
-    }
-    transitions_ +=
-        static_cast<std::uint64_t>(count) - (initialized_ ? 0U : 1U);
-    initialized_ = true;
-}
-
-std::uint64_t logic_sim64::read_bus(const std::vector<net_id>& nets,
-                                    int lane) const
-{
-    if (nets.size() > 64) {
-        throw std::invalid_argument(
-            "logic_sim64: bus wider than 64 nets cannot be packed");
-    }
-    std::uint64_t out = 0;
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-        out |= ((values_.at(nets[i]) >> lane) & 1ULL) << i;
-    }
-    return out;
-}
-
-std::uint64_t logic_sim64::total_toggles() const noexcept
-{
-    std::uint64_t total = 0;
-    for (const std::uint64_t t : toggles_) {
-        total += t;
-    }
-    return total;
-}
-
-double logic_sim64::switched_capacitance_ff(const tech_model& tech) const
-{
-    double total = 0.0;
-    const auto& gates = nl_.gates();
-    for (std::size_t i = 0; i < gates.size(); ++i) {
-        if (toggles_[i] == 0) {
-            continue;
-        }
-        total += static_cast<double>(toggles_[i])
-                 * tech.gate_cap_ff(gates[i].kind);
-    }
-    return total;
-}
-
-void logic_sim64::reset_stats()
 {
     std::fill(toggles_.begin(), toggles_.end(), 0);
     transitions_ = 0;

@@ -59,61 +59,6 @@ private:
     bool initialized_ = false;
 };
 
-// 64-lane bit-parallel variant of logic_sim.
-//
-// Each net value is a uint64_t word whose bit v is the net's value under
-// input vector v of the current batch, so one levelized pass evaluates up
-// to 64 consecutive input vectors. Lanes are ordered in time: lane 0 is the
-// earliest vector of the batch and lane 63 the latest, and the simulator
-// remembers the final lane of the previous batch, so per-net toggle counts
-// are computed with popcount over in-word transitions (cur ^ (cur << 1),
-// with the previous batch's last value carried into lane 0) and are
-// *bit-exact* against scalar logic_sim driven with the same vector stream
-// in the same order -- including total_toggles, switched_capacitance_ff and
-// transitions. The scalar simulator stays as the reference oracle; the
-// differential test in tests/test_sim_engine.cpp asserts the equivalence.
-class logic_sim64 {
-public:
-    explicit logic_sim64(const netlist& nl);
-
-    // Evaluates `count` (1..64) input vectors in one pass. input_words has
-    // one word per primary input (order = netlist::inputs()); bit v of
-    // input_words[i] is input i's value under vector v. Lanes >= count are
-    // ignored. Consecutive calls continue the same vector stream.
-    void apply(const std::vector<std::uint64_t>& input_words, int count = 64);
-
-    // Batch word of a net (bits >= last count are garbage).
-    std::uint64_t word(net_id id) const { return values_.at(id); }
-    // Value of a net under vector `lane` of the last batch.
-    bool value(net_id id, int lane) const
-    {
-        return ((values_.at(id) >> lane) & 1ULL) != 0;
-    }
-
-    // Reads a multi-bit bus (LSB first) under vector `lane` of the batch.
-    // Throws std::invalid_argument for buses wider than 64 nets.
-    std::uint64_t read_bus(const std::vector<net_id>& nets, int lane) const;
-
-    // -- activity statistics (same contract as logic_sim) -------------------
-    std::uint64_t toggles(net_id id) const { return toggles_.at(id); }
-    std::uint64_t total_toggles() const noexcept;
-    double switched_capacitance_ff(const tech_model& tech) const;
-    std::uint64_t transitions() const noexcept { return transitions_; }
-
-    // Clears toggle/transition counters but keeps the last applied values,
-    // so the next batch's first vector still counts its transition (the
-    // same warm-up contract as logic_sim::reset_stats).
-    void reset_stats();
-
-private:
-    const netlist& nl_;
-    std::vector<std::uint64_t> values_;
-    std::vector<std::uint8_t> last_; // final-lane value of the previous batch
-    std::vector<std::uint64_t> toggles_;
-    std::uint64_t transitions_ = 0;
-    bool initialized_ = false;
-};
-
 // Three-valued constant propagation (values from circuit/gate_kinds.h:
 // ternary_0 / ternary_1 / ternary_x): one entry per net, the net's fixed
 // value given that the listed inputs are tied to constants, or ternary_x

@@ -34,7 +34,6 @@
 #include "circuit/netlist.h"
 #include "circuit/tech.h"
 #include "circuit/timing.h"
-#include "circuit/wide_word.h"
 
 #include "mult/array_mult.h"
 #include "mult/booth.h"

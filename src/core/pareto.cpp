@@ -848,8 +848,9 @@ frontier_selection select_frontier_points_budgeted(
     // 2-D knapsack DP over (loss units, time units). Both costs round up
     // (conservative: the discretized plan never exceeds either real
     // budget), energies stay exact. State space is layers x ~40 loss bins
-    // x ~257 time bins -- microseconds, which is what makes an online
-    // re-plan against cached frontiers cheap enough to run per phase.
+    // x ~257 time bins -- a whole re-plan against cached frontiers takes
+    // ~0.5 ms at the median and ~3.5 ms at p99 (e2ebench `replan`),
+    // which is what makes it cheap enough to run per phase.
     if (latency_budget_ms / tres > max_units) {
         throw std::invalid_argument(
             "select_frontier_points_budgeted: budget/resolution too fine");

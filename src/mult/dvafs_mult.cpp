@@ -339,13 +339,17 @@ void dvafs_multiplier::input_vector_into(std::int64_t a, std::int64_t b,
 
 void dvafs_multiplier::pack_input_words(
     sw_mode m, int das_keep_bits, const std::uint64_t* a,
-    const std::uint64_t* b, int count, std::vector<std::uint64_t>& words,
-    int blocks) const
+    const std::uint64_t* b, int count,
+    std::vector<std::uint64_t>& words) const
 {
+    if (count < 1 || count > compiled_sim::lane_capacity) {
+        throw std::invalid_argument(
+            "dvafs_multiplier: pack_input_words count out of range");
+    }
     const int w = width();
     const int t = w - das_keep_bits;
     const std::uint64_t keep = low_mask(w) & ~low_mask(t);
-    const auto bl = static_cast<std::size_t>(blocks);
+    constexpr std::size_t bl = compiled_sim::lane_words;
     words.assign(nl_.inputs().size() * bl, 0);
     // Bit-transpose packing: per 64-lane block, row `lane` holds the gated
     // operand pair (a | b << w, at most 32 bits for w = 16); one 64x64
@@ -399,14 +403,12 @@ void dvafs_multiplier::simulate_packed_batch(const std::uint64_t* a,
                                              std::size_t n,
                                              std::uint64_t* out)
 {
-    constexpr int blocks = 8;
-    constexpr int lanes = 64 * blocks;
+    constexpr int lanes = compiled_sim::lane_capacity;
     std::vector<std::uint64_t> words;
     for (std::size_t done = 0; done < n;) {
         const int count = static_cast<int>(
             std::min<std::size_t>(lanes, n - done));
-        pack_input_words(mode_, das_keep_, a + done, b + done, count, words,
-                         blocks);
+        pack_input_words(mode_, das_keep_, a + done, b + done, count, words);
         wide_->apply(words, count);
         if (out != nullptr) {
             for (int lane = 0; lane < count; ++lane) {

@@ -103,16 +103,17 @@ public:
                                        std::uint64_t a,
                                        std::uint64_t b) const;
 
-    // Packs `count` (1..64*blocks) operand pairs straight into wide input
-    // words: `blocks` uint64 per primary input, input-major (lane v = bit
-    // v%64 of the input's block v/64) -- the layout logic_sim64 (blocks=1)
-    // and compiled_sim<W> (blocks=W) consume. The hot-path equivalent of
+    // Packs `count` (1..compiled_sim::lane_capacity) operand pairs
+    // straight into the compiled simulator's input words:
+    // compiled_sim::lane_words uint64 per primary input, input-major (lane
+    // v = bit v%64 of the input's word v/64). The hot-path equivalent of
     // calling input_vector_for per vector without the per-vector
-    // allocation. `words` is resized and zeroed.
+    // allocation. `words` is resized and zeroed. Throws
+    // std::invalid_argument when `count` is out of range.
     void pack_input_words(sw_mode m, int das_keep_bits,
                           const std::uint64_t* a, const std::uint64_t* b,
-                          int count, std::vector<std::uint64_t>& words,
-                          int blocks = 1) const;
+                          int count,
+                          std::vector<std::uint64_t>& words) const;
 
 private:
     void input_vector_into(std::int64_t a, std::int64_t b,

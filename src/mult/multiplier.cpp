@@ -15,7 +15,7 @@ void structural_multiplier::finalize()
     // repeated constructions of the same design (common in tests and
     // benches) compile the netlist once per process.
     batch_sched_ = compiled_netlist_cache::global().get(nl_);
-    wide_ = std::make_unique<compiled_sim<8>>(batch_sched_);
+    wide_ = std::make_unique<compiled_sim>(batch_sched_);
 }
 
 void structural_multiplier::input_vector_into(std::int64_t a, std::int64_t b,
@@ -50,15 +50,15 @@ void structural_multiplier::simulate_batch(const std::int64_t* a,
     if (!wide_) {
         throw std::logic_error("structural_multiplier: not finalized");
     }
-    constexpr int blocks = 8;
-    constexpr int lanes = 64 * blocks;
+    constexpr int blocks = compiled_sim::lane_words;
+    constexpr int lanes = compiled_sim::lane_capacity;
     const std::size_t n_in = nl_.inputs().size();
     const int out_width = static_cast<int>(out_bus_.size());
 
     // One worker's serial walk over vectors [first, first + span) through
     // `sim`. The per-lane stimulus buffer is reused across the whole range
     // (input_vector_into), not allocated per vector.
-    const auto run_range = [&](compiled_sim<8>& sim, std::size_t first,
+    const auto run_range = [&](compiled_sim& sim, std::size_t first,
                                std::size_t span) {
         std::vector<std::uint64_t> words(n_in * blocks);
         std::vector<bool> v;
@@ -114,12 +114,12 @@ void structural_multiplier::simulate_batch(const std::int64_t* a,
     }
     first[workers] = n;
 
-    std::vector<compiled_sim_pool<8>::lease> leases(workers);
+    std::vector<compiled_sim_pool::lease> leases(workers);
     for (unsigned t = 1; t < workers; ++t) {
-        leases[t] = compiled_sim_pool<8>::global().acquire(batch_sched_);
+        leases[t] = compiled_sim_pool::global().acquire(batch_sched_);
     }
     parallel_for(workers, workers, [&](std::size_t t) {
-        compiled_sim<8>& sim = t == 0 ? *wide_ : *leases[t];
+        compiled_sim& sim = t == 0 ? *wide_ : *leases[t];
         if (t != 0) {
             // Warm-up: the predecessor vector, uncounted.
             std::vector<std::uint64_t> words(n_in * blocks, 0);

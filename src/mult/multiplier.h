@@ -139,7 +139,7 @@ protected:
     // the shared schedule handle so extra simulate_batch workers can lease
     // pool executors over the very same compiled structure.
     std::shared_ptr<const compiled_schedule> batch_sched_;
-    std::unique_ptr<compiled_sim<8>> wide_;
+    std::unique_ptr<compiled_sim> wide_;
 
 private:
     std::string name_;

@@ -15,16 +15,14 @@ namespace dvafs {
 namespace {
 
 // The activity measurement loop over the compiled executor. The operand
-// stream is drawn per vector in stream order, so the statistics are
-// independent of the lane width W -- only the number of vectors per
-// schedule pass changes.
+// stream is drawn per vector in stream order, so the statistics do not
+// depend on how the stream is split into schedule passes.
 struct point_activity {
     std::uint64_t vectors = 0;
     std::uint64_t toggles = 0;
     double switched_cap_ff = 0.0;
 };
 
-template <int W>
 point_activity measure_activity(const dvafs_multiplier& mult,
                                 const tech_model& tech,
                                 point_measure_state& st,
@@ -52,19 +50,19 @@ point_activity measure_activity(const dvafs_multiplier& mult,
     // (shared process-wide via the content-keyed cache). Per-lane
     // truncation in subword modes is deliberately NOT tied: it is a data
     // contract, and the mode-clean warm-up vector below drives full-
-    // precision operands, exactly as the interpreter-based measurement
-    // always did. The stream honours the structural ties by construction
+    // precision operands, exactly as the scalar extraction does. The
+    // stream honours the structural ties by construction
     // (pack_input_words gates them), which apply() verifies.
     //
     // The executor comes from the warm pool; a reused instance carries
     // stale values, which the warm-up apply (fresh start) or
     // load_activity (resume) fully re-establishes -- pool reuse is
     // bit-invisible to the measurement.
-    auto lease = compiled_sim_pool<W>::global().acquire(
+    auto lease = compiled_sim_pool::global().acquire(
         compiled_netlist_cache::global().get(
             mult.net(), mult.tied_inputs(spec.mode, das_keep)));
-    compiled_sim<W>& sim = *lease;
-    constexpr int lanes = compiled_sim<W>::lane_capacity;
+    compiled_sim& sim = *lease;
+    constexpr int lanes = compiled_sim::lane_capacity;
     pcg32 rng(cfg.seed);
     const std::uint64_t mask = low_mask(w);
     std::vector<std::uint64_t> words;
@@ -79,7 +77,7 @@ point_activity measure_activity(const dvafs_multiplier& mult,
         a[0] = rng.next_u64() & mask;
         b[0] = rng.next_u64() & mask;
         mult.pack_input_words(spec.mode, das_keep, a.data(), b.data(), 1,
-                              words, W);
+                              words);
         sim.apply(words, 1);
         sim.reset_stats();
     } else {
@@ -109,7 +107,7 @@ point_activity measure_activity(const dvafs_multiplier& mult,
             b[static_cast<std::size_t>(lane)] = bv;
         }
         mult.pack_input_words(spec.mode, das_keep, a.data(), b.data(), count,
-                              words, W);
+                              words);
         sim.apply(words, count);
         done += static_cast<std::uint64_t>(count);
     }
@@ -146,41 +144,15 @@ sim_point_result sim_engine::measure_to(const dvafs_multiplier& mult,
         throw std::invalid_argument("sim_engine: keep_bits out of range");
     }
 
-    std::uint64_t vectors = 0;
-    std::uint64_t toggles = 0;
-    double switched_cap_ff = 0.0;
-    switch (cfg_.wide_w) {
-    case 1: {
-        const auto act = measure_activity<1>(mult, tech, st, cfg_);
-        vectors = act.vectors;
-        toggles = act.toggles;
-        switched_cap_ff = act.switched_cap_ff;
-        break;
-    }
-    case 4: {
-        const auto act = measure_activity<4>(mult, tech, st, cfg_);
-        vectors = act.vectors;
-        toggles = act.toggles;
-        switched_cap_ff = act.switched_cap_ff;
-        break;
-    }
-    case 8: {
-        const auto act = measure_activity<8>(mult, tech, st, cfg_);
-        vectors = act.vectors;
-        toggles = act.toggles;
-        switched_cap_ff = act.switched_cap_ff;
-        break;
-    }
-    default:
-        throw std::invalid_argument("sim_engine: wide_w must be 1, 4 or 8");
-    }
+    const point_activity act = measure_activity(mult, tech, st, cfg_);
 
     sim_point_result r;
     r.spec = spec;
-    r.vectors = vectors;
-    r.toggles = toggles;
-    r.mean_cap_ff = vectors ? switched_cap_ff / static_cast<double>(vectors)
-                            : 0.0;
+    r.vectors = act.vectors;
+    r.toggles = act.toggles;
+    r.mean_cap_ff =
+        act.vectors ? act.switched_cap_ff / static_cast<double>(act.vectors)
+                    : 0.0;
     r.lanes = lane_count(spec.mode);
     r.f_mhz = spec.f_mhz > 0.0
                   ? spec.f_mhz

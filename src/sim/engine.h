@@ -1,14 +1,14 @@
 // Multithreaded operating-point sweep engine.
 //
-// Each sweep point is an independent measurement: a fresh compiled
-// wide-word executor (circuit/compiled_sim.h) over the *shared*
+// Each sweep point is an independent measurement: a compiled 512-lane
+// executor (circuit/compiled_sim.h) over the *shared*
 // mode-specialized schedule of the multiplier netlist, driven with an
 // identical seeded operand stream (the same stream for every point, as
 // the k-parameter extraction requires), plus an active-cone timing pass.
 // The schedule bakes the point's tied inputs (mode selects, DAS selects,
 // gated operand LSBs) in at compile time, so reduced-precision points
 // simulate only their active cone; results stay bit-identical to the
-// logic_sim64 interpreter (and the scalar oracle) on the same stream.
+// scalar oracle (logic_sim) on the same stream.
 // Points are farmed across a std::thread pool; results are written by
 // point index, so the output is bit-identical for any thread count --
 // determinism is asserted in tests/test_sim_engine.cpp.
@@ -41,17 +41,13 @@ struct sim_engine_config {
     std::uint64_t seed = 42;         // operand stream seed (shared by points)
     double throughput_mops = 500.0;  // constant-throughput rule for f
     bool with_timing = true;         // run the active-cone STA per point
-    // uint64 blocks per net in the compiled executor: 1, 4 or 8 (64, 256
-    // or 512 vectors per schedule pass). Purely a throughput knob --
-    // measurements are bit-identical for every value.
-    int wide_w = 8;
 };
 
 // A suspended per-point measurement: everything needed to extend the
 // measurement to more vectors later -- in this process or another one (the
 // struct is what the frontier cache persists to disk). The operand stream
 // is seed-deterministic and drawn strictly in vector order, and the
-// executor's statistics carry is W- and chunking-independent, so resuming
+// executor's statistics carry is chunking-independent, so resuming
 // from (done, rng, sim) and running to N vectors is bit-identical to a
 // fresh N-vector measurement (asserted in tests/test_pareto.cpp).
 struct point_measure_state {

@@ -47,37 +47,4 @@ std::vector<operating_point_spec> kparam_sweep_points(int width)
     return pts;
 }
 
-std::vector<operating_point_spec> make_sweep_grid(const sweep_grid_config& g)
-{
-    if (g.width < 8 || g.width % 4 != 0) {
-        throw std::invalid_argument("make_sweep_grid: bad width");
-    }
-    std::vector<double> vs = g.voltages.empty()
-                                 ? std::vector<double>{0.0}
-                                 : g.voltages;
-    std::vector<double> fs = g.frequencies.empty()
-                                 ? std::vector<double>{0.0}
-                                 : g.frequencies;
-    const int q = g.width / 4;
-    std::vector<operating_point_spec> pts;
-    for (const double v : vs) {
-        for (const double f : fs) {
-            if (g.include_das) {
-                for (int keep = q; keep <= g.width; keep += q) {
-                    pts.push_back({sw_mode::w1x16, keep, v, f});
-                }
-            }
-            if (g.include_subword) {
-                for (const sw_mode m : all_sw_modes) {
-                    if (m == sw_mode::w1x16 && g.include_das) {
-                        continue; // already emitted as the keep==width row
-                    }
-                    pts.push_back({m, g.width / lane_count(m), v, f});
-                }
-            }
-        }
-    }
-    return pts;
-}
-
 } // namespace dvafs

@@ -41,19 +41,4 @@ bool operator==(const operating_point_spec& a,
 // subword modes at full lane precision.
 std::vector<operating_point_spec> kparam_sweep_points(int width);
 
-// Full cross product precision x voltage x frequency. Precisions are
-// quarter multiples of `width`; each precision uses the widest mode whose
-// lane width equals it (the DVAFS operating rule) plus, when
-// `include_das`, the 1xW structurally-truncated variant. Pass empty
-// voltage/frequency lists for "derive from the tech model".
-struct sweep_grid_config {
-    int width = 16;
-    std::vector<double> voltages;     // empty = {0} (nominal)
-    std::vector<double> frequencies;  // empty = {0} (constant throughput)
-    bool include_das = true;
-    bool include_subword = true;
-};
-
-std::vector<operating_point_spec> make_sweep_grid(const sweep_grid_config& g);
-
 } // namespace dvafs

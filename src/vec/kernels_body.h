@@ -39,13 +39,13 @@ inline constexpr bword operator^(bword a, bword b) noexcept
     return {a.v ^ b.v};
 }
 
-// One kind-homogeneous run at compile-time kind K and width W: the truth
-// table folds to straight-line bitwise ops, the W-word loop vectorizes
-// under this TU's flags, and the fused toggle popcount comes from the
-// overlay. Mirrors (bit-exactly) the pre-vec compiled_sim<W>::exec_run.
-template <int W, ::dvafs::gate_kind K>
+// One kind-homogeneous run at compile-time kind K: the truth table folds
+// to straight-line bitwise ops, the gate_words loop vectorizes under this
+// TU's flags, and the fused toggle popcount comes from the overlay.
+template <::dvafs::gate_kind K>
 void run_kind(const gate_run_args& g)
 {
+    constexpr int W = gate_words;
     std::uint64_t* const v = g.values;
     const std::uint32_t* const i0 = g.in0;
     const std::uint32_t* const i1 = g.in1;
@@ -75,23 +75,22 @@ void run_kind(const gate_run_args& g)
     }
 }
 
-template <int W>
-void exec_gates(const gate_run_args& g)
+inline void exec_gates(const gate_run_args& g)
 {
     using ::dvafs::gate_kind;
     switch (static_cast<gate_kind>(g.kind)) {
-    case gate_kind::buf: run_kind<W, gate_kind::buf>(g); break;
-    case gate_kind::not_g: run_kind<W, gate_kind::not_g>(g); break;
-    case gate_kind::and_g: run_kind<W, gate_kind::and_g>(g); break;
-    case gate_kind::or_g: run_kind<W, gate_kind::or_g>(g); break;
-    case gate_kind::xor_g: run_kind<W, gate_kind::xor_g>(g); break;
-    case gate_kind::nand_g: run_kind<W, gate_kind::nand_g>(g); break;
-    case gate_kind::nor_g: run_kind<W, gate_kind::nor_g>(g); break;
-    case gate_kind::xnor_g: run_kind<W, gate_kind::xnor_g>(g); break;
-    case gate_kind::and3_g: run_kind<W, gate_kind::and3_g>(g); break;
-    case gate_kind::or3_g: run_kind<W, gate_kind::or3_g>(g); break;
-    case gate_kind::mux_g: run_kind<W, gate_kind::mux_g>(g); break;
-    case gate_kind::maj_g: run_kind<W, gate_kind::maj_g>(g); break;
+    case gate_kind::buf: run_kind<gate_kind::buf>(g); break;
+    case gate_kind::not_g: run_kind<gate_kind::not_g>(g); break;
+    case gate_kind::and_g: run_kind<gate_kind::and_g>(g); break;
+    case gate_kind::or_g: run_kind<gate_kind::or_g>(g); break;
+    case gate_kind::xor_g: run_kind<gate_kind::xor_g>(g); break;
+    case gate_kind::nand_g: run_kind<gate_kind::nand_g>(g); break;
+    case gate_kind::nor_g: run_kind<gate_kind::nor_g>(g); break;
+    case gate_kind::xnor_g: run_kind<gate_kind::xnor_g>(g); break;
+    case gate_kind::and3_g: run_kind<gate_kind::and3_g>(g); break;
+    case gate_kind::or3_g: run_kind<gate_kind::or3_g>(g); break;
+    case gate_kind::mux_g: run_kind<gate_kind::mux_g>(g); break;
+    case gate_kind::maj_g: run_kind<gate_kind::maj_g>(g); break;
     case gate_kind::input:
     case gate_kind::constant:
         break; // unreachable: compiled_sim rejects these before dispatch
@@ -271,9 +270,7 @@ inline constexpr kernel_table k_table = {
     &masked_popcount,
     &shift_transitions,
     &transpose64,
-    &exec_gates<1>,
-    &exec_gates<4>,
-    &exec_gates<8>,
+    &exec_gates,
     &gemm_f32_impl,
     &gemm_s8_impl,
     &gemm_s16_impl,

@@ -46,11 +46,15 @@ namespace dvafs::vec {
 // ISA levels in preference order (higher wins in best-available pick).
 enum class isa : int { scalar = 0, neon = 1, avx2 = 2, avx512 = 3 };
 
+// Words per net in the gate-run executor: 512 lanes, the compiled
+// simulator's width (circuit/compiled_sim.h asserts they agree).
+inline constexpr int gate_words = 8;
+
 // One kind-homogeneous gate run over the compiled schedule's SoA arrays
 // (see circuit/compiled_sim.h). `values` is the dense value array viewed
-// as raw words, W words per net; gate i reads fanin blocks in0/in1/in2[i]
-// and writes block i, accumulating the fused toggle popcount into
-// toggles[i] and the final-lane carry into last[i].
+// as raw words, gate_words words per net; gate i reads fanin blocks
+// in0/in1/in2[i] and writes block i, accumulating the fused toggle
+// popcount into toggles[i] and the final-lane carry into last[i].
 struct gate_run_args {
     int kind = 0; // static_cast<int>(gate_kind), never input/constant
     const std::uint32_t* in0 = nullptr;
@@ -58,10 +62,10 @@ struct gate_run_args {
     const std::uint32_t* in2 = nullptr;
     std::uint32_t begin = 0;
     std::uint32_t end = 0;
-    std::uint64_t* values = nullptr;         // net_count * W words
+    std::uint64_t* values = nullptr;         // net_count * gate_words
     std::uint64_t* toggles = nullptr;        // per dense net
     std::uint8_t* last = nullptr;            // per dense net
-    const std::uint64_t* toggle_mask = nullptr; // W words
+    const std::uint64_t* toggle_mask = nullptr; // gate_words words
     int last_word = 0;
     int last_bit = 0;
 };
@@ -84,10 +88,8 @@ struct kernel_table {
                                        std::uint64_t carry_in);
     // In-place 64x64 bit-matrix transpose (fixedpoint/bitops.h semantics).
     void (*transpose64)(std::uint64_t x[64]);
-    // Gate-run executors for the compiled sim's three lane widths.
-    void (*exec_gates_w1)(const gate_run_args& run);
-    void (*exec_gates_w4)(const gate_run_args& run);
-    void (*exec_gates_w8)(const gate_run_args& run);
+    // Gate-run executor for the compiled sim (gate_words per net).
+    void (*exec_gates)(const gate_run_args& run);
     // Blocked GEMMs, C = bias + A(m x k) * B(k x n). Float keeps the
     // cnn/gemm.h accumulation contract; integer kernels are exact (int8
     // under the k <= 66571 int32 overflow contract of cnn/gemm_int.h).

@@ -1,8 +1,8 @@
-// Differential suite for the compiled wide-word gate simulator: random
+// Differential suite for the compiled 512-lane gate simulator: random
 // netlists x random batch shapes x every subword mode, asserting values,
 // per-net toggles, switched capacitance and transition counts bit-exact
-// against both the scalar oracle (logic_sim) and the 64-lane interpreter
-// (logic_sim64), including the batch-boundary toggle carry and the
+// against the scalar oracle (logic_sim), including the batch-boundary
+// toggle carry, reset_stats keeping the boundary transition and the
 // !initialized_ first-vector edge case. Plus the compile-time contracts:
 // cone pruning under tied inputs, tie validation, and content-keyed
 // schedule sharing.
@@ -14,11 +14,11 @@
 #include "circuit/tech.h"
 #include "fixedpoint/bitops.h"
 #include "mult/dvafs_mult.h"
-#include "sim/engine.h"
 #include "util/rng.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -55,54 +55,40 @@ netlist random_netlist(int n_inputs, int n_gates, std::uint64_t seed)
     return nl;
 }
 
-// Drives one identical random vector stream through logic_sim, logic_sim64
-// and compiled_sim<W> (the compiled side split into `batches`), then
-// asserts bit-exact equality of final values, per-net toggles, switched
-// capacitance and transitions. The 64-lane side always uses 64-vector
-// batches, so compiled batch boundaries generally do NOT line up with it
-// -- which is the point: the carry across batch boundaries must not show.
-template <int W>
+constexpr std::size_t words_per_input = compiled_sim::lane_words;
+
+// Drives one identical random vector stream through logic_sim and
+// compiled_sim (the compiled side split into `batches`), then asserts
+// bit-exact equality of final values, per-net toggles, switched
+// capacitance and transitions. Batch sizes that straddle 64-lane word
+// boundaries exercise the carry between words as well as between
+// batches.
 void run_differential(const netlist& nl, const std::vector<int>& batches,
                       std::uint64_t seed)
 {
     const std::size_t n_in = nl.inputs().size();
     logic_sim scalar(nl);
-    logic_sim64 interp(nl);
-    compiled_sim<W> comp(std::make_shared<const compiled_schedule>(
+    compiled_sim comp(std::make_shared<const compiled_schedule>(
         compile_netlist(nl)));
     pcg32 rng(seed);
 
-    std::vector<std::uint64_t> interp_words(n_in, 0);
-    int interp_fill = 0;
-    const auto interp_flush = [&] {
-        if (interp_fill > 0) {
-            interp.apply(interp_words, interp_fill);
-            std::fill(interp_words.begin(), interp_words.end(), 0);
-            interp_fill = 0;
-        }
-    };
-
     for (const int count : batches) {
         ASSERT_GE(count, 1);
-        ASSERT_LE(count, compiled_sim<W>::lane_capacity);
-        std::vector<std::uint64_t> words(n_in * W, 0);
+        ASSERT_LE(count, compiled_sim::lane_capacity);
+        std::vector<std::uint64_t> words(n_in * words_per_input, 0);
         for (int lane = 0; lane < count; ++lane) {
             std::vector<bool> v(n_in);
             for (std::size_t i = 0; i < n_in; ++i) {
                 v[i] = rng.bernoulli(0.5);
                 if (v[i]) {
-                    words[i * W + static_cast<std::size_t>(lane) / 64] |=
+                    words[i * words_per_input
+                          + static_cast<std::size_t>(lane) / 64] |=
                         1ULL << (lane & 63);
-                    interp_words[i] |= 1ULL << interp_fill;
                 }
             }
             scalar.apply(v);
-            if (++interp_fill == 64) {
-                interp_flush();
-            }
         }
         comp.apply(words, count);
-        interp_flush();
 
         // Final-lane values match the scalar state after the same stream.
         for (net_id id = 0; id < nl.size(); ++id) {
@@ -112,10 +98,8 @@ void run_differential(const netlist& nl, const std::vector<int>& batches,
     }
 
     ASSERT_EQ(comp.transitions(), scalar.transitions());
-    ASSERT_EQ(comp.transitions(), interp.transitions());
     for (net_id id = 0; id < nl.size(); ++id) {
         ASSERT_EQ(comp.toggles(id), scalar.toggles(id)) << "net " << id;
-        ASSERT_EQ(comp.toggles(id), interp.toggles(id)) << "net " << id;
     }
     ASSERT_EQ(comp.total_toggles(), scalar.total_toggles());
     const tech_model& tech = tech_40nm_lp();
@@ -123,40 +107,39 @@ void run_differential(const netlist& nl, const std::vector<int>& batches,
     // order precisely so the double sum is bit-identical.
     ASSERT_EQ(comp.switched_capacitance_ff(tech),
               scalar.switched_capacitance_ff(tech));
-    ASSERT_EQ(comp.switched_capacitance_ff(tech),
-              interp.switched_capacitance_ff(tech));
 }
 
 TEST(compiled_sim, matches_oracles_on_random_netlists)
 {
     for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
         const netlist nl = random_netlist(12, 300, seed);
-        run_differential<1>(nl, {64, 64, 64}, seed * 7 + 1);
-        run_differential<4>(nl, {256, 256}, seed * 7 + 1);
-        run_differential<8>(nl, {512, 512}, seed * 7 + 1);
+        run_differential(nl, {512, 512, 512}, seed * 7 + 1);
     }
 }
 
 TEST(compiled_sim, matches_oracles_with_ragged_batches)
 {
     const netlist nl = random_netlist(10, 200, 11);
-    // Partial batches, single-vector batches, word-boundary straddlers.
-    run_differential<1>(nl, {1, 7, 64, 3, 1, 30, 64, 5}, 99);
-    run_differential<4>(nl, {1, 63, 64, 65, 200, 256, 17, 100}, 99);
-    run_differential<8>(nl, {5, 127, 128, 129, 512, 300, 1, 450}, 99);
+    // Partial batches, single-vector batches, full batches and sizes that
+    // straddle every kind of 64-lane word boundary.
+    run_differential(nl,
+                     {1, 7, 64, 3, 1, 30, 63, 65, 5, 127, 128, 129, 512,
+                      300, 1, 450, 256, 17},
+                     99);
 }
 
 TEST(compiled_sim, first_vector_initializes_without_counting)
 {
     // The !initialized_ edge: the very first vector establishes state and
     // must count neither a transition nor any toggle, exactly like the
-    // oracles -- including when it arrives as a 1-vector batch.
+    // oracle -- including when it arrives as a 1-vector batch.
     const netlist nl = random_netlist(8, 120, 21);
-    run_differential<4>(nl, {1, 100}, 5);
+    run_differential(nl, {1, 100}, 5);
 
-    compiled_sim<4> comp(std::make_shared<const compiled_schedule>(
+    compiled_sim comp(std::make_shared<const compiled_schedule>(
         compile_netlist(nl)));
-    std::vector<std::uint64_t> words(nl.inputs().size() * 4, ~0ULL);
+    std::vector<std::uint64_t> words(nl.inputs().size() * words_per_input,
+                                     ~0ULL);
     comp.apply(words, 1);
     EXPECT_EQ(comp.transitions(), 0U);
     EXPECT_EQ(comp.total_toggles(), 0U);
@@ -166,15 +149,16 @@ TEST(compiled_sim, reset_stats_keeps_boundary_transition)
 {
     const netlist nl = random_netlist(8, 100, 5);
     logic_sim scalar(nl);
-    compiled_sim<8> comp(std::make_shared<const compiled_schedule>(
+    compiled_sim comp(std::make_shared<const compiled_schedule>(
         compile_netlist(nl)));
     pcg32 rng(21);
 
     std::vector<bool> v(nl.inputs().size());
-    std::vector<std::uint64_t> words(nl.inputs().size() * 8, 0);
+    std::vector<std::uint64_t> words(nl.inputs().size() * words_per_input,
+                                     0);
     for (std::size_t i = 0; i < v.size(); ++i) {
         v[i] = rng.bernoulli(0.5);
-        words[i * 8] = v[i] ? 1 : 0;
+        words[i * words_per_input] = v[i] ? 1 : 0;
     }
     scalar.apply(v);
     comp.apply(words, 1);
@@ -185,10 +169,11 @@ TEST(compiled_sim, reset_stats_keeps_boundary_transition)
     // state (warm-up contract of the k-parameter extraction).
     for (std::size_t i = 0; i < v.size(); ++i) {
         v[i] = !v[i];
-        words[i * 8] = v[i] ? 1 : 0;
+        words[i * words_per_input] = v[i] ? 1 : 0;
     }
     scalar.apply(v);
     comp.apply(words, 1);
+    EXPECT_EQ(scalar.transitions(), 1U);
     EXPECT_EQ(comp.transitions(), 1U);
     for (net_id id = 0; id < nl.size(); ++id) {
         ASSERT_EQ(comp.toggles(id), scalar.toggles(id)) << "net " << id;
@@ -200,9 +185,9 @@ TEST(compiled_sim, reset_stats_keeps_boundary_transition)
 TEST(compiled_sim, mode_specialized_schedules_match_interpreter)
 {
     // Width 8 keeps this cheap: every mode x structural DAS level, the
-    // identical packed stream through logic_sim64 and a pruned compiled
-    // schedule. Covers the engine_activity measurement contract end to
-    // end (warm-up, reset, ragged final batch).
+    // identical stream through the scalar oracle over the full netlist
+    // and a pruned compiled schedule. Covers the engine_activity
+    // measurement contract end to end (ragged final batch included).
     const dvafs_multiplier mult(8);
     const tech_model& tech = tech_40nm_lp();
     const int w = mult.width();
@@ -214,53 +199,38 @@ TEST(compiled_sim, mode_specialized_schedules_match_interpreter)
             if (mode != sw_mode::w1x16 && keep != lane_w) {
                 continue; // structural ties cover mode + DAS selects only
             }
-            logic_sim64 interp(mult.net());
-            compiled_sim<4> comp(compiled_netlist_cache::global().get(
+            logic_sim scalar(mult.net());
+            compiled_sim comp(compiled_netlist_cache::global().get(
                 mult.net(), mult.tied_inputs(mode, das_keep)));
 
             pcg32 rng(7);
             const std::uint64_t mask = low_mask(w);
-            std::vector<std::uint64_t> w1;
-            std::vector<std::uint64_t> w4;
-            std::vector<std::uint64_t> a(256);
-            std::vector<std::uint64_t> b(256);
-            const int total = 300; // ragged 256 + 44 split on the wide side
+            const int total = 600; // ragged 512 + 88 split
             std::vector<std::uint64_t> sa(total);
             std::vector<std::uint64_t> sb(total);
             for (int i = 0; i < total; ++i) {
                 sa[i] = rng.next_u64() & mask;
                 sb[i] = rng.next_u64() & mask;
+                scalar.apply(
+                    mult.input_vector_for(mode, das_keep, sa[i], sb[i]));
             }
+            std::vector<std::uint64_t> words;
             for (int done = 0; done < total;) {
-                const int count = std::min(64, total - done);
-                std::copy(sa.begin() + done, sa.begin() + done + count,
-                          a.begin());
-                std::copy(sb.begin() + done, sb.begin() + done + count,
-                          b.begin());
-                mult.pack_input_words(mode, das_keep, a.data(), b.data(),
-                                      count, w1);
-                interp.apply(w1, count);
-                done += count;
-            }
-            for (int done = 0; done < total;) {
-                const int count = std::min(256, total - done);
-                std::copy(sa.begin() + done, sa.begin() + done + count,
-                          a.begin());
-                std::copy(sb.begin() + done, sb.begin() + done + count,
-                          b.begin());
-                mult.pack_input_words(mode, das_keep, a.data(), b.data(),
-                                      count, w4, 4);
-                comp.apply(w4, count);
+                const int count =
+                    std::min(compiled_sim::lane_capacity, total - done);
+                mult.pack_input_words(mode, das_keep, sa.data() + done,
+                                      sb.data() + done, count, words);
+                comp.apply(words, count);
                 done += count;
             }
 
-            ASSERT_EQ(comp.transitions(), interp.transitions());
-            ASSERT_EQ(comp.total_toggles(), interp.total_toggles())
+            ASSERT_EQ(comp.transitions(), scalar.transitions());
+            ASSERT_EQ(comp.total_toggles(), scalar.total_toggles())
                 << to_string(mode) << "@" << keep;
             ASSERT_EQ(comp.switched_capacitance_ff(tech),
-                      interp.switched_capacitance_ff(tech));
+                      scalar.switched_capacitance_ff(tech));
             for (net_id id = 0; id < mult.net().size(); ++id) {
-                ASSERT_EQ(comp.toggles(id), interp.toggles(id))
+                ASSERT_EQ(comp.toggles(id), scalar.toggles(id))
                     << to_string(mode) << "@" << keep << " net " << id;
             }
             // Bus values readable lane by lane, including folded nets.
@@ -269,9 +239,9 @@ TEST(compiled_sim, mode_specialized_schedules_match_interpreter)
                 out_nets.push_back(
                     mult.net().output("p" + std::to_string(i)));
             }
-            const int last = (total - 1) % 256;
+            const int last = (total - 1) % compiled_sim::lane_capacity;
             ASSERT_EQ(comp.read_bus(out_nets, last),
-                      interp.read_bus(out_nets, (total - 1) % 64));
+                      scalar.read_bus(out_nets));
         }
     }
 }
@@ -298,7 +268,7 @@ TEST(compiled_sim, cone_pruning_shrinks_mode_schedules)
 TEST(compiled_sim, rejects_stimulus_contradicting_ties)
 {
     const dvafs_multiplier mult(8);
-    compiled_sim<1> comp(compiled_netlist_cache::global().get(
+    compiled_sim comp(compiled_netlist_cache::global().get(
         mult.net(), mult.tied_inputs(sw_mode::w4x4, 8)));
     // Pack a 1x16-mode stimulus against the 4x4-specialized schedule:
     // the mode-select ties are violated and apply() must throw rather
@@ -322,23 +292,33 @@ TEST(compiled_sim, rejects_ties_on_non_inputs)
 TEST(compiled_sim, apply_validates_shape)
 {
     const netlist nl = random_netlist(6, 30, 9);
-    compiled_sim<4> comp(std::make_shared<const compiled_schedule>(
+    compiled_sim comp(std::make_shared<const compiled_schedule>(
         compile_netlist(nl)));
-    std::vector<std::uint64_t> words(nl.inputs().size() * 4, 0);
+    std::vector<std::uint64_t> words(nl.inputs().size() * words_per_input,
+                                     0);
     EXPECT_THROW(comp.apply(words, 0), std::invalid_argument);
-    EXPECT_THROW(comp.apply(words, 257), std::invalid_argument);
+    EXPECT_THROW(comp.apply(words, compiled_sim::lane_capacity + 1),
+                 std::invalid_argument);
     std::vector<std::uint64_t> short_words(nl.inputs().size(), 0);
     EXPECT_THROW(comp.apply(short_words, 1), std::invalid_argument);
 }
 
 TEST(compiled_sim, read_bus_rejects_oversized_bus)
 {
-    const netlist nl = random_netlist(4, 80, 13);
-    compiled_sim<1> comp(std::make_shared<const compiled_schedule>(
+    // A 65-net bus cannot be packed into the return word; a narrower bus
+    // reaching net 64 still reads.
+    netlist nl;
+    std::vector<net_id> bus;
+    for (int i = 0; i < 65; ++i) {
+        bus.push_back(nl.add_input("i" + std::to_string(i)));
+    }
+    compiled_sim comp(std::make_shared<const compiled_schedule>(
         compile_netlist(nl)));
-    const std::vector<net_id> bus(65, 0);
+    comp.apply(std::vector<std::uint64_t>(65 * words_per_input, 1ULL), 1);
     EXPECT_THROW((void)comp.read_bus(bus, 0), std::invalid_argument);
-    EXPECT_THROW((void)comp.read_bus({0}, 64), std::invalid_argument);
+    EXPECT_EQ(comp.read_bus({bus[0], bus[64]}, 0), 0b11ULL);
+    EXPECT_THROW((void)comp.read_bus({bus[0]}, compiled_sim::lane_capacity),
+                 std::invalid_argument);
 }
 
 TEST(compiled_netlist_cache, shares_schedules_by_content)
@@ -353,38 +333,6 @@ TEST(compiled_netlist_cache, shares_schedules_by_content)
     const auto tied = compiled_netlist_cache::global().get(
         a.net(), a.tied_inputs(sw_mode::w2x8, 8));
     EXPECT_NE(sa.get(), tied.get());
-}
-
-TEST(sim_engine_wide_w, lane_width_does_not_change_measurements)
-{
-    const dvafs_multiplier& mult = *netlist_cache::global().dvafs(16);
-    const tech_model& tech = tech_40nm_lp();
-    const std::vector<operating_point_spec> specs = kparam_sweep_points(16);
-
-    sim_engine_config base;
-    base.vectors = 300;
-    std::vector<sim_point_result> results[3];
-    const int widths[3] = {1, 4, 8};
-    for (int i = 0; i < 3; ++i) {
-        sim_engine_config cfg = base;
-        cfg.wide_w = widths[i];
-        const sim_engine engine(cfg);
-        for (const operating_point_spec& spec : specs) {
-            results[i].push_back(engine.measure(mult, tech, spec));
-        }
-    }
-    for (int i = 1; i < 3; ++i) {
-        for (std::size_t p = 0; p < specs.size(); ++p) {
-            EXPECT_EQ(results[i][p].toggles, results[0][p].toggles)
-                << "W=" << widths[i] << " " << specs[p].label();
-            EXPECT_EQ(results[i][p].mean_cap_ff, results[0][p].mean_cap_ff)
-                << "W=" << widths[i] << " " << specs[p].label();
-        }
-    }
-    sim_engine_config bad = base;
-    bad.wide_w = 5;
-    EXPECT_THROW((void)sim_engine(bad).measure(mult, tech, specs[0]),
-                 std::invalid_argument);
 }
 
 } // namespace

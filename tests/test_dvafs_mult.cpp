@@ -8,7 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <vector>
+
 namespace dvafs {
+
+// Readable, stable parameter names for the per-mode suites ("1x16"
+// instead of gtest's raw-byte dump of the enum).
+void PrintTo(sw_mode m, std::ostream* os)
+{
+    *os << to_string(m);
+}
+
 namespace {
 
 TEST(subword, pack_unpack_round_trip)
@@ -266,6 +277,34 @@ TEST(dvafs_mult, das_precision_granularity)
     EXPECT_THROW(m.set_das_precision(0), std::invalid_argument);
     EXPECT_THROW(m.set_das_precision(20), std::invalid_argument);
     EXPECT_NO_THROW(m.set_das_precision(12));
+}
+
+TEST(dvafs_mult, pack_input_words_rejects_count_out_of_range)
+{
+    // A count above the lane capacity would write past each input's words
+    // into the next input's lanes; it must be refused like
+    // compiled_sim::apply refuses it.
+    const dvafs_multiplier m(8);
+    constexpr int cap = compiled_sim::lane_capacity;
+    const std::vector<std::uint64_t> a(cap + 1, 3);
+    const std::vector<std::uint64_t> b(cap + 1, 5);
+    std::vector<std::uint64_t> words;
+    EXPECT_THROW(m.pack_input_words(sw_mode::w1x16, 8, a.data(), b.data(),
+                                    0, words),
+                 std::invalid_argument);
+    EXPECT_THROW(m.pack_input_words(sw_mode::w1x16, 8, a.data(), b.data(),
+                                    cap + 1, words),
+                 std::invalid_argument);
+    m.pack_input_words(sw_mode::w1x16, 8, a.data(), b.data(), cap, words);
+    EXPECT_EQ(words.size(),
+              m.net().inputs().size() * compiled_sim::lane_words);
+    // a = 3 in every lane: inputs a0 and a1 are all ones, a2 all zeros.
+    constexpr auto lw = static_cast<std::size_t>(compiled_sim::lane_words);
+    for (std::size_t k = 0; k < lw; ++k) {
+        EXPECT_EQ(words[k], ~0ULL);
+        EXPECT_EQ(words[lw + k], ~0ULL);
+        EXPECT_EQ(words[2 * lw + k], 0ULL);
+    }
 }
 
 TEST(dvafs_mult, rejects_bad_width)

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 namespace dvafs {
 namespace {
@@ -23,6 +24,13 @@ struct signed_mult_case {
     int width;
     std::unique_ptr<structural_multiplier> (*make)(int);
 };
+
+// Stable test names: the design name rather than gtest's byte dump, which
+// includes the pointer values and moves with address randomization.
+void PrintTo(const signed_mult_case& c, std::ostream* os)
+{
+    *os << c.name;
+}
 
 std::unique_ptr<structural_multiplier> make_wallace(int w)
 {

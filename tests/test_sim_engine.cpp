@@ -1,5 +1,5 @@
-// Differential tests of the 64-lane bit-parallel simulator against the
-// scalar reference oracle, plus determinism of the threaded sweep engine.
+// The threaded sweep engine and batched simulation: agreement with the
+// scalar reference oracle and determinism across worker counts.
 
 #include "sim/engine.h"
 
@@ -17,133 +17,6 @@
 
 namespace dvafs {
 namespace {
-
-// Random netlist over every gate kind: `n_inputs` primary inputs followed
-// by `n_gates` gates whose fanins are drawn from all earlier nets.
-netlist random_netlist(int n_inputs, int n_gates, std::uint64_t seed)
-{
-    pcg32 rng(seed);
-    netlist nl;
-    for (int i = 0; i < n_inputs; ++i) {
-        nl.add_input("i" + std::to_string(i));
-    }
-    nl.add_const(false);
-    nl.add_const(true);
-    const gate_kind kinds[] = {
-        gate_kind::buf,    gate_kind::not_g,  gate_kind::and_g,
-        gate_kind::or_g,   gate_kind::xor_g,  gate_kind::nand_g,
-        gate_kind::nor_g,  gate_kind::xnor_g, gate_kind::and3_g,
-        gate_kind::or3_g,  gate_kind::mux_g,  gate_kind::maj_g,
-    };
-    for (int g = 0; g < n_gates; ++g) {
-        const gate_kind k =
-            kinds[rng.bounded(static_cast<std::uint32_t>(std::size(kinds)))];
-        const auto pick = [&] {
-            return static_cast<net_id>(
-                rng.bounded(static_cast<std::uint32_t>(nl.size())));
-        };
-        nl.add_gate(k, pick(),
-                    fanin_count(k) >= 2 ? pick() : no_net,
-                    fanin_count(k) >= 3 ? pick() : no_net);
-    }
-    return nl;
-}
-
-// Applies an identical random vector stream to both simulators, the 64-lane
-// side split into batches of the given sizes, and asserts bit-exact values,
-// per-net toggles, switched capacitance and transition counts.
-void run_differential(const netlist& nl, const std::vector<int>& batches,
-                      std::uint64_t seed)
-{
-    const std::size_t n_in = nl.inputs().size();
-    logic_sim scalar(nl);
-    logic_sim64 wide(nl);
-    pcg32 rng(seed);
-
-    for (const int count : batches) {
-        ASSERT_GE(count, 1);
-        ASSERT_LE(count, 64);
-        std::vector<std::uint64_t> words(n_in, 0);
-        std::vector<std::vector<bool>> vectors;
-        for (int lane = 0; lane < count; ++lane) {
-            std::vector<bool> v(n_in);
-            for (std::size_t i = 0; i < n_in; ++i) {
-                v[i] = rng.bernoulli(0.5);
-                words[i] |= static_cast<std::uint64_t>(v[i] ? 1 : 0)
-                            << lane;
-            }
-            vectors.push_back(std::move(v));
-        }
-        for (const std::vector<bool>& v : vectors) {
-            scalar.apply(v);
-        }
-        wide.apply(words, count);
-
-        // Final-lane values match the scalar state after the same stream.
-        for (net_id id = 0; id < nl.size(); ++id) {
-            ASSERT_EQ(wide.value(id, count - 1), scalar.value(id))
-                << "net " << id;
-        }
-    }
-
-    ASSERT_EQ(wide.transitions(), scalar.transitions());
-    for (net_id id = 0; id < nl.size(); ++id) {
-        ASSERT_EQ(wide.toggles(id), scalar.toggles(id)) << "net " << id;
-    }
-    ASSERT_EQ(wide.total_toggles(), scalar.total_toggles());
-    const tech_model& tech = tech_40nm_lp();
-    ASSERT_DOUBLE_EQ(wide.switched_capacitance_ff(tech),
-                     scalar.switched_capacitance_ff(tech));
-}
-
-TEST(logic_sim64, matches_scalar_on_random_netlists)
-{
-    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-        const netlist nl = random_netlist(12, 300, seed);
-        run_differential(nl, {64, 64, 64}, seed * 7 + 1);
-    }
-}
-
-TEST(logic_sim64, matches_scalar_with_ragged_batches)
-{
-    const netlist nl = random_netlist(10, 200, 11);
-    // Partial batches, single-vector batches, and full words interleaved.
-    run_differential(nl, {1, 7, 64, 3, 1, 30, 64, 5}, 99);
-}
-
-TEST(logic_sim64, reset_stats_keeps_boundary_transition)
-{
-    const netlist nl = random_netlist(8, 100, 5);
-    logic_sim scalar(nl);
-    logic_sim64 wide(nl);
-    pcg32 rng(21);
-
-    std::vector<bool> v(nl.inputs().size());
-    std::vector<std::uint64_t> words(nl.inputs().size(), 0);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        v[i] = rng.bernoulli(0.5);
-        words[i] = v[i] ? 1 : 0;
-    }
-    scalar.apply(v);
-    wide.apply(words, 1);
-    scalar.reset_stats();
-    wide.reset_stats();
-
-    // The next vector still counts its transition against the pre-reset
-    // state (warm-up contract of the k-parameter extraction).
-    std::fill(words.begin(), words.end(), 0);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        v[i] = !v[i];
-        words[i] = v[i] ? 1 : 0;
-    }
-    scalar.apply(v);
-    wide.apply(words, 1);
-    EXPECT_EQ(scalar.transitions(), 1U);
-    EXPECT_EQ(wide.transitions(), 1U);
-    for (net_id id = 0; id < nl.size(); ++id) {
-        ASSERT_EQ(wide.toggles(id), scalar.toggles(id)) << "net " << id;
-    }
-}
 
 TEST(simulate_batch, products_match_scalar_simulate)
 {
@@ -407,20 +280,6 @@ TEST(sweep_grid, kparam_points_cover_table1)
     EXPECT_EQ(pts[3].keep_bits, 16);
     EXPECT_EQ(pts[4].mode, sw_mode::w2x8);
     EXPECT_EQ(pts[5].mode, sw_mode::w4x4);
-}
-
-TEST(sweep_grid, cross_product_grid)
-{
-    sweep_grid_config g;
-    g.width = 16;
-    g.voltages = {1.1, 0.9};
-    g.frequencies = {500.0};
-    const auto pts = make_sweep_grid(g);
-    // (4 DAS + 2 subword) per voltage x frequency combination.
-    EXPECT_EQ(pts.size(), 12U);
-    for (const auto& p : pts) {
-        EXPECT_EQ(p.f_mhz, 500.0);
-    }
 }
 
 TEST(kparams, extraction_independent_of_thread_count)

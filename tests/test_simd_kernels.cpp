@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace dvafs {
 namespace {
 
@@ -11,6 +13,13 @@ struct kernel_case {
     sw_mode mode;
     int das_bits;
 };
+
+// Stable test names: "1x16@8b" rather than gtest's byte dump, which
+// includes the struct's uninitialised padding.
+void PrintTo(const kernel_case& kc, std::ostream* os)
+{
+    *os << to_string(kc.mode) << "@" << kc.das_bits << "b";
+}
 
 class conv_kernel_test : public ::testing::TestWithParam<kernel_case> {};
 

@@ -311,22 +311,23 @@ netlist random_netlist(int n_inputs, int n_gates, std::uint64_t seed)
 // Drives the same partial-batch stream through compiled_sim under one
 // backend, returning final toggles per net (the exec_gates + fused toggle
 // kernel end to end, including the masked partial batch).
-template <int W>
 std::vector<std::uint64_t> compiled_toggles(const netlist& nl,
                                             vec::isa level,
                                             std::uint64_t seed)
 {
+    constexpr std::size_t words_per_input = compiled_sim::lane_words;
     EXPECT_TRUE(vec::force_isa(level));
-    compiled_sim<W> sim(
+    compiled_sim sim(
         std::make_shared<const compiled_schedule>(compile_netlist(nl)));
     pcg32 rng(seed);
     const std::size_t n_in = nl.inputs().size();
-    for (const int count : {compiled_sim<W>::lane_capacity, 17, 1, 63}) {
-        std::vector<std::uint64_t> words(n_in * W, 0);
+    for (const int count : {compiled_sim::lane_capacity, 17, 1, 63, 200}) {
+        std::vector<std::uint64_t> words(n_in * words_per_input, 0);
         for (int lane = 0; lane < count; ++lane) {
             for (std::size_t i = 0; i < n_in; ++i) {
                 if (rng.bernoulli(0.5)) {
-                    words[i * W + static_cast<std::size_t>(lane) / 64] |=
+                    words[i * words_per_input
+                          + static_cast<std::size_t>(lane) / 64] |=
                         1ULL << (lane & 63);
                 }
             }
@@ -344,15 +345,9 @@ std::vector<std::uint64_t> compiled_toggles(const netlist& nl,
 TEST_F(vec_test, compiled_sim_identical_across_backends)
 {
     const netlist nl = random_netlist(12, 300, 777);
-    const auto ref1 = compiled_toggles<1>(nl, vec::isa::scalar, 9);
-    const auto ref4 = compiled_toggles<4>(nl, vec::isa::scalar, 9);
-    const auto ref8 = compiled_toggles<8>(nl, vec::isa::scalar, 9);
+    const auto ref = compiled_toggles(nl, vec::isa::scalar, 9);
     for (const vec::isa level : other_backends()) {
-        EXPECT_EQ(compiled_toggles<1>(nl, level, 9), ref1)
-            << vec::isa_name(level);
-        EXPECT_EQ(compiled_toggles<4>(nl, level, 9), ref4)
-            << vec::isa_name(level);
-        EXPECT_EQ(compiled_toggles<8>(nl, level, 9), ref8)
+        EXPECT_EQ(compiled_toggles(nl, level, 9), ref)
             << vec::isa_name(level);
     }
 }
