@@ -20,7 +20,7 @@ using namespace dvafs;
 
 namespace {
 
-void sweep_and_print(network& net, const quant_sweep_config& cfg,
+void sweep_and_print(const network& net, const quant_sweep_config& cfg,
                      const std::vector<int>& paper_wbits,
                      const std::vector<int>& paper_ibits,
                      const std::string& tag, bench_reporter& report)
@@ -48,13 +48,11 @@ void sweep_and_print(network& net, const quant_sweep_config& cfg,
     }
     t.print(std::cout);
 
-    network& mutable_net = net;
-    const double joint = apply_requirements(mutable_net, reqs, data);
+    const double joint = requirements_accuracy(net, reqs, data);
     std::cout << "joint relative accuracy at the swept bits: "
               << fmt_percent(joint, 1) << " (target "
               << fmt_percent(cfg.target_accuracy, 0) << ")\n";
     report.add(tag + ".joint_accuracy", joint, "-");
-    net.clear_quant();
 }
 
 } // namespace

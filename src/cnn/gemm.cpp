@@ -3,6 +3,7 @@
 #include "vec/vec.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 namespace dvafs {
@@ -17,10 +18,10 @@ void gemm_blocked(const float* a, const float* b, const float* bias,
     vec::active().gemm_f32(a, b, bias, c, m, k, n);
 }
 
-void im2col(const tensor& x, int kernel, int stride, int pad,
-            const tensor_shape& out_shape, std::vector<float>& cols)
+template <typename T>
+void im2col(const T* x, const tensor_shape& is, int kernel, int stride,
+            int pad, const tensor_shape& out_shape, std::vector<T>& cols)
 {
-    const tensor_shape& is = x.shape();
     const std::size_t n = static_cast<std::size_t>(out_shape.h)
                           * static_cast<std::size_t>(out_shape.w);
     const std::size_t rows = static_cast<std::size_t>(is.c)
@@ -28,34 +29,31 @@ void im2col(const tensor& x, int kernel, int stride, int pad,
                              * static_cast<std::size_t>(kernel);
     cols.resize(rows * n);
 
-    const std::span<const float> xf = x.flat();
     const std::size_t plane = static_cast<std::size_t>(is.h)
                               * static_cast<std::size_t>(is.w);
     std::size_t r = 0;
     for (int c = 0; c < is.c; ++c) {
-        const float* src_plane =
-            xf.data() + static_cast<std::size_t>(c) * plane;
+        const T* src_plane = x + static_cast<std::size_t>(c) * plane;
         for (int ky = 0; ky < kernel; ++ky) {
             for (int kx = 0; kx < kernel; ++kx, ++r) {
-                float* dst = cols.data() + r * n;
+                T* dst = cols.data() + r * n;
                 for (int oy = 0; oy < out_shape.h; ++oy) {
                     const int y = oy * stride + ky - pad;
                     if (y < 0 || y >= is.h) {
                         std::memset(dst, 0,
                                     static_cast<std::size_t>(out_shape.w)
-                                        * sizeof(float));
+                                        * sizeof(T));
                         dst += out_shape.w;
                         continue;
                     }
-                    const float* src =
+                    const T* src =
                         src_plane + static_cast<std::size_t>(y)
                                         * static_cast<std::size_t>(is.w);
                     int ox = 0;
                     // Leading taps left of the image.
-                    for (; ox < out_shape.w
-                           && ox * stride + kx - pad < 0;
+                    for (; ox < out_shape.w && ox * stride + kx - pad < 0;
                          ++ox) {
-                        *dst++ = 0.0F;
+                        *dst++ = T{0};
                     }
                     // In-image taps: contiguous when stride == 1. The
                     // last in-bounds ox solves ox*stride + kx - pad <=
@@ -69,10 +67,9 @@ void im2col(const tensor& x, int kernel, int stride, int pad,
                     if (stride == 1) {
                         const int count = run - ox;
                         if (count > 0) {
-                            std::memcpy(
-                                dst, src + (ox + kx - pad),
-                                static_cast<std::size_t>(count)
-                                    * sizeof(float));
+                            std::memcpy(dst, src + (ox + kx - pad),
+                                        static_cast<std::size_t>(count)
+                                            * sizeof(T));
                             dst += count;
                             ox = run;
                         }
@@ -83,12 +80,22 @@ void im2col(const tensor& x, int kernel, int stride, int pad,
                     }
                     // Trailing taps right of the image.
                     for (; ox < out_shape.w; ++ox) {
-                        *dst++ = 0.0F;
+                        *dst++ = T{0};
                     }
                 }
             }
         }
     }
 }
+
+template void im2col<float>(const float*, const tensor_shape&, int, int,
+                            int, const tensor_shape&, std::vector<float>&);
+template void im2col<std::int8_t>(const std::int8_t*, const tensor_shape&,
+                                  int, int, int, const tensor_shape&,
+                                  std::vector<std::int8_t>&);
+template void im2col<std::int16_t>(const std::int16_t*,
+                                   const tensor_shape&, int, int, int,
+                                   const tensor_shape&,
+                                   std::vector<std::int16_t>&);
 
 } // namespace dvafs

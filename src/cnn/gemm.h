@@ -33,9 +33,13 @@ void gemm_blocked(const float* a, const float* b, const float* bias,
 
 // Packs conv input patches into `cols`, a [C*K*K x OH*OW] row-major
 // matrix: row r = (c, ky, kx) in the conv weight order, column = output
-// pixel (oy, ox). Out-of-image taps are packed as 0. `cols` is resized;
-// callers reuse one scratch vector across calls to avoid reallocation.
-void im2col(const tensor& x, int kernel, int stride, int pad,
-            const tensor_shape& out_shape, std::vector<float>& cols);
+// pixel (oy, ox). `x` is a CHW plane of shape `is` holding float values
+// (the f32 path) or integer codes (the i8/i16 path, cnn/gemm_int.h); one
+// packing serves both. Out-of-image taps are packed as 0. `cols` is
+// resized; callers reuse one scratch vector across calls to avoid
+// reallocation. Instantiated for float, int8_t and int16_t.
+template <typename T>
+void im2col(const T* x, const tensor_shape& is, int kernel, int stride,
+            int pad, const tensor_shape& out_shape, std::vector<T>& cols);
 
 } // namespace dvafs

@@ -1,4 +1,5 @@
-// Integer im2col + blocked GEMM: the true fixed-point CNN inference path.
+// Integer blocked GEMM: the true fixed-point CNN inference path. Conv
+// inputs are packed by the same im2col as the float path (cnn/gemm.h).
 //
 // The float GEMM (gemm.h) computes with fake-quantized weights in double --
 // the planner prices subword integer arithmetic that path never executes.
@@ -25,11 +26,8 @@
 
 #pragma once
 
-#include "cnn/tensor.h"
-
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace dvafs {
 
@@ -53,25 +51,5 @@ void gemm_s16(const std::int16_t* a, const std::int16_t* b,
 void gemm_s16_reference(const std::int16_t* a, const std::int16_t* b,
                         const std::int64_t* bias, std::int64_t* c,
                         std::size_t m, std::size_t k, std::size_t n);
-
-// im2col over integer codes: identical packing to the float im2col
-// (gemm.h) -- row r = (c, ky, kx) in conv weight order, column = output
-// pixel, out-of-image taps packed as code 0 -- over a CHW code plane of
-// shape `is` instead of a float tensor.
-template <typename T>
-void im2col_codes(const T* x, const tensor_shape& is, int kernel,
-                  int stride, int pad, const tensor_shape& out_shape,
-                  std::vector<T>& cols);
-
-extern template void im2col_codes<std::int8_t>(const std::int8_t*,
-                                               const tensor_shape&, int,
-                                               int, int,
-                                               const tensor_shape&,
-                                               std::vector<std::int8_t>&);
-extern template void im2col_codes<std::int16_t>(const std::int16_t*,
-                                                const tensor_shape&, int,
-                                                int, int,
-                                                const tensor_shape&,
-                                                std::vector<std::int16_t>&);
 
 } // namespace dvafs

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 namespace dvafs {
 
@@ -34,14 +35,6 @@ const tensor& maybe_quantized(const tensor& t, int bits, tensor& scratch)
     return scratch;
 }
 
-// Per-thread im2col scratch: capacity persists across forward calls, so
-// steady-state sweeps stop allocating on the hot path.
-std::vector<float>& im2col_scratch()
-{
-    thread_local std::vector<float> cols;
-    return cols;
-}
-
 // Uncached per-call weight quantization -- the reference path only.
 std::vector<float> quantized_weights(const std::vector<float>& w, int bits)
 {
@@ -52,7 +45,15 @@ std::vector<float> quantized_weights(const std::vector<float>& w, int bits)
     return out;
 }
 
-// -- integer-path helpers -----------------------------------------------------
+// Per-thread im2col scratch, one per operand type: capacity persists
+// across forward calls, so steady-state sweeps stop allocating on the hot
+// path.
+template <typename T>
+std::vector<T>& im2col_scratch()
+{
+    thread_local std::vector<T> cols;
+    return cols;
+}
 
 // Effective code precision under integer compute: the requested bits
 // clamped into (0, lane]; <= 0 ("keep float") means the full lane width --
@@ -60,26 +61,6 @@ std::vector<float> quantized_weights(const std::vector<float>& w, int bits)
 int effective_bits(int requested, int lane)
 {
     return requested > 0 ? std::min(requested, lane) : lane;
-}
-
-// Per-thread integer im2col scratch, one per code width (the float
-// im2col_scratch() discipline: capacity persists across forward calls).
-template <typename T>
-std::vector<T>& code_scratch()
-{
-    thread_local std::vector<T> cols;
-    return cols;
-}
-
-template <typename T>
-const weight_codes<T>& cached_codes(const integer_weight_cache& cache,
-                                    const std::vector<float>& w, int bits)
-{
-    if constexpr (std::is_same_v<T, std::int8_t>) {
-        return cache.i8(w, bits);
-    } else {
-        return cache.i16(w, bits);
-    }
 }
 
 void gemm_codes(const std::int8_t* a, const std::int8_t* b,
@@ -105,10 +86,8 @@ std::vector<Acc> bias_codes(const std::vector<float>& b, double acc_step)
     const int width = static_cast<int>(8 * sizeof(Acc)) - 1;
     std::vector<Acc> out(b.size());
     for (std::size_t i = 0; i < b.size(); ++i) {
-        out[i] = static_cast<Acc>(clamp_signed(
-            round_scaled(static_cast<double>(b[i]) / acc_step,
-                         rounding::nearest),
-            width));
+        out[i] = static_cast<Acc>(
+            quantize_value(static_cast<double>(b[i]), acc_step, width));
     }
     return out;
 }
@@ -145,73 +124,133 @@ tensor requantized_output(const std::vector<Acc>& acc,
     return out;
 }
 
-} // namespace
+// One weighted layer's forward as a GEMM, C[m x n] = bias + W[m x k] *
+// B[k x n]. W is the layer's weight matrix, read through its cache; B is
+// the input, packed by im2col when `kernel` > 0 (conv) or the flattened
+// input column itself (fc: n = 1, no packing).
+struct lowered_gemm {
+    const std::vector<float>& w;
+    const std::vector<float>& b;
+    const detail::weight_cache& cache;
+    std::size_t m = 0;
+    std::size_t k = 0;
+    std::size_t n = 0;
+    int kernel = 0;
+    int stride = 1;
+    int pad = 0;
 
-const std::vector<float>& quantized_weight_cache::get(
-    const std::vector<float>& w, int bits) const
+    // The GEMM's B operand for input values (floats or codes) `x` of
+    // shape `is`.
+    template <typename T>
+    const T* lower(const T* x, const tensor_shape& is,
+                   const tensor_shape& os) const
+    {
+        if (kernel == 0) {
+            return x;
+        }
+        std::vector<T>& cols = im2col_scratch<T>();
+        im2col(x, is, kernel, stride, pad, os, cols);
+        return cols.data();
+    }
+};
+
+// The true fixed-point forward: weights and the input feature map are
+// quantized to integer codes (symmetric per-tensor scales, exactly the
+// grids the f32 path fake-quantizes to), the integer GEMM accumulates
+// exactly, and one requantization maps the accumulators onto the float
+// output. The float reference_forward is the oracle: outputs agree within
+// the analytic quantization error of the two operand grids plus the
+// output grid (pinned by tests/test_gemm_int.cpp).
+template <typename T, typename Acc>
+tensor integer_forward(const lowered_gemm& g, const tensor& in,
+                       const layer_quant& q, const tensor_shape& os)
 {
-    if (bits <= 0) {
-        return w;
-    }
-    const std::lock_guard<std::mutex> lock(mu_);
-    auto& slot = by_bits_[bits];
-    if (!slot) {
-        auto q = std::make_unique<std::vector<float>>(w);
-        fake_quantize_inplace(*q, bits);
-        slot = std::move(q);
-    }
-    return *slot;
+    const int lane = repr_bits(q.compute);
+    const detail::weight_grid<T>& w =
+        g.cache.get<T>(g.w, effective_bits(q.weight_bits, lane));
+    const quant_params qx =
+        choose_quant(in.flat(), effective_bits(q.input_bits, lane));
+    const std::vector<T> xcodes = quantize_codes<T>(in.flat(), qx);
+
+    const double acc_step = w.step * qx.step;
+    const std::vector<Acc> bias = bias_codes<Acc>(g.b, acc_step);
+    std::vector<Acc> acc(g.m * g.n);
+    gemm_codes(w.values.data(), g.lower(xcodes.data(), in.shape(), os),
+               bias.data(), acc.data(), g.m, g.k, g.n);
+    return requantized_output(acc, os, acc_step, lane);
 }
 
-void quantized_weight_cache::invalidate() const noexcept
+// The forward of every weighted layer, on the engine `q.compute` selects.
+tensor lowered_forward(const lowered_gemm& g, const tensor& in,
+                       const layer_quant& q, const tensor_shape& os)
 {
-    const std::lock_guard<std::mutex> lock(mu_);
-    by_bits_.clear();
+    switch (q.compute) {
+    case compute_mode::i8:
+        return integer_forward<std::int8_t, std::int32_t>(g, in, q, os);
+    case compute_mode::i16:
+        return integer_forward<std::int16_t, std::int64_t>(g, in, q, os);
+    case compute_mode::f32:
+        break;
+    }
+    tensor xq;
+    const tensor& x = maybe_quantized(in, q.input_bits, xq);
+    const std::vector<float>& w = g.cache.floats(g.w, q.weight_bits);
+    tensor out(os);
+    gemm_blocked(w.data(), g.lower(x.flat().data(), in.shape(), os),
+                 g.b.data(), out.flat().data(), g.m, g.k, g.n);
+    return out;
 }
 
-namespace {
+// The engine whose weights a weight_grid<T> holds: the
+// representation half of the weight cache's key.
+template <typename T>
+constexpr compute_mode engine_of =
+    std::is_same_v<T, std::int8_t>    ? compute_mode::i8
+    : std::is_same_v<T, std::int16_t> ? compute_mode::i16
+                                      : compute_mode::f32;
 
 template <typename T>
-std::unique_ptr<const weight_codes<T>>
-make_weight_codes(const std::vector<float>& w, int bits)
+detail::weight_grid<T> quantize_weights(const std::vector<float>& w,
+                                        int bits)
 {
-    auto wc = std::make_unique<weight_codes<T>>();
-    const quant_params qp = choose_quant(w, bits);
-    wc->codes = quantize_codes<T>(w, qp);
-    wc->step = qp.step;
-    return wc;
+    if constexpr (std::is_same_v<T, float>) {
+        return {quantized_weights(w, bits), 1.0};
+    } else {
+        const quant_params qp = choose_quant(w, bits);
+        return {quantize_codes<T>(w, qp), qp.step};
+    }
 }
 
 } // namespace
 
-const weight_codes<std::int8_t>&
-integer_weight_cache::i8(const std::vector<float>& w, int bits) const
+namespace detail {
+
+template <typename T>
+const weight_grid<T>& weight_cache::get(const std::vector<float>& w,
+                                        int bits) const
 {
     const std::lock_guard<std::mutex> lock(mu_);
-    auto& slot = by_bits_i8_[bits];
+    auto& slot = entries_[{bits, engine_of<T>}];
     if (!slot) {
-        slot = make_weight_codes<std::int8_t>(w, bits);
+        slot = std::make_unique<const entry>(quantize_weights<T>(w, bits));
     }
-    return *slot;
+    return std::get<weight_grid<T>>(*slot);
 }
 
-const weight_codes<std::int16_t>&
-integer_weight_cache::i16(const std::vector<float>& w, int bits) const
+template const weight_grid<float>&
+weight_cache::get<float>(const std::vector<float>&, int) const;
+template const weight_grid<std::int8_t>&
+weight_cache::get<std::int8_t>(const std::vector<float>&, int) const;
+template const weight_grid<std::int16_t>&
+weight_cache::get<std::int16_t>(const std::vector<float>&, int) const;
+
+void weight_cache::invalidate() const noexcept
 {
     const std::lock_guard<std::mutex> lock(mu_);
-    auto& slot = by_bits_i16_[bits];
-    if (!slot) {
-        slot = make_weight_codes<std::int16_t>(w, bits);
-    }
-    return *slot;
+    entries_.clear();
 }
 
-void integer_weight_cache::invalidate() const noexcept
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    by_bits_i8_.clear();
-    by_bits_i16_.clear();
-}
+} // namespace detail
 
 conv_layer::conv_layer(std::string name, int filters, int channels,
                        int kernel, int stride, int pad)
@@ -241,68 +280,24 @@ tensor_shape conv_layer::out_shape(const tensor_shape& in) const
     return {f_, oh, ow};
 }
 
-// The true fixed-point conv forward: weights and the input feature map are
-// quantized to integer codes (symmetric per-tensor scales, exactly the
-// grids the f32 path fake-quantizes to), im2col packs codes, the integer
-// GEMM accumulates exactly, and one requantization maps the accumulators
-// onto the float output. The float reference_forward is the oracle:
-// outputs agree within the analytic quantization error of the two operand
-// grids plus the output grid (pinned by tests/test_gemm_int.cpp).
-template <typename T, typename Acc>
-tensor conv_layer::forward_integer(const tensor& in,
-                                   const layer_quant& q) const
-{
-    const tensor_shape os = out_shape(in.shape());
-    const int lane = repr_bits(q.compute);
-    const weight_codes<T>& w = cached_codes<T>(
-        icache_, w_, effective_bits(q.weight_bits, lane));
-    const quant_params qx =
-        choose_quant(in.flat(), effective_bits(q.input_bits, lane));
-    const std::vector<T> xcodes = quantize_codes<T>(in.flat(), qx);
-
-    std::vector<T>& cols = code_scratch<T>();
-    im2col_codes(xcodes.data(), in.shape(), k_, s_, p_, os, cols);
-
-    const std::size_t m = static_cast<std::size_t>(f_);
-    const std::size_t kk = static_cast<std::size_t>(c_)
-                           * static_cast<std::size_t>(k_)
-                           * static_cast<std::size_t>(k_);
-    const std::size_t n = static_cast<std::size_t>(os.h)
-                          * static_cast<std::size_t>(os.w);
-    const double acc_step = w.step * qx.step;
-    const std::vector<Acc> bias = bias_codes<Acc>(b_, acc_step);
-    std::vector<Acc> acc(m * n);
-    gemm_codes(w.codes.data(), cols.data(), bias.data(), acc.data(), m, kk,
-               n);
-    return requantized_output(acc, os, acc_step, lane);
-}
-
 tensor conv_layer::forward(const tensor& in, const layer_quant& q) const
 {
-    if (q.compute == compute_mode::i8) {
-        return forward_integer<std::int8_t, std::int32_t>(in, q);
-    }
-    if (q.compute == compute_mode::i16) {
-        return forward_integer<std::int16_t, std::int64_t>(in, q);
-    }
     const tensor_shape os = out_shape(in.shape());
-    tensor xq;
-    const tensor& x = maybe_quantized(in, q.input_bits, xq);
-    const std::vector<float>& w = wcache_.get(w_, q.weight_bits);
-
     // Weights are stored [F][C][K][K]: already the M x K row-major GEMM
     // operand with K indexed in (c, ky, kx) order, matching im2col rows.
-    std::vector<float>& cols = im2col_scratch();
-    im2col(x, k_, s_, p_, os, cols);
-
-    tensor out(os);
-    gemm_blocked(w.data(), cols.data(), b_.data(), out.flat().data(),
-                 static_cast<std::size_t>(f_),
-                 static_cast<std::size_t>(c_) * static_cast<std::size_t>(k_)
-                     * static_cast<std::size_t>(k_),
-                 static_cast<std::size_t>(os.h)
-                     * static_cast<std::size_t>(os.w));
-    return out;
+    const lowered_gemm g{.w = w_,
+                         .b = b_,
+                         .cache = cache_,
+                         .m = static_cast<std::size_t>(f_),
+                         .k = static_cast<std::size_t>(c_)
+                              * static_cast<std::size_t>(k_)
+                              * static_cast<std::size_t>(k_),
+                         .n = static_cast<std::size_t>(os.h)
+                              * static_cast<std::size_t>(os.w),
+                         .kernel = k_,
+                         .stride = s_,
+                         .pad = p_};
+    return lowered_forward(g, in, q, os);
 }
 
 tensor conv_layer::reference_forward(const tensor& in,
@@ -387,6 +382,10 @@ maxpool_layer::maxpool_layer(std::string name, int size, int stride)
 
 tensor_shape maxpool_layer::out_shape(const tensor_shape& in) const
 {
+    if (in.h < size_ || in.w < size_) {
+        throw std::invalid_argument("maxpool_layer " + name_
+                                    + ": input too small");
+    }
     return {in.c, (in.h - size_) / stride_ + 1,
             (in.w - size_) / stride_ + 1};
 }
@@ -435,47 +434,15 @@ tensor_shape fc_layer::out_shape(const tensor_shape& in) const
     return {out_, 1, 1};
 }
 
-// Matrix-vector analog of conv_layer::forward_integer: the quantized input
-// column is the single GEMM B column (n = 1), same requantization.
-template <typename T, typename Acc>
-tensor fc_layer::forward_integer(const tensor& in,
-                                 const layer_quant& q) const
-{
-    const tensor_shape os = out_shape(in.shape());
-    const int lane = repr_bits(q.compute);
-    const weight_codes<T>& w = cached_codes<T>(
-        icache_, w_, effective_bits(q.weight_bits, lane));
-    const quant_params qx =
-        choose_quant(in.flat(), effective_bits(q.input_bits, lane));
-    const std::vector<T> xcodes = quantize_codes<T>(in.flat(), qx);
-
-    const double acc_step = w.step * qx.step;
-    const std::vector<Acc> bias = bias_codes<Acc>(b_, acc_step);
-    std::vector<Acc> acc(static_cast<std::size_t>(out_));
-    gemm_codes(w.codes.data(), xcodes.data(), bias.data(), acc.data(),
-               static_cast<std::size_t>(out_),
-               static_cast<std::size_t>(in_), 1);
-    return requantized_output(acc, os, acc_step, lane);
-}
-
 tensor fc_layer::forward(const tensor& in, const layer_quant& q) const
 {
-    if (q.compute == compute_mode::i8) {
-        return forward_integer<std::int8_t, std::int32_t>(in, q);
-    }
-    if (q.compute == compute_mode::i16) {
-        return forward_integer<std::int16_t, std::int64_t>(in, q);
-    }
-    tensor xq;
-    const tensor& x = maybe_quantized(in, q.input_bits, xq);
-    const std::vector<float>& w = wcache_.get(w_, q.weight_bits);
-    tensor out(out_shape(in.shape()));
-    // Matrix-vector as GEMM with n = 1: the flattened input is the single
-    // column of B.
-    gemm_blocked(w.data(), x.flat().data(), b_.data(), out.flat().data(),
-                 static_cast<std::size_t>(out_),
-                 static_cast<std::size_t>(in_), 1);
-    return out;
+    const lowered_gemm g{.w = w_,
+                         .b = b_,
+                         .cache = cache_,
+                         .m = static_cast<std::size_t>(out_),
+                         .k = static_cast<std::size_t>(in_),
+                         .n = 1};
+    return lowered_forward(g, in, q, out_shape(in.shape()));
 }
 
 tensor fc_layer::reference_forward(const tensor& in,

@@ -1,17 +1,19 @@
 // CNN layers (paper Sec. IV-A): convolution (eq. 4), ReLU, max-pooling and
-// fully-connected, each with a float reference path and a quantized path.
+// fully-connected. Every forward takes its precision per call as a
+// layer_quant; nothing about precision is stored in a layer or a network.
 //
-// Quantization emulates b-bit fixed-point hardware by fake-quantizing
-// weights and input feature maps with symmetric per-tensor scales (the
-// methodology of the paper's reference [22]): value -> round(value/step) ->
-// clamp -> value. Accumulation stays wide (float stands in for the 32+ bit
-// accumulators of the datapath), matching how Envision computes.
-//
-// Setting layer_quant::compute to i16/i8 replaces that emulation with the
-// true integer engine: operand codes at the lane width, exact integer
-// accumulation and a per-layer requantization (cnn/gemm_int.h). The float
-// reference path is untouched either way -- it is the differential oracle
-// both engines are tested against.
+// conv and fc lower their forward passes onto one GEMM (cnn/gemm.h): conv
+// packs its input with im2col, fc is the n = 1 case with no packing. Under
+// compute_mode::f32 the weights and the input feature map are
+// fake-quantized with symmetric per-tensor scales (the methodology of the
+// paper's reference [22]): value -> round(value/step) -> clamp -> value.
+// Accumulation stays wide (double stands in for the 32+ bit accumulators
+// of the datapath), matching how Envision computes. Under i16/i8 the same
+// lowering runs the true integer engine: operand codes at the lane width,
+// exact integer accumulation and a per-layer requantization
+// (cnn/gemm_int.h). Each weighted layer keeps one cache of its quantized
+// weights for both engines. The float reference path is untouched either
+// way -- it is the differential oracle both engines are tested against.
 
 #pragma once
 
@@ -22,6 +24,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 namespace dvafs {
@@ -55,57 +59,55 @@ struct layer_quant {
     bool operator==(const layer_quant&) const = default;
 };
 
-// Thread-safe per-layer cache of fake-quantized weight vectors, keyed by
-// bit-width: the sweep probes each (layer, bits) pair against the whole
-// dataset, so the quantization pass runs once per pair instead of once per
-// forward call. get() with bits <= 0 returns the original vector -- no
-// copy, no pass. Entries live until invalidate(), which every mutable
-// weights() access calls; invalidating concurrently with a forward pass is
-// a data race on the caller, same as mutating weights mid-forward.
-class quantized_weight_cache {
-public:
-    const std::vector<float>& get(const std::vector<float>& w,
-                                  int bits) const;
-    void invalidate() const noexcept;
+// Internals of conv_layer and fc_layer, visible here only because the
+// layers hold a weight_cache by value.
+namespace detail {
 
-private:
-    mutable std::mutex mu_;
-    // unique_ptr entries: references stay stable as the map grows.
-    mutable std::map<int, std::unique_ptr<const std::vector<float>>>
-        by_bits_;
-};
-
-// Integer codes of a weight vector at one precision, plus the symmetric
-// scale that maps them back to real values.
+// A layer's weights on one quantization grid: integer codes with their
+// step for the i8/i16 engines (T = int8_t / int16_t), or the
+// fake-quantized float values themselves for the f32 path (T = float;
+// the scale is already applied, so `step` stays 1).
 template <typename T>
-struct weight_codes {
-    std::vector<T> codes;
+struct weight_grid {
+    std::vector<T> values;
     double step = 1.0;
 };
 
-// Thread-safe per-layer cache of integer weight codes, keyed by bit-width
-// exactly like quantized_weight_cache (the sweep probes each (layer, bits,
-// repr) pair against the whole dataset; the quantization pass runs once
-// per pair). Same lifetime discipline: entries live until invalidate(),
-// which every mutable weights() access calls.
-class integer_weight_cache {
+// Thread-safe per-layer cache of quantized weights, keyed by (bits,
+// representation): the sweep probes each (layer, bits, compute) triple
+// against the whole dataset, so the quantization pass runs once per key
+// instead of once per forward call. floats() with bits <= 0 returns the
+// original vector -- no lock, no copy. Entries live until invalidate(),
+// which every mutable weights() access calls; invalidating concurrently
+// with a forward pass is a data race on the caller, same as mutating
+// weights mid-forward.
+class weight_cache {
 public:
-    const weight_codes<std::int8_t>& i8(const std::vector<float>& w,
-                                        int bits) const;
-    const weight_codes<std::int16_t>& i16(const std::vector<float>& w,
-                                          int bits) const;
+    // T = float, int8_t or int16_t (see weight_grid).
+    template <typename T>
+    const weight_grid<T>& get(const std::vector<float>& w, int bits) const;
+
+    // The f32 path's weights at `bits`: `w` itself when bits <= 0.
+    const std::vector<float>& floats(const std::vector<float>& w,
+                                     int bits) const
+    {
+        return bits <= 0 ? w : get<float>(w, bits).values;
+    }
+
     void invalidate() const noexcept;
 
 private:
+    using entry = std::variant<weight_grid<float>, weight_grid<std::int8_t>,
+                               weight_grid<std::int16_t>>;
     mutable std::mutex mu_;
-    // unique_ptr entries: references stay stable as the maps grow.
-    mutable std::map<int,
-                     std::unique_ptr<const weight_codes<std::int8_t>>>
-        by_bits_i8_;
-    mutable std::map<int,
-                     std::unique_ptr<const weight_codes<std::int16_t>>>
-        by_bits_i16_;
+    // Keyed by (bits, the engine the entry serves); unique_ptr entries
+    // keep references stable as the map grows.
+    mutable std::map<std::pair<int, compute_mode>,
+                     std::unique_ptr<const entry>>
+        entries_;
 };
+
+} // namespace detail
 
 class layer {
 public:
@@ -153,8 +155,7 @@ public:
     }
     std::vector<float>* weights() noexcept override
     {
-        wcache_.invalidate();
-        icache_.invalidate();
+        cache_.invalidate();
         return &w_;
     }
     const std::vector<float>* weights() const noexcept override
@@ -170,9 +171,6 @@ public:
     int pad() const noexcept { return p_; }
 
 private:
-    template <typename T, typename Acc>
-    tensor forward_integer(const tensor& in, const layer_quant& q) const;
-
     std::string name_;
     int f_;
     int c_;
@@ -181,8 +179,7 @@ private:
     int p_;
     std::vector<float> w_; // [F][C][K][K]
     std::vector<float> b_; // [F]
-    quantized_weight_cache wcache_;
-    integer_weight_cache icache_;
+    detail::weight_cache cache_;
 };
 
 // -- ReLU ----------------------------------------------------------------------
@@ -232,8 +229,7 @@ public:
     }
     std::vector<float>* weights() noexcept override
     {
-        wcache_.invalidate();
-        icache_.invalidate();
+        cache_.invalidate();
         return &w_;
     }
     const std::vector<float>* weights() const noexcept override
@@ -245,16 +241,12 @@ public:
     int inputs() const noexcept { return in_; }
 
 private:
-    template <typename T, typename Acc>
-    tensor forward_integer(const tensor& in, const layer_quant& q) const;
-
     std::string name_;
     int out_;
     int in_;
     std::vector<float> w_; // [out][in]
     std::vector<float> b_;
-    quantized_weight_cache wcache_;
-    integer_weight_cache icache_;
+    detail::weight_cache cache_;
 };
 
 } // namespace dvafs

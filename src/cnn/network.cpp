@@ -4,20 +4,6 @@
 
 namespace dvafs {
 
-void network::clear_quant()
-{
-    for (layer_quant& q : quant_) {
-        q = layer_quant{};
-    }
-}
-
-void network::set_compute(compute_mode m)
-{
-    for (layer_quant& q : quant_) {
-        q.compute = m;
-    }
-}
-
 std::vector<std::size_t> network::weighted_layers() const
 {
     std::vector<std::size_t> idx;
@@ -29,54 +15,25 @@ std::vector<std::size_t> network::weighted_layers() const
     return idx;
 }
 
-tensor network::forward(const tensor& input, bool use_quant,
-                        std::vector<tensor>* activations) const
-{
-    if (!(input.shape() == input_shape_)) {
-        throw std::invalid_argument("network::forward: input shape "
-                                    + input.shape().to_string()
-                                    + " != " + input_shape_.to_string());
-    }
-    tensor x = input;
-    static const layer_quant no_quant{};
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-        x = layers_[i]->forward(x, use_quant ? quant_[i] : no_quant);
-        if (activations != nullptr) {
-            activations->push_back(x);
-        }
-    }
-    return x;
-}
-
 tensor network::forward(const tensor& input,
                         const std::vector<layer_quant>& quant,
                         std::vector<tensor>* activations) const
 {
-    if (quant.size() != layers_.size()) {
-        throw std::invalid_argument(
-            "network::forward: quant overlay size mismatch");
-    }
     if (!(input.shape() == input_shape_)) {
         throw std::invalid_argument("network::forward: input shape "
                                     + input.shape().to_string()
                                     + " != " + input_shape_.to_string());
     }
-    tensor x = input;
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-        x = layers_[i]->forward(x, quant[i]);
-        if (activations != nullptr) {
-            activations->push_back(x);
-        }
-    }
-    return x;
+    return forward_from(0, input, quant, activations);
 }
 
 tensor network::forward_from(std::size_t first, const tensor& x,
-                             const std::vector<layer_quant>& quant) const
+                             const std::vector<layer_quant>& quant,
+                             std::vector<tensor>* activations) const
 {
     if (quant.size() != layers_.size()) {
         throw std::invalid_argument(
-            "network::forward_from: quant overlay size mismatch");
+            "network::forward: quant overlay size mismatch");
     }
     if (first > layers_.size()) {
         throw std::invalid_argument(
@@ -85,6 +42,9 @@ tensor network::forward_from(std::size_t first, const tensor& x,
     tensor a = x;
     for (std::size_t i = first; i < layers_.size(); ++i) {
         a = layers_[i]->forward(a, quant[i]);
+        if (activations != nullptr) {
+            activations->push_back(a);
+        }
     }
     return a;
 }

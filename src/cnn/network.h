@@ -1,4 +1,7 @@
-// Sequential network container with per-layer quantization settings.
+// Sequential network container. A network stores its layers and weights
+// only; the precision each layer runs at is an external overlay (one
+// layer_quant per layer) passed to every forward, so one immutable network
+// can serve many concurrent precision probes.
 
 #pragma once
 
@@ -26,36 +29,23 @@ public:
     void add(std::unique_ptr<layer> l)
     {
         layers_.push_back(std::move(l));
-        quant_.push_back(layer_quant{});
     }
 
     std::size_t depth() const noexcept { return layers_.size(); }
     layer& at(std::size_t i) { return *layers_.at(i); }
     const layer& at(std::size_t i) const { return *layers_.at(i); }
 
-    layer_quant& quant(std::size_t i) { return quant_.at(i); }
-    const layer_quant& quant(std::size_t i) const { return quant_.at(i); }
-    void clear_quant();
-    // Applies one compute mode to every stored per-layer setting -- the
-    // switch that selects the float or integer inference engine for
-    // forward(input, use_quant=true) callers (cnn/layers.h compute_mode).
-    void set_compute(compute_mode m);
-
     // Indices of the layers that carry weights (conv + fc): the layers the
     // paper's Fig. 6 sweeps over.
     std::vector<std::size_t> weighted_layers() const;
 
-    // Forward pass. If `use_quant`, each layer applies its layer_quant.
-    // If `activations` is non-null it receives each layer's output (for
+    // Forward pass under a quant overlay (one entry per layer); a
+    // default-constructed overlay, std::vector<layer_quant>(depth()), runs
+    // the float network. This is the const sweep path: the precision
+    // planner probes many configurations against one immutable network
+    // shared across threads (the sim_engine const-read contract). If
+    // `activations` is non-null it receives each layer's output (for
     // sparsity and range statistics).
-    tensor forward(const tensor& input, bool use_quant,
-                   std::vector<tensor>* activations = nullptr) const;
-
-    // Forward pass with an external quant overlay (one entry per layer)
-    // instead of the stored settings. This is the const sweep path: the
-    // precision planner probes many configurations against one immutable
-    // network shared across threads (the sim_engine const-read contract)
-    // without ever touching its state.
     tensor forward(const tensor& input,
                    const std::vector<layer_quant>& quant,
                    std::vector<tensor>* activations = nullptr) const;
@@ -65,8 +55,10 @@ public:
     // memoized batch_evaluator (cnn/quant_analysis.h): when an overlay
     // perturbs no layer before `first`, the prefix activations are
     // bit-identical to a cached base run and need not be recomputed.
+    // forward() is the first = 0 case after its input-shape check.
     tensor forward_from(std::size_t first, const tensor& x,
-                        const std::vector<layer_quant>& quant) const;
+                        const std::vector<layer_quant>& quant,
+                        std::vector<tensor>* activations = nullptr) const;
 
     // End-to-end pass through layer::reference_forward (the pre-GEMM naive
     // loops, per-call weight quantization): the differential baseline for
@@ -84,7 +76,6 @@ private:
     std::string name_;
     tensor_shape input_shape_;
     std::vector<std::unique_ptr<layer>> layers_;
-    std::vector<layer_quant> quant_;
 };
 
 } // namespace dvafs

@@ -26,9 +26,9 @@ teacher_dataset make_teacher_dataset(const network& net,
     // Inputs are drawn serially (the RNG stream fixes them); only the
     // teacher forward passes fan out.
     data.labels.resize(data.inputs.size());
+    const std::vector<layer_quant> float_overlay(net.depth());
     parallel_for(data.inputs.size(), cfg.threads, [&](std::size_t i) {
-        data.labels[i] =
-            argmax(net.forward(data.inputs[i], /*use_quant=*/false));
+        data.labels[i] = argmax(net.forward(data.inputs[i], float_overlay));
     });
     return data;
 }
@@ -226,15 +226,6 @@ std::vector<layer_sparsity> batch_evaluator::sparsity() const
 
 // -- free functions (thin wrappers over the evaluator / threaded probes) -----
 
-double relative_accuracy(const network& net, const teacher_dataset& data)
-{
-    std::vector<layer_quant> overlay(net.depth());
-    for (std::size_t i = 0; i < net.depth(); ++i) {
-        overlay[i] = net.quant(i);
-    }
-    return relative_accuracy(net, data, overlay);
-}
-
 double relative_accuracy(const network& net, const teacher_dataset& data,
                          const std::vector<layer_quant>& overlay,
                          unsigned threads)
@@ -285,18 +276,6 @@ double requirements_accuracy(const network& net,
     return relative_accuracy(net, data,
                              requirements_overlay(net, req, compute),
                              threads);
-}
-
-double apply_requirements(network& net,
-                          const std::vector<layer_quant_requirement>& req,
-                          const teacher_dataset& data)
-{
-    net.clear_quant();
-    for (const layer_quant_requirement& r : req) {
-        net.quant(r.layer_index).weight_bits = r.min_weight_bits;
-        net.quant(r.layer_index).input_bits = r.min_input_bits;
-    }
-    return relative_accuracy(net, data);
 }
 
 std::vector<layer_quant_requirement>

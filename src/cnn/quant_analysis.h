@@ -56,9 +56,9 @@ struct layer_quant_requirement {
     int min_input_bits = 0;
 };
 
-// Mean activation sparsity (post-ReLU zeros) per weighted layer's *input*,
-// and quantized input sparsity at the layer's input_bits -- the zero-
-// guarding statistics behind Table III.
+// Per weighted layer: the fraction of zero weights, and the mean fraction
+// of zeros (post-ReLU) in the layer's float *input* feature map over the
+// dataset -- the zero-guarding statistics behind Table III.
 struct layer_sparsity {
     std::string layer_name;
     double weight_sparsity = 0.0;
@@ -121,14 +121,11 @@ private:
     mutable std::vector<std::vector<tensor>> acts_; // [input][layer]
 };
 
-// Fraction of inputs whose quantized argmax equals the teacher label
-// (uses the network's current per-layer quant settings).
-double relative_accuracy(const network& net, const teacher_dataset& data);
-
-// Same metric with an external quant overlay (one entry per layer) instead
-// of the stored settings -- the const probing path the sweeps run on.
-// One-shot: full forwards, threaded across the dataset (no memoization);
-// threads = 0 is the hardware default, 1 restores serial execution.
+// Fraction of inputs whose argmax under the quant overlay (one entry per
+// layer) equals the teacher label -- the const probing path the sweeps run
+// on. One-shot: full forwards, threaded across the dataset (no
+// memoization); threads = 0 is the hardware default, 1 restores serial
+// execution.
 double relative_accuracy(const network& net, const teacher_dataset& data,
                          const std::vector<layer_quant>& overlay,
                          unsigned threads = 0);
@@ -150,19 +147,13 @@ requirements_overlay(const network& net,
                      const std::vector<layer_quant_requirement>& req,
                      compute_mode compute = compute_mode::f32);
 
-// Joint relative accuracy at a requirement set, without touching the
-// network's stored quant settings.
+// Joint relative accuracy at a requirement set: relative_accuracy under
+// requirements_overlay(net, req, compute).
 double requirements_accuracy(const network& net,
                              const std::vector<layer_quant_requirement>& req,
                              const teacher_dataset& data,
                              unsigned threads = 0,
                              compute_mode compute = compute_mode::f32);
-
-// Applies the sweep result to the network's quant settings and returns the
-// achieved joint relative accuracy.
-double apply_requirements(network& net,
-                          const std::vector<layer_quant_requirement>& req,
-                          const teacher_dataset& data);
 
 // Joint refinement: per-layer thresholds do not compose (quantization noise
 // accumulates across layers), so the paper's methodology raises precisions

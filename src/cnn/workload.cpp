@@ -17,7 +17,6 @@ std::vector<layer_workload> extract_workloads(const network& net)
             w.weight_count = l.weight_count();
             w.input_elems = s.elements();
             w.output_elems = os.elements();
-            w.compute = net.quant(i).compute;
             out.push_back(w);
         }
         s = os;

@@ -28,6 +28,7 @@ struct layer_workload {
     // Arithmetic engine the layer's forward pass runs (cnn/layers.h): the
     // mode selector must not schedule a subword configuration wider than
     // the engine's lanes (an i8 layer never executes 1x16 arithmetic).
+    // extract_workloads leaves f32; the precision planner sets it.
     compute_mode compute = compute_mode::f32;
 };
 

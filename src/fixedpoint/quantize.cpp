@@ -5,14 +5,11 @@
 
 namespace dvafs {
 
-quant_params choose_quant(std::span<const float> data, int bits,
-                          double max_abs_override)
+quant_params choose_quant(std::span<const float> data, int bits)
 {
-    double max_abs = max_abs_override;
-    if (max_abs <= 0.0) {
-        for (const float v : data) {
-            max_abs = std::max(max_abs, static_cast<double>(std::fabs(v)));
-        }
+    double max_abs = 0.0;
+    for (const float v : data) {
+        max_abs = std::max(max_abs, static_cast<double>(std::fabs(v)));
     }
     quant_params qp;
     qp.bits = bits;
@@ -57,77 +54,15 @@ requant_scale make_requant_scale(double scale)
     return rs;
 }
 
-std::vector<std::int32_t> quantize(std::span<const float> data,
-                                   const quant_params& qp)
+void fake_quantize_inplace(std::span<float> data, int bits)
 {
-    std::vector<std::int32_t> out;
-    out.reserve(data.size());
-    for (const float v : data) {
-        const std::int64_t code =
-            round_scaled(static_cast<double>(v) / qp.step,
-                         rounding::nearest);
-        out.push_back(static_cast<std::int32_t>(
-            clamp_signed(code, qp.bits)));
-    }
-    return out;
-}
-
-std::vector<float> dequantize(std::span<const std::int32_t> codes,
-                              const quant_params& qp)
-{
-    std::vector<float> out;
-    out.reserve(codes.size());
-    for (const std::int32_t c : codes) {
-        out.push_back(static_cast<float>(qp.dequantize(c)));
-    }
-    return out;
-}
-
-void fake_quantize_inplace(std::span<float> data, int bits,
-                           double max_abs_override)
-{
-    const quant_params qp = choose_quant(data, bits, max_abs_override);
+    const quant_params qp = choose_quant(data, bits);
     for (float& v : data) {
-        std::int64_t code = round_scaled(static_cast<double>(v) / qp.step,
-                                         rounding::nearest);
-        code = clamp_signed(code, bits);
-        v = static_cast<float>(qp.dequantize(
-            static_cast<std::int32_t>(code)));
+        v = static_cast<float>(
+            static_cast<double>(
+                quantize_value(static_cast<double>(v), qp.step, bits))
+            * qp.step);
     }
-}
-
-double quantization_rmse(std::span<const float> data, int bits)
-{
-    const quant_params qp = choose_quant(data, bits);
-    double sq = 0.0;
-    for (const float v : data) {
-        std::int64_t code = round_scaled(static_cast<double>(v) / qp.step,
-                                         rounding::nearest);
-        code = clamp_signed(code, bits);
-        const double err =
-            qp.dequantize(static_cast<std::int32_t>(code)) - v;
-        sq += err * err;
-    }
-    return data.empty() ? 0.0 : std::sqrt(sq / static_cast<double>(
-                                              data.size()));
-}
-
-double quantized_sparsity(std::span<const float> data, int bits)
-{
-    if (data.empty()) {
-        return 0.0;
-    }
-    const quant_params qp = choose_quant(data, bits);
-    std::size_t zeros = 0;
-    for (const float v : data) {
-        const std::int64_t code =
-            round_scaled(static_cast<double>(v) / qp.step,
-                         rounding::nearest);
-        if (code == 0) {
-            ++zeros;
-        }
-    }
-    return static_cast<double>(zeros) / static_cast<double>(data.size());
 }
 
 } // namespace dvafs

@@ -22,12 +22,16 @@ namespace dvafs {
 struct quant_params {
     int bits = 8;
     double step = 1.0; // real value of one code unit
-
-    double dequantize(std::int32_t code) const noexcept
-    {
-        return static_cast<double>(code) * step;
-    }
 };
+
+// The one value -> code map every quantizer in the repo uses:
+// round-half-away-from-zero of value / step, saturated into `bits`.
+inline std::int64_t quantize_value(double value, double step,
+                                   int bits) noexcept
+{
+    return clamp_signed(round_scaled(value / step, rounding::nearest),
+                        bits);
+}
 
 // Integer requantization scale: a positive real scale decomposed as
 // multiplier * 2^-shift with multiplier a Q31-style integer in
@@ -52,20 +56,13 @@ inline std::int64_t requantize(std::int64_t acc, const requant_scale& s,
     return requantize(acc, s.multiplier, s.shift, out_width);
 }
 
-// Chooses quantization parameters for `data` at `bits` precision.
-// If max_abs_override > 0 it is used instead of the observed max (lets the
-// caller share one scale across tensors, e.g. activations over a batch).
-quant_params choose_quant(std::span<const float> data, int bits,
-                          double max_abs_override = 0.0);
+// Chooses quantization parameters for `data` at `bits` precision: the
+// largest observed magnitude maps to the largest code.
+quant_params choose_quant(std::span<const float> data, int bits);
 
-// Quantizes to integer codes (saturating, round-half-away-from-zero).
-std::vector<std::int32_t> quantize(std::span<const float> data,
-                                   const quant_params& qp);
-
-// Quantizes straight into a narrow code type (int8_t / int16_t) for the
-// integer inference path -- same grid, rounding and saturation as
-// quantize(), but the codes are stored at the width the integer GEMM
-// consumes. qp.bits must fit T (asserted).
+// Quantizes to integer codes of type T (int8_t / int16_t for the integer
+// inference path, int32_t for wider grids), saturating and rounding
+// half away from zero. qp.bits must fit T (asserted).
 template <typename T>
 std::vector<T> quantize_codes(std::span<const float> data,
                               const quant_params& qp)
@@ -75,28 +72,15 @@ std::vector<T> quantize_codes(std::span<const float> data,
     std::vector<T> out;
     out.reserve(data.size());
     for (const float v : data) {
-        const std::int64_t code =
-            round_scaled(static_cast<double>(v) / qp.step,
-                         rounding::nearest);
-        out.push_back(static_cast<T>(clamp_signed(code, qp.bits)));
+        out.push_back(static_cast<T>(
+            quantize_value(static_cast<double>(v), qp.step, qp.bits)));
     }
     return out;
 }
 
-// Dequantizes codes back to real values.
-std::vector<float> dequantize(std::span<const std::int32_t> codes,
-                              const quant_params& qp);
-
-// One-shot "fake quantization": value -> quantize -> dequantize. This is what
-// the Fig. 6 sweeps apply to weights/activations to emulate b-bit hardware.
-void fake_quantize_inplace(std::span<float> data, int bits,
-                           double max_abs_override = 0.0);
-
-// Quantization RMSE of representing `data` at `bits` precision.
-double quantization_rmse(std::span<const float> data, int bits);
-
-// Fraction of elements that quantize to code 0 at the given precision --
-// the sparsity measure used by Table III (Envision gates zero operands).
-double quantized_sparsity(std::span<const float> data, int bits);
+// One-shot "fake quantization": each value is replaced by code * step on
+// the choose_quant grid. This is what the Fig. 6 sweeps apply to
+// weights/activations to emulate b-bit hardware.
+void fake_quantize_inplace(std::span<float> data, int bits);
 
 } // namespace dvafs

@@ -89,7 +89,7 @@ TEST(im2col, packs_padding_as_zero)
     x.at(0, 1, 1) = 4.0F;
     std::vector<float> cols;
     // 3x3 kernel, stride 1, pad 1 -> 2x2 output, 9 rows.
-    im2col(x, 3, 1, 1, {1, 2, 2}, cols);
+    im2col(x.flat().data(), x.shape(), 3, 1, 1, {1, 2, 2}, cols);
     ASSERT_EQ(cols.size(), 9U * 4U);
     // Center tap (ky=1, kx=1) row: the image itself.
     const float* center = cols.data() + 4 * 4;
@@ -213,7 +213,7 @@ TEST(gemm_forward, network_forward_matches_reference_end_to_end)
                        "quantized lenet");
 }
 
-TEST(quantized_weight_cache, mutating_weights_invalidates)
+TEST(weight_cache, mutating_weights_invalidates)
 {
     conv_layer conv("c", 2, 1, 3, 1, 1);
     pcg32 rng(5);
@@ -241,17 +241,22 @@ TEST(quantized_weight_cache, mutating_weights_invalidates)
     EXPECT_TRUE(any_diff);
 }
 
-TEST(quantized_weight_cache, bits_zero_returns_input_without_copy)
+TEST(weight_cache, bits_zero_returns_input_without_copy)
 {
-    quantized_weight_cache cache;
+    const detail::weight_cache cache;
     const std::vector<float> w = {1.0F, -2.0F, 3.0F};
     // The unquantized case must hand back the very same vector.
-    EXPECT_EQ(&cache.get(w, 0), &w);
-    EXPECT_EQ(&cache.get(w, -3), &w);
+    EXPECT_EQ(&cache.floats(w, 0), &w);
+    EXPECT_EQ(&cache.floats(w, -3), &w);
     // Quantized requests come from the cache (stable address, new data).
-    const std::vector<float>& q4 = cache.get(w, 4);
+    const std::vector<float>& q4 = cache.floats(w, 4);
     EXPECT_NE(&q4, &w);
-    EXPECT_EQ(&cache.get(w, 4), &q4);
+    EXPECT_EQ(&cache.floats(w, 4), &q4);
+    // The integer codes at the same bits are a separate entry.
+    const auto& c4 = cache.get<std::int8_t>(w, 4);
+    EXPECT_EQ(&cache.get<std::int8_t>(w, 4), &c4);
+    EXPECT_EQ(c4.values, (std::vector<std::int8_t>{2, -5, 7}));
+    EXPECT_EQ(&cache.floats(w, 4), &q4);
 }
 
 } // namespace

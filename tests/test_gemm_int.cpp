@@ -16,9 +16,9 @@
 #include "cnn/gemm_int.h"
 #include "cnn/layers.h"
 #include "cnn/network.h"
-#include "cnn/workload.h"
 #include "cnn/zoo.h"
 #include "fixedpoint/quantize.h"
+#include "util/parallel.h"
 
 #include "util/rng.h"
 
@@ -61,7 +61,7 @@ void expect_float_equal(const tensor& a, const tensor& b,
 }
 
 // Const weight access: the non-const weights() accessor invalidates the
-// layer's quantized-code caches, which these oracles must not do.
+// layer's weight cache, which these oracles must not do.
 const std::vector<float>& weight_view(const layer& l)
 {
     return *l.weights();
@@ -225,7 +225,7 @@ TEST(gemm_int, im2col_codes_matches_naive_packing)
         fill_codes(x, rng, 8);
 
         std::vector<std::int8_t> cols;
-        im2col_codes(x.data(), is, sh.k, sh.s, sh.p, os, cols);
+        im2col(x.data(), is, sh.k, sh.s, sh.p, os, cols);
 
         const std::size_t colsn = static_cast<std::size_t>(oh) * ow;
         std::size_t r = 0;
@@ -285,7 +285,7 @@ TEST(gemm_int_forward, conv_i8_is_exactly_the_documented_pipeline)
     const std::vector<std::int8_t> xc =
         quantize_codes<std::int8_t>(in.flat(), qx);
     std::vector<std::int8_t> cols;
-    im2col_codes(xc.data(), in.shape(), 3, 1, 1, os, cols);
+    im2col(xc.data(), in.shape(), 3, 1, 1, os, cols);
 
     const std::size_t m = 3;
     const std::size_t k = 2 * 3 * 3;
@@ -426,7 +426,7 @@ TEST(gemm_int_forward, narrow_and_default_bits_use_the_integer_grid)
                   "i8 at 4-bit grid");
 }
 
-TEST(gemm_int_forward, integer_weight_cache_invalidates_on_mutation)
+TEST(gemm_int_forward, weight_cache_invalidates_on_mutation)
 {
     pcg32 rng(5);
     conv_layer conv("c", 2, 1, 3, 1, 1);
@@ -455,21 +455,9 @@ TEST(gemm_int_forward, integer_weight_cache_invalidates_on_mutation)
     EXPECT_TRUE(any_diff);
 }
 
-TEST(gemm_int_forward, network_set_compute_selects_the_integer_engine)
+TEST(gemm_int_forward, network_overlay_selects_the_integer_engine)
 {
-    network net = make_lenet5({.seed = 9});
-    for (const std::size_t li : net.weighted_layers()) {
-        net.quant(li) = {.weight_bits = 8, .input_bits = 8};
-    }
-    net.set_compute(compute_mode::i8);
-    for (std::size_t i = 0; i < net.depth(); ++i) {
-        EXPECT_EQ(net.quant(i).compute, compute_mode::i8) << "layer " << i;
-    }
-    const std::vector<layer_workload> wl = extract_workloads(net);
-    for (const layer_workload& w : wl) {
-        EXPECT_EQ(w.compute, compute_mode::i8) << w.name;
-    }
-
+    const network net = make_lenet5({.seed = 9});
     // End-to-end forwards run and are deterministic; the i16 engine's
     // grids are fine enough that the logits stay close to float.
     pcg32 rng(123);
@@ -494,6 +482,70 @@ TEST(gemm_int_forward, network_set_compute_selects_the_integer_engine)
     for (std::size_t i = 0; i < outf.size(); ++i) {
         EXPECT_NEAR(out16.flat()[i], outf.flat()[i], 0.05 * span)
             << "logit " << i;
+    }
+    // The network hands each overlay entry to its layer: the i8 forward
+    // is exactly the layer-by-layer integer pipeline.
+    tensor x = in;
+    for (std::size_t i = 0; i < net.depth(); ++i) {
+        x = net.at(i).forward(x, i8_overlay[i]);
+    }
+    expect_float_equal(out8, x, "i8 network == layer-by-layer");
+}
+
+// Concurrent forwards of one shared layer fill its weight cache from many
+// threads at once (one entry per (bits, engine) key, first use racing).
+// Each output must be bit-identical to a serial forward on a freshly built
+// layer with the same weights. Run under TSan via the `threaded` label.
+TEST(gemm_int_forward, concurrent_forwards_share_one_weight_cache)
+{
+    pcg32 rng(606);
+    conv_layer conv("c", 4, 3, 3, 1, 1);
+    fill_gaussian(*conv.weights(), rng);
+    fill_gaussian(conv.biases(), rng);
+    fc_layer fc("f", 10, 48);
+    fill_gaussian(*fc.weights(), rng);
+    fill_gaussian(fc.biases(), rng);
+    tensor conv_in({3, 7, 7});
+    fill_gaussian(conv_in.flat(), rng);
+    tensor fc_in({48, 1, 1});
+    fill_gaussian(fc_in.flat(), rng);
+
+    std::vector<layer_quant> configs;
+    for (const compute_mode cm :
+         {compute_mode::f32, compute_mode::i16, compute_mode::i8}) {
+        for (const int bits : {0, 3, 6, 8}) {
+            configs.push_back(
+                {.weight_bits = bits, .input_bits = bits, .compute = cm});
+        }
+    }
+    // Every config several times over, so fills and hits interleave.
+    constexpr std::size_t kRepeats = 4;
+    const std::size_t jobs = 2 * configs.size() * kRepeats;
+    std::vector<tensor> got(jobs);
+    const layer& shared_conv = conv;
+    const layer& shared_fc = fc;
+    parallel_for(jobs, 4, [&](std::size_t j) {
+        const layer_quant& q = configs[(j / 2) % configs.size()];
+        got[j] = j % 2 == 0 ? shared_conv.forward(conv_in, q)
+                            : shared_fc.forward(fc_in, q);
+    });
+
+    for (std::size_t j = 0; j < jobs; ++j) {
+        const layer_quant& q = configs[(j / 2) % configs.size()];
+        const std::string what =
+            std::string(j % 2 == 0 ? "conv " : "fc ") + to_string(q.compute)
+            + " bits=" + std::to_string(q.weight_bits);
+        if (j % 2 == 0) {
+            conv_layer fresh("c", 4, 3, 3, 1, 1);
+            *fresh.weights() = weight_view(conv);
+            fresh.biases() = conv.biases();
+            expect_float_equal(got[j], fresh.forward(conv_in, q), what);
+        } else {
+            fc_layer fresh("f", 10, 48);
+            *fresh.weights() = weight_view(fc);
+            fresh.biases() = fc.biases();
+            expect_float_equal(got[j], fresh.forward(fc_in, q), what);
+        }
     }
 }
 

@@ -146,6 +146,19 @@ TEST(maxpool_layer, picks_window_max)
     EXPECT_EQ(out.at(0, 0, 1), -1.0F);
 }
 
+TEST(maxpool_layer, rejects_input_smaller_than_window)
+{
+    // A 2x2 window does not fit a 1-row input: (1 - 2) / 2 + 1 truncates
+    // to a 1-row output whose window reads past the input.
+    const maxpool_layer p("p", 2, 2);
+    EXPECT_THROW((void)p.out_shape({1, 1, 4}), std::invalid_argument);
+    EXPECT_THROW((void)p.out_shape({1, 4, 1}), std::invalid_argument);
+    EXPECT_THROW((void)p.forward(tensor({1, 1, 4}), {}),
+                 std::invalid_argument);
+    // Exactly one window still fits.
+    EXPECT_EQ(p.out_shape({3, 2, 2}), (tensor_shape{3, 1, 1}));
+}
+
 TEST(fc_layer, matrix_vector_product)
 {
     fc_layer fc("f", 2, 3);

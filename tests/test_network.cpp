@@ -25,13 +25,18 @@ network tiny_net()
     return net;
 }
 
+std::vector<layer_quant> float_overlay(const network& net)
+{
+    return std::vector<layer_quant>(net.depth());
+}
+
 TEST(network, forward_shapes)
 {
     const network net = tiny_net();
     EXPECT_EQ(net.depth(), 4U);
     EXPECT_EQ(net.output_shape(), (tensor_shape{4, 1, 1}));
     tensor in({1, 8, 8});
-    const tensor out = net.forward(in, false);
+    const tensor out = net.forward(in, float_overlay(net));
     EXPECT_EQ(out.shape(), (tensor_shape{4, 1, 1}));
 }
 
@@ -39,7 +44,8 @@ TEST(network, rejects_wrong_input_shape)
 {
     const network net = tiny_net();
     tensor bad({1, 4, 4});
-    EXPECT_THROW((void)net.forward(bad, false), std::invalid_argument);
+    EXPECT_THROW((void)net.forward(bad, float_overlay(net)),
+                 std::invalid_argument);
 }
 
 TEST(network, weighted_layers_are_conv_and_fc)
@@ -63,7 +69,7 @@ TEST(network, activations_capture_every_layer)
     const network net = tiny_net();
     tensor in({1, 8, 8});
     std::vector<tensor> acts;
-    net.forward(in, false, &acts);
+    net.forward(in, float_overlay(net), &acts);
     ASSERT_EQ(acts.size(), net.depth());
     EXPECT_EQ(acts[0].shape(), (tensor_shape{2, 8, 8}));
     EXPECT_EQ(acts[2].shape(), (tensor_shape{2, 4, 4}));
@@ -71,19 +77,22 @@ TEST(network, activations_capture_every_layer)
 
 TEST(network, quant_settings_apply_only_when_enabled)
 {
-    network net = tiny_net();
+    const network net = tiny_net();
     pcg32 rng(3);
     tensor in({1, 8, 8});
     for (float& v : in.flat()) {
         v = static_cast<float>(rng.uniform(0.0, 1.0));
     }
-    const tensor base = net.forward(in, false);
-    net.quant(0).weight_bits = 2;
-    const tensor still_base = net.forward(in, false);
+    const tensor base = net.forward(in, float_overlay(net));
+    // Quantizing a layer is a property of the overlay, not the network:
+    // a quantized forward leaves later float forwards untouched.
+    std::vector<layer_quant> overlay = float_overlay(net);
+    overlay[0].weight_bits = 2;
+    const tensor quant = net.forward(in, overlay);
+    const tensor still_base = net.forward(in, float_overlay(net));
     for (std::size_t i = 0; i < base.size(); ++i) {
         EXPECT_EQ(base.flat()[i], still_base.flat()[i]);
     }
-    const tensor quant = net.forward(in, true);
     bool differs = false;
     for (std::size_t i = 0; i < base.size(); ++i) {
         differs |= (base.flat()[i] != quant.flat()[i]);
@@ -91,14 +100,12 @@ TEST(network, quant_settings_apply_only_when_enabled)
     EXPECT_TRUE(differs);
 }
 
-TEST(network, clear_quant_resets)
+TEST(network, rejects_overlay_of_wrong_size)
 {
-    network net = tiny_net();
-    net.quant(0).weight_bits = 3;
-    net.quant(3).input_bits = 5;
-    net.clear_quant();
-    EXPECT_EQ(net.quant(0).weight_bits, 0);
-    EXPECT_EQ(net.quant(3).input_bits, 0);
+    const network net = tiny_net();
+    const tensor in({1, 8, 8});
+    EXPECT_THROW((void)net.forward(in, std::vector<layer_quant>(2)),
+                 std::invalid_argument);
 }
 
 } // namespace

@@ -226,10 +226,19 @@ INSTANTIATE_TEST_SUITE_P(random_networks, planner_properties,
 TEST(planner_const_contract, plan_does_not_mutate_the_network)
 {
     const network net = make_lenet5({.seed = 6});
-    for (std::size_t i = 0; i < net.depth(); ++i) {
-        ASSERT_EQ(net.quant(i).weight_bits, 0);
-        ASSERT_EQ(net.quant(i).input_bits, 0);
+    tensor in(net.input_shape());
+    pcg32 rng(61);
+    for (float& v : in.flat()) {
+        v = static_cast<float>(rng.uniform(0.0, 1.0));
     }
+    std::vector<layer_quant> overlay(net.depth());
+    for (const std::size_t li : net.weighted_layers()) {
+        overlay[li] = {.weight_bits = 5, .input_bits = 6};
+    }
+    const tensor float_before =
+        net.forward(in, std::vector<layer_quant>(net.depth()));
+    const tensor quant_before = net.forward(in, overlay);
+
     const envision_model model;
     planner_config cfg;
     cfg.frontier.vectors = 250;
@@ -238,9 +247,13 @@ TEST(planner_const_contract, plan_does_not_mutate_the_network)
     qcfg.images = 6;
     qcfg.max_bits = 8;
     (void)planner.plan(net, qcfg);
-    for (std::size_t i = 0; i < net.depth(); ++i) {
-        EXPECT_EQ(net.quant(i).weight_bits, 0);
-        EXPECT_EQ(net.quant(i).input_bits, 0);
+
+    const tensor float_after =
+        net.forward(in, std::vector<layer_quant>(net.depth()));
+    const tensor quant_after = net.forward(in, overlay);
+    for (std::size_t i = 0; i < float_before.size(); ++i) {
+        EXPECT_EQ(float_before.flat()[i], float_after.flat()[i]) << i;
+        EXPECT_EQ(quant_before.flat()[i], quant_after.flat()[i]) << i;
     }
 }
 

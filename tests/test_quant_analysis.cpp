@@ -8,10 +8,14 @@ namespace {
 // Shared LeNet fixture: sweeps are expensive, build once.
 class quant_analysis_test : public ::testing::Test {
 protected:
-    static network& net()
+    static const network& net()
     {
-        static network n = make_lenet5({.seed = 3});
+        static const network n = make_lenet5({.seed = 3});
         return n;
+    }
+    static std::vector<layer_quant> float_overlay()
+    {
+        return std::vector<layer_quant>(net().depth());
     }
     static const teacher_dataset& data()
     {
@@ -38,29 +42,26 @@ TEST_F(quant_analysis_test, teacher_dataset_is_deterministic)
 
 TEST_F(quant_analysis_test, float_network_has_perfect_relative_accuracy)
 {
-    net().clear_quant();
-    EXPECT_DOUBLE_EQ(relative_accuracy(net(), data()), 1.0);
+    EXPECT_DOUBLE_EQ(relative_accuracy(net(), data(), float_overlay()),
+                     1.0);
 }
 
 TEST_F(quant_analysis_test, high_precision_keeps_accuracy)
 {
-    net().clear_quant();
-    for (std::size_t i = 0; i < net().depth(); ++i) {
-        net().quant(i).weight_bits = 12;
-        net().quant(i).input_bits = 12;
+    std::vector<layer_quant> overlay = float_overlay();
+    for (layer_quant& q : overlay) {
+        q = {.weight_bits = 12, .input_bits = 12};
     }
-    EXPECT_GE(relative_accuracy(net(), data()), 0.99);
-    net().clear_quant();
+    EXPECT_GE(relative_accuracy(net(), data(), overlay), 0.99);
 }
 
 TEST_F(quant_analysis_test, one_bit_everywhere_destroys_accuracy)
 {
-    net().clear_quant();
+    std::vector<layer_quant> overlay = float_overlay();
     for (const std::size_t li : net().weighted_layers()) {
-        net().quant(li).weight_bits = 1;
+        overlay[li].weight_bits = 1;
     }
-    EXPECT_LT(relative_accuracy(net(), data()), 0.99);
-    net().clear_quant();
+    EXPECT_LT(relative_accuracy(net(), data(), overlay), 0.99);
 }
 
 TEST_F(quant_analysis_test, sweep_finds_small_bit_requirements)
@@ -76,18 +77,18 @@ TEST_F(quant_analysis_test, sweep_finds_small_bit_requirements)
         EXPECT_LE(r.min_input_bits, 10) << r.layer_name;
     }
     // Sweep must not leave quantization behind.
-    EXPECT_DOUBLE_EQ(relative_accuracy(net(), data()), 1.0);
+    EXPECT_DOUBLE_EQ(relative_accuracy(net(), data(), float_overlay()),
+                     1.0);
 }
 
 TEST_F(quant_analysis_test, joint_requirements_hold_accuracy)
 {
     const auto reqs = sweep_layer_precision(net(), data(), cfg());
-    const double acc = apply_requirements(net(), reqs, data());
+    const double acc = requirements_accuracy(net(), reqs, data());
     // Per-layer thresholds do not compose exactly (quantization noise from
     // all layers adds up); require the joint config to stay within a few
     // teacher disagreements of the target on this small dataset.
     EXPECT_GE(acc, 0.75);
-    net().clear_quant();
 }
 
 TEST_F(quant_analysis_test, sparsity_measurement_sane)
@@ -113,9 +114,10 @@ TEST_F(quant_analysis_test, sparsity_measurement_sane)
 
 TEST(quant_analysis, empty_dataset_rejected)
 {
-    network net = make_lenet5();
+    const network net = make_lenet5();
     const teacher_dataset empty;
-    EXPECT_THROW((void)relative_accuracy(net, empty),
+    EXPECT_THROW((void)relative_accuracy(
+                     net, empty, std::vector<layer_quant>(net.depth())),
                  std::invalid_argument);
     EXPECT_THROW((void)measure_sparsity(net, empty),
                  std::invalid_argument);

@@ -5,10 +5,38 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace dvafs {
 namespace {
+
+// RMSE of representing `data` on its fake-quantized `bits` grid.
+double fake_quantize_rmse(const std::vector<float>& data, int bits)
+{
+    std::vector<float> q = data;
+    fake_quantize_inplace(q, bits);
+    double sq = 0.0;
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        const double err =
+            static_cast<double>(q[i]) - static_cast<double>(data[i]);
+        sq += err * err;
+    }
+    return std::sqrt(sq / static_cast<double>(data.size()));
+}
+
+// Fraction of elements whose code is 0 on the choose_quant grid at `bits`
+// (Envision gates zero operands).
+double zero_code_fraction(const std::vector<float>& data, int bits)
+{
+    const auto codes =
+        quantize_codes<std::int32_t>(data, choose_quant(data, bits));
+    std::size_t zeros = 0;
+    for (const std::int32_t c : codes) {
+        zeros += (c == 0);
+    }
+    return static_cast<double>(zeros) / static_cast<double>(data.size());
+}
 
 TEST(quantize, round_trip_within_half_step)
 {
@@ -18,9 +46,12 @@ TEST(quantize, round_trip_within_half_step)
         data.push_back(static_cast<float>(rng.uniform(-2.0, 2.0)));
     }
     const quant_params qp = choose_quant(data, 8);
-    const auto codes = quantize(data, qp);
-    const auto back = dequantize(codes, qp);
+    const auto codes = quantize_codes<std::int32_t>(data, qp);
+    std::vector<float> back = data;
+    fake_quantize_inplace(back, 8);
     for (std::size_t i = 0; i < data.size(); ++i) {
+        // Fake quantization is exactly code * step on the same grid.
+        EXPECT_EQ(back[i], static_cast<float>(codes[i] * qp.step));
         EXPECT_NEAR(back[i], data[i], qp.step / 2 + 1e-6);
     }
 }
@@ -29,7 +60,7 @@ TEST(quantize, max_maps_to_max_code)
 {
     const std::vector<float> data{-1.0F, 0.25F, 1.0F};
     const quant_params qp = choose_quant(data, 4);
-    const auto codes = quantize(data, qp);
+    const auto codes = quantize_codes<std::int32_t>(data, qp);
     EXPECT_EQ(codes[2], 7);  // 2^(4-1) - 1
     EXPECT_EQ(codes[0], -7); // symmetric
 }
@@ -37,8 +68,9 @@ TEST(quantize, max_maps_to_max_code)
 TEST(quantize, codes_saturate_with_override_scale)
 {
     const std::vector<float> data{10.0F, -10.0F};
-    const quant_params qp = choose_quant(data, 4, /*max_abs_override=*/1.0);
-    const auto codes = quantize(data, qp);
+    // A grid scaled for max |value| = 1.0: 10.0 lies far outside it.
+    const quant_params qp{.bits = 4, .step = 1.0 / 7.0};
+    const auto codes = quantize_codes<std::int32_t>(data, qp);
     EXPECT_EQ(codes[0], 7);
     EXPECT_EQ(codes[1], -8);
 }
@@ -47,9 +79,14 @@ TEST(quantize, all_zero_data_is_safe)
 {
     const std::vector<float> data(8, 0.0F);
     const quant_params qp = choose_quant(data, 8);
-    const auto codes = quantize(data, qp);
+    const auto codes = quantize_codes<std::int32_t>(data, qp);
     for (const auto c : codes) {
         EXPECT_EQ(c, 0);
+    }
+    std::vector<float> fq = data;
+    fake_quantize_inplace(fq, 8);
+    for (const float v : fq) {
+        EXPECT_EQ(v, 0.0F);
     }
 }
 
@@ -62,7 +99,7 @@ TEST(quantize, rmse_decreases_with_bits)
     }
     double prev = 1e9;
     for (int bits = 2; bits <= 10; ++bits) {
-        const double r = quantization_rmse(data, bits);
+        const double r = fake_quantize_rmse(data, bits);
         EXPECT_LT(r, prev) << "bits=" << bits;
         prev = r;
     }
@@ -75,8 +112,8 @@ TEST(quantize, rmse_roughly_halves_per_bit)
     for (int i = 0; i < 4000; ++i) {
         data.push_back(static_cast<float>(rng.uniform(-1.0, 1.0)));
     }
-    const double r6 = quantization_rmse(data, 6);
-    const double r7 = quantization_rmse(data, 7);
+    const double r6 = fake_quantize_rmse(data, 6);
+    const double r7 = fake_quantize_rmse(data, 7);
     EXPECT_NEAR(r6 / r7, 2.0, 0.3);
 }
 
@@ -102,7 +139,7 @@ TEST(quantize, sparsity_counts_zero_codes)
 {
     // Values below step/2 quantize to zero.
     const std::vector<float> data{0.0F, 0.001F, 1.0F, -1.0F, 0.002F};
-    const double sp = quantized_sparsity(data, 4);
+    const double sp = zero_code_fraction(data, 4);
     EXPECT_NEAR(sp, 3.0 / 5.0, 1e-9);
 }
 
@@ -114,8 +151,8 @@ TEST(quantize, lower_precision_is_sparser)
         data.push_back(static_cast<float>(rng.gaussian(0.0, 0.2)));
     }
     data.push_back(3.0F); // one large outlier stretches the scale
-    const double sp2 = quantized_sparsity(data, 2);
-    const double sp8 = quantized_sparsity(data, 8);
+    const double sp2 = zero_code_fraction(data, 2);
+    const double sp8 = zero_code_fraction(data, 8);
     EXPECT_GT(sp2, sp8);
 }
 

@@ -20,7 +20,7 @@ TEST(zoo, lenet5_forward_runs)
 {
     const network net = make_lenet5();
     tensor in({1, 28, 28});
-    const tensor out = net.forward(in, false);
+    const tensor out = net.forward(in, std::vector<layer_quant>(net.depth()));
     EXPECT_EQ(out.size(), 10U);
 }
 
@@ -65,7 +65,7 @@ TEST(zoo, scaled_alexnet_forward_runs)
 {
     const network net = make_alexnet_scaled();
     tensor in(net.input_shape());
-    const tensor out = net.forward(in, false);
+    const tensor out = net.forward(in, std::vector<layer_quant>(net.depth()));
     EXPECT_EQ(out.size(), 100U);
 }
 
