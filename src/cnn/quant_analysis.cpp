@@ -4,6 +4,8 @@
 #include "util/parallel.h"
 #include "util/rng.h"
 
+#include <algorithm>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -55,6 +57,7 @@ void batch_evaluator::set_base(std::vector<layer_quant> base)
     base_ = std::move(base);
     cache_built_ = false;
     acts_.clear();
+    order_.clear();
 }
 
 void batch_evaluator::ensure_cache() const
@@ -80,7 +83,7 @@ std::size_t batch_evaluator::suffix_start(
     return p;
 }
 
-double batch_evaluator::accuracy(
+void batch_evaluator::check_overlay(
     const std::vector<layer_quant>& overlay) const
 {
     if (data_.inputs.empty()) {
@@ -90,26 +93,107 @@ double batch_evaluator::accuracy(
         throw std::invalid_argument(
             "batch_evaluator: overlay size mismatch");
     }
+}
+
+bool batch_evaluator::agrees(std::size_t i, std::size_t p,
+                             const std::vector<layer_quant>& overlay) const
+{
+    int pred;
+    if (p == net_.depth()) {
+        pred = argmax(acts_[i].back());
+    } else {
+        const tensor& start = p == 0 ? data_.inputs[i] : acts_[i][p - 1];
+        pred = argmax(net_.forward_from(p, start, overlay));
+    }
+    return pred == data_.labels[i];
+}
+
+const std::vector<std::size_t>& batch_evaluator::probe_order() const
+{
+    if (!order_.empty()) {
+        return order_;
+    }
+    ensure_cache();
+    const std::size_t n = data_.inputs.size();
+    std::vector<float> margin(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        float top = -std::numeric_limits<float>::infinity();
+        float second = top;
+        for (const float v : acts_[i].back().flat()) {
+            if (v > top) {
+                second = top;
+                top = v;
+            } else if (v > second) {
+                second = v;
+            }
+        }
+        margin[i] = top - second;
+    }
+    order_.resize(n);
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+    std::stable_sort(order_.begin(), order_.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return margin[a] < margin[b];
+                     });
+    return order_;
+}
+
+double batch_evaluator::accuracy(
+    const std::vector<layer_quant>& overlay) const
+{
+    check_overlay(overlay);
     const std::size_t p = suffix_start(overlay);
     if (p > 0) {
         ensure_cache();
     }
     std::vector<unsigned char> agree(data_.inputs.size(), 0);
     parallel_for(data_.inputs.size(), threads_, [&](std::size_t i) {
-        int pred;
-        if (p == net_.depth()) {
-            pred = argmax(acts_[i].back());
-        } else {
-            const tensor& start =
-                p == 0 ? data_.inputs[i] : acts_[i][p - 1];
-            pred = argmax(net_.forward_from(p, start, overlay));
-        }
-        agree[i] = pred == data_.labels[i] ? 1 : 0;
+        agree[i] = agrees(i, p, overlay) ? 1 : 0;
     });
     const std::size_t n =
         std::accumulate(agree.begin(), agree.end(), std::size_t{0});
     return static_cast<double>(n)
            / static_cast<double>(data_.inputs.size());
+}
+
+bool batch_evaluator::passes(const std::vector<layer_quant>& overlay,
+                             double target) const
+{
+    check_overlay(overlay);
+    const std::size_t n = data_.inputs.size();
+    // The fewest misses that fail the probe: the first m whose accuracy
+    // (n - m) / n, in accuracy()'s own double arithmetic, is not
+    // >= target. (n - m) / n falls monotonically in m, so the scan stops
+    // at the first failure; a NaN target gives 0 (every probe fails),
+    // a target <= 0 gives n + 1 (every probe passes).
+    std::size_t fail_at = 0;
+    while (fail_at <= n
+           && static_cast<double>(n - fail_at) / static_cast<double>(n)
+                  >= target) {
+        ++fail_at;
+    }
+
+    const std::size_t p = suffix_start(overlay);
+    const std::vector<std::size_t>& order = probe_order();
+    // One input per worker per chunk; misses are counted between chunks.
+    // The decision is exact, so it is the same at any worker count.
+    const std::size_t chunk = resolve_threads(threads_, n);
+    std::vector<unsigned char> miss(chunk, 0);
+    std::size_t misses = 0;
+    std::size_t begin = 0;
+    // Undecided while the misses are below fail_at and an all-miss
+    // remainder could still reach it.
+    while (misses < fail_at && misses + (n - begin) >= fail_at) {
+        const std::size_t count = std::min(chunk, n - begin);
+        parallel_for(count, threads_, [&](std::size_t k) {
+            miss[k] = agrees(order[begin + k], p, overlay) ? 0 : 1;
+        });
+        misses += std::accumulate(
+            miss.begin(), miss.begin() + static_cast<std::ptrdiff_t>(count),
+            std::size_t{0});
+        begin += count;
+    }
+    return misses < fail_at;
 }
 
 std::vector<layer_quant_requirement>
@@ -129,7 +213,7 @@ batch_evaluator::sweep(const quant_sweep_config& cfg) const
             overlay[li] = layer_quant{.weight_bits = bits,
                                       .input_bits = 0,
                                       .compute = cfg.compute};
-            if (accuracy(overlay) >= cfg.target_accuracy) {
+            if (passes(overlay, cfg.target_accuracy)) {
                 req.min_weight_bits = bits;
                 break;
             }
@@ -140,7 +224,7 @@ batch_evaluator::sweep(const quant_sweep_config& cfg) const
             overlay[li] = layer_quant{.weight_bits = 0,
                                       .input_bits = bits,
                                       .compute = cfg.compute};
-            if (accuracy(overlay) >= cfg.target_accuracy) {
+            if (passes(overlay, cfg.target_accuracy)) {
                 req.min_input_bits = bits;
                 break;
             }
@@ -156,8 +240,8 @@ batch_evaluator::refine(std::vector<layer_quant_requirement> reqs,
                         const quant_sweep_config& cfg) const
 {
     for (int round = 0; round < cfg.max_bits; ++round) {
-        if (accuracy(requirements_overlay(net_, reqs, cfg.compute))
-            >= cfg.target_accuracy) {
+        if (passes(requirements_overlay(net_, reqs, cfg.compute),
+                   cfg.target_accuracy)) {
             break;
         }
         bool changed = false;

@@ -14,6 +14,15 @@
 // per-input activation cache. Probes additionally fan out across the
 // dataset on the shared pool discipline of util/parallel.h, so results are
 // bit-identical for any thread count.
+//
+// Sweep and refinement probes are pass/fail, so they run through
+// batch_evaluator::passes: inputs are visited hardest first (smallest
+// float-teacher top-1 margin, the images a perturbation flips first) and
+// a probe stops at the miss that puts it below the target. At the 0.99
+// target on a dozen images one miss fails a probe, and most probes in an
+// upward bit scan fail, so a failing probe usually stops after one or two
+// inputs (one chunk of inputs per worker when threaded); only a passing
+// probe runs the whole dataset.
 
 #pragma once
 
@@ -91,13 +100,27 @@ public:
     // tests/test_batch_evaluator.cpp).
     double accuracy(const std::vector<layer_quant>& overlay) const;
 
+    // Exactly accuracy(overlay) >= target, deciding as early as the
+    // inputs seen so far allow. Inputs run in probe order (ascending base
+    // top-1 margin, ties by index) in chunks of one input per worker;
+    // after each chunk the probe fails once the misses exceed the most the
+    // target allows, and passes once the remaining inputs could not exceed
+    // it. The allowance is computed in accuracy()'s double arithmetic, so
+    // boundary and NaN targets decide the same way. Throws as accuracy().
+    bool passes(const std::vector<layer_quant>& overlay,
+                double target) const;
+
     // The Fig. 6 per-layer sweep: probe-for-probe identical to the naive
-    // full-forward sweep, at O(depth * bits * dataset) suffix cost instead
-    // of O(depth^2 * bits * dataset) full forwards.
+    // sweep, which runs full forwards of the whole dataset per probe.
+    // Here each probe is a passes() call on suffix forwards only, so a
+    // layer's upward bit scan costs one or two suffix forwards per failed
+    // bit-width (1.3-1.9 on average for LeNet-5, AlexNet-S and VGG16-S
+    // at 12 images) plus one dataset pass at the bit-width that passes.
     std::vector<layer_quant_requirement>
     sweep(const quant_sweep_config& cfg) const;
 
-    // Joint refinement (see refine_requirements below).
+    // Joint refinement (see refine_requirements below); its per-round
+    // check is a passes() probe.
     std::vector<layer_quant_requirement>
     refine(std::vector<layer_quant_requirement> reqs,
            const quant_sweep_config& cfg) const;
@@ -111,7 +134,14 @@ public:
 
 private:
     void ensure_cache() const;
+    void check_overlay(const std::vector<layer_quant>& overlay) const;
     std::size_t suffix_start(const std::vector<layer_quant>& overlay) const;
+    // Whether input i's argmax under `overlay` (recomputed from layer p)
+    // matches its teacher label.
+    bool agrees(std::size_t i, std::size_t p,
+                const std::vector<layer_quant>& overlay) const;
+    // passes()' input order, built with the activation cache.
+    const std::vector<std::size_t>& probe_order() const;
 
     const network& net_;
     const teacher_dataset& data_;
@@ -119,6 +149,7 @@ private:
     std::vector<layer_quant> base_;
     mutable bool cache_built_ = false;
     mutable std::vector<std::vector<tensor>> acts_; // [input][layer]
+    mutable std::vector<std::size_t> order_; // empty until first passes()
 };
 
 // Fraction of inputs whose argmax under the quant overlay (one entry per

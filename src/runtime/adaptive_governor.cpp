@@ -90,7 +90,8 @@ std::string teacher_key(const network& net, std::size_t depth,
     os << "net:" << net.name() << "|d" << depth << "|m" << macs << "|w"
        << digest << "|img" << cfg.sweep.images << "|acc"
        << cfg.sweep.target_accuracy << "|mb" << cfg.sweep.max_bits << "|s"
-       << cfg.sweep.seed << "|res" << cfg.budget_resolution
+       << cfg.sweep.seed << "|c" << to_string(cfg.sweep.compute) << "|res"
+       << cfg.budget_resolution
        << "|fr:" << frontier_key;
     return os.str();
 }

@@ -3,12 +3,17 @@
 // probed bit-width as the naive full-forward sweep, at 1 and N threads.
 // This pins the prefix-memoization invariant (layers before the perturbed
 // one are bit-identical across the bit loop, so reusing their cached
-// activations changes nothing) and the thread-count invariance of the
-// pool discipline.
+// activations changes nothing), the thread-count invariance of the pool
+// discipline, and the early-exit pass/fail probe: passes(o, t) is exactly
+// accuracy(o) >= t, at every target and with a non-zero miss allowance.
 
 #include "cnn/quant_analysis.h"
+#include "util/rng.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
 
 namespace dvafs {
 namespace {
@@ -61,6 +66,35 @@ naive_sweep(const network& net, const teacher_dataset& data,
     return out;
 }
 
+// The refinement loop on naive_accuracy: refine()'s equivalence baseline.
+std::vector<layer_quant_requirement>
+naive_refine(const network& net, const teacher_dataset& data,
+             std::vector<layer_quant_requirement> reqs,
+             const quant_sweep_config& cfg)
+{
+    for (int round = 0; round < cfg.max_bits; ++round) {
+        if (naive_accuracy(net, data, requirements_overlay(net, reqs))
+            >= cfg.target_accuracy) {
+            break;
+        }
+        bool changed = false;
+        for (layer_quant_requirement& r : reqs) {
+            if (r.min_weight_bits < cfg.max_bits) {
+                ++r.min_weight_bits;
+                changed = true;
+            }
+            if (r.min_input_bits < cfg.max_bits) {
+                ++r.min_input_bits;
+                changed = true;
+            }
+        }
+        if (!changed) {
+            break;
+        }
+    }
+    return reqs;
+}
+
 void expect_same_requirements(
     const std::vector<layer_quant_requirement>& a,
     const std::vector<layer_quant_requirement>& b)
@@ -98,13 +132,23 @@ protected:
     }
 };
 
+// Targets the sweep and refinement tests run at. On 10 images 0.99 allows
+// no miss; 0.8 and 0.5 allow 2 and 5, so a probe's early exit has to count
+// past the first miss.
+constexpr double targets[] = {0.99, 0.8, 0.5};
+
 TEST_F(batch_evaluator_test, sweep_identical_to_naive_at_1_and_n_threads)
 {
-    const auto want = naive_sweep(net(), data(), cfg());
     const batch_evaluator serial(net(), data(), 1);
     const batch_evaluator threaded(net(), data(), 4);
-    expect_same_requirements(serial.sweep(cfg()), want);
-    expect_same_requirements(threaded.sweep(cfg()), want);
+    for (const double target : targets) {
+        SCOPED_TRACE(target);
+        quant_sweep_config c = cfg();
+        c.target_accuracy = target;
+        const auto want = naive_sweep(net(), data(), c);
+        expect_same_requirements(serial.sweep(c), want);
+        expect_same_requirements(threaded.sweep(c), want);
+    }
 }
 
 TEST_F(batch_evaluator_test, accuracy_identical_at_every_probed_bit_width)
@@ -142,34 +186,16 @@ TEST_F(batch_evaluator_test, refine_identical_to_naive_refinement)
         start.push_back(r);
     }
 
-    // Naive refinement: same loop on naive_accuracy.
-    std::vector<layer_quant_requirement> want = start;
-    for (int round = 0; round < cfg().max_bits; ++round) {
-        if (naive_accuracy(net(), data(),
-                           requirements_overlay(net(), want))
-            >= cfg().target_accuracy) {
-            break;
-        }
-        bool changed = false;
-        for (layer_quant_requirement& r : want) {
-            if (r.min_weight_bits < cfg().max_bits) {
-                ++r.min_weight_bits;
-                changed = true;
-            }
-            if (r.min_input_bits < cfg().max_bits) {
-                ++r.min_input_bits;
-                changed = true;
-            }
-        }
-        if (!changed) {
-            break;
-        }
-    }
-
     const batch_evaluator serial(net(), data(), 1);
     const batch_evaluator threaded(net(), data(), 4);
-    expect_same_requirements(serial.refine(start, cfg()), want);
-    expect_same_requirements(threaded.refine(start, cfg()), want);
+    for (const double target : targets) {
+        SCOPED_TRACE(target);
+        quant_sweep_config c = cfg();
+        c.target_accuracy = target;
+        const auto want = naive_refine(net(), data(), start, c);
+        expect_same_requirements(serial.refine(start, c), want);
+        expect_same_requirements(threaded.refine(start, c), want);
+    }
 }
 
 TEST_F(batch_evaluator_test, non_identity_base_reuses_prefix_exactly)
@@ -221,11 +247,89 @@ TEST_F(batch_evaluator_test, rejects_bad_shapes)
     EXPECT_THROW(mut.set_base(std::vector<layer_quant>(2)),
                  std::invalid_argument);
 
+    EXPECT_THROW((void)eval.passes(std::vector<layer_quant>(3), 0.5),
+                 std::invalid_argument);
+
     const teacher_dataset empty;
     const batch_evaluator no_data(net(), empty);
     EXPECT_THROW(
         (void)no_data.accuracy(std::vector<layer_quant>(net().depth())),
         std::invalid_argument);
+    // Even a target every probe meets does not skip the check.
+    EXPECT_THROW(
+        (void)no_data.passes(std::vector<layer_quant>(net().depth()), 0.0),
+        std::invalid_argument);
+}
+
+// Every target whose decision can flip on n images: each k/n, its two
+// floating-point neighbours, the infinities, and NaN.
+std::vector<double> boundary_targets(std::size_t n)
+{
+    std::vector<double> out;
+    for (std::size_t k = 0; k <= n; ++k) {
+        const double t =
+            static_cast<double>(k) / static_cast<double>(n);
+        out.push_back(t);
+        out.push_back(std::nextafter(t, -1.0));
+        out.push_back(std::nextafter(t, 2.0));
+    }
+    out.push_back(-std::numeric_limits<double>::infinity());
+    out.push_back(std::numeric_limits<double>::infinity());
+    out.push_back(std::numeric_limits<double>::quiet_NaN());
+    return out;
+}
+
+// A random overlay quantizing one weighted layer (single = true) or every
+// weighted layer. The bit ranges are low enough that the fixture's
+// accuracies spread over 0.1 .. 1.0.
+std::vector<layer_quant> random_overlay(const network& net, pcg32& rng,
+                                        bool single)
+{
+    std::vector<layer_quant> overlay(net.depth());
+    const std::vector<std::size_t> weighted = net.weighted_layers();
+    const auto draw = [&](int hi) {
+        return layer_quant{
+            .weight_bits = static_cast<int>(rng.range(2, hi)),
+            .input_bits = static_cast<int>(rng.range(2, hi))};
+    };
+    if (single) {
+        overlay[weighted[rng.bounded(
+            static_cast<std::uint32_t>(weighted.size()))]] = draw(5);
+    } else {
+        for (const std::size_t li : weighted) {
+            overlay[li] = draw(6);
+        }
+    }
+    return overlay;
+}
+
+TEST_F(batch_evaluator_test, passes_property_equals_accuracy_at_target)
+{
+    std::vector<layer_quant> quantized_base(net().depth());
+    for (const std::size_t li : net().weighted_layers()) {
+        quantized_base[li] = {.weight_bits = 5, .input_bits = 5};
+    }
+    const std::vector<double> ts = boundary_targets(data().inputs.size());
+    for (const unsigned threads : {1U, 4U}) {
+        // Float base, and a quantized base whose probe order differs.
+        batch_evaluator float_base(net(), data(), threads);
+        batch_evaluator requant_base(net(), data(), threads);
+        requant_base.set_base(quantized_base);
+        pcg32 rng(99);
+        for (int trial = 0; trial < 8; ++trial) {
+            const auto overlay = random_overlay(net(), rng, trial % 2 == 0);
+            const double acc = naive_accuracy(net(), data(), overlay);
+            for (const batch_evaluator* eval :
+                 {&float_base, &requant_base}) {
+                ASSERT_EQ(eval->accuracy(overlay), acc);
+                for (const double t : ts) {
+                    EXPECT_EQ(eval->passes(overlay, t), acc >= t)
+                        << "threads " << threads << " trial " << trial
+                        << " accuracy " << acc << " target " << t;
+                }
+            }
+        }
+    }
 }
 
 } // namespace

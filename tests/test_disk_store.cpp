@@ -613,5 +613,31 @@ TEST(teacher_persistence, warm_governor_matches_cold_run)
     EXPECT_TRUE(fs::exists(fs::path(dir) / "teacher"));
 }
 
+TEST(teacher_persistence, sweep_compute_mode_is_part_of_the_key)
+{
+    const std::string dir = fresh_dir("teacher_compute");
+    const scoped_cache_dir env(dir);
+    const network net = make_lenet5({.seed = 7});
+    const envision_model model;
+    const auto governor_at = [&](compute_mode compute) {
+        governor_config g;
+        g.sweep.images = 8;
+        g.sweep.max_bits = 8;
+        g.sweep.compute = compute;
+        g.frontier.vectors = 200;
+        return adaptive_governor(model, g);
+    };
+
+    (void)governor_at(compute_mode::f32).prepare(net); // stores the f32 sweep
+    const std::uint64_t hits = disk_store::stats().hits;
+    // An i8 sweep measures a different engine: it must not load the f32
+    // entry...
+    (void)governor_at(compute_mode::i8).prepare(net);
+    EXPECT_EQ(disk_store::stats().hits, hits);
+    // ...while a second f32 governor does.
+    (void)governor_at(compute_mode::f32).prepare(net);
+    EXPECT_EQ(disk_store::stats().hits, hits + 1);
+}
+
 } // namespace
 } // namespace dvafs
