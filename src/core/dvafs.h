@@ -5,7 +5,7 @@
 //   circuit/   gate-level netlists, logic simulation, timing, technology
 //   mult/      exact + approximate multipliers; the DVAFS multiplier
 //   sim/       64-lane batched sweeps: operating-point grids, thread pool
-//   energy/    the paper's power equations, k-parameter extraction, VF
+//   energy/    the paper's power equations, k-parameter extraction
 //   simd/      the DVAFS-compatible SIMD vector processor
 //   cnn/       quantized CNN inference and per-layer precision analysis
 //   envision/  the Envision chip model
@@ -15,7 +15,6 @@
 #pragma once
 
 #include "util/bench_json.h"
-#include "util/csv.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -24,7 +23,6 @@
 #include "vec/vec.h"
 
 #include "fixedpoint/bitops.h"
-#include "fixedpoint/fixed.h"
 #include "fixedpoint/quantize.h"
 
 #include "circuit/cells.h"
@@ -50,7 +48,6 @@
 #include "energy/energy_ledger.h"
 #include "energy/kparams.h"
 #include "energy/power_model.h"
-#include "energy/vf_curve.h"
 
 #include "sim/engine.h"
 #include "sim/result.h"

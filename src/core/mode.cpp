@@ -30,17 +30,4 @@ dvafs_mode mode_for_precision(int bits)
     return m;
 }
 
-std::vector<dvafs_mode> enumerate_modes()
-{
-    std::vector<dvafs_mode> out;
-    for (const sw_mode sub : all_sw_modes) {
-        const int lw = lane_bits(sub);
-        const int q = lw / 4;
-        for (int bits = lw; bits >= q; bits -= q) {
-            out.push_back({sub, bits});
-        }
-    }
-    return out;
-}
-
 } // namespace dvafs

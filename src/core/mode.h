@@ -6,7 +6,6 @@
 #include "mult/subword.h"
 
 #include <string>
-#include <vector>
 
 namespace dvafs {
 
@@ -28,9 +27,5 @@ struct dvafs_mode {
 // holds `bits` (maximizing subword parallelism), as the paper's Sec. V
 // per-layer policy does.
 dvafs_mode mode_for_precision(int bits);
-
-// All distinct (subword, precision) settings with quarter-word DAS
-// granularity, widest first: 1x16/12/8/4, 2x8/6/4/2, 4x4/3/2/1.
-std::vector<dvafs_mode> enumerate_modes();
 
 } // namespace dvafs

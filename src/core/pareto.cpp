@@ -82,12 +82,6 @@ std::string frontier_config::key(const tech_model& tech,
 
 // -- mode frontier ------------------------------------------------------------
 
-bool mode_frontier::on_frontier(std::size_t point_index) const noexcept
-{
-    return std::find(pareto.begin(), pareto.end(), point_index)
-           != pareto.end();
-}
-
 namespace {
 
 // Supply/timing resolution of one measured configuration at frequency f:
@@ -671,84 +665,76 @@ bool layer_frontier::contains(const operating_point_spec& spec) const
 
 // -- budgeted selection -------------------------------------------------------
 
-std::vector<std::size_t>
-select_frontier_points(const std::vector<layer_frontier>& frontiers,
-                       double budget, double resolution)
+namespace {
+
+// Per-layer, per-point unit costs of the discretized selection problem.
+using unit_table = std::vector<std::vector<int>>;
+
+// Knapsack DP over (loss units, time units): the minimal-energy choice of
+// one point per layer whose summed unit costs fit (b_total, t_total).
+// Energies stay exact; ties keep the lower point index. Returns nullopt
+// when no selection fits. With t_total = 0 and all-zero time costs this
+// is the accuracy-only DP of the offline planner.
+std::optional<std::vector<std::size_t>>
+knapsack(const std::vector<layer_frontier>& frontiers,
+         const unit_table& loss_units, const unit_table& time_units,
+         int b_total, int t_total)
 {
-    if (budget < 0.0 || resolution <= 0.0) {
-        throw std::invalid_argument(
-            "select_frontier_points: bad budget/resolution");
-    }
-    for (const layer_frontier& f : frontiers) {
-        if (f.points.empty()) {
-            throw std::invalid_argument(
-                "select_frontier_points: empty layer frontier for "
-                + f.layer_name);
-        }
-    }
-
-    // Knapsack-style DP over the discretized loss budget. Losses round up
-    // (conservative: the discretized plan never exceeds the real budget by
-    // more than it claims), energies stay exact.
-    const int max_units = 100000;
-    if (budget / resolution > max_units) {
-        throw std::invalid_argument(
-            "select_frontier_points: budget/resolution too fine (raise "
-            "budget_resolution)");
-    }
-    const int b_total =
-        static_cast<int>(std::floor(budget / resolution + 1e-9));
-    // Clamped at zero: a (hand-built) negative loss is "free", never a
-    // negative index into the DP table.
-    const auto units = [&](double loss) {
-        return std::max(
-            0, static_cast<int>(std::ceil(loss / resolution - 1e-9)));
-    };
-
     const double inf = std::numeric_limits<double>::infinity();
     const std::size_t n = frontiers.size();
-    // dp[b]: minimal energy over processed layers with <= b loss units.
-    std::vector<double> dp(static_cast<std::size_t>(b_total) + 1, 0.0);
-    // choice[layer][b]: selected point index at that state.
-    std::vector<std::vector<int>> choice(
-        n, std::vector<int>(static_cast<std::size_t>(b_total) + 1, -1));
+    const std::size_t cols = static_cast<std::size_t>(t_total) + 1;
+    const std::size_t states = (static_cast<std::size_t>(b_total) + 1)
+                               * cols;
+    const auto state = [&](int b, int t) {
+        return static_cast<std::size_t>(b) * cols
+               + static_cast<std::size_t>(t);
+    };
+    // dp[state]: minimal energy over processed layers within (b, t) units.
+    std::vector<double> dp(states, 0.0);
+    std::vector<std::vector<int>> choice(n, std::vector<int>(states, -1));
 
     for (std::size_t li = 0; li < n; ++li) {
-        std::vector<double> ndp(dp.size(), inf);
+        const std::vector<int>& lu = loss_units[li];
+        const std::vector<int>& tu = time_units[li];
+        const std::size_t npts = lu.size();
+        std::vector<double> ndp(states, inf);
         for (int b = 0; b <= b_total; ++b) {
-            for (std::size_t pi = 0; pi < frontiers[li].points.size();
-                 ++pi) {
-                const layer_frontier_point& p = frontiers[li].points[pi];
-                const int u = units(p.accuracy_loss);
-                if (u > b || dp[static_cast<std::size_t>(b - u)] == inf) {
-                    continue;
-                }
-                const double e =
-                    dp[static_cast<std::size_t>(b - u)] + p.energy_mj;
-                if (e < ndp[static_cast<std::size_t>(b)]) {
-                    ndp[static_cast<std::size_t>(b)] = e;
-                    choice[li][static_cast<std::size_t>(b)] =
-                        static_cast<int>(pi);
+            for (int t = 0; t <= t_total; ++t) {
+                for (std::size_t pi = 0; pi < npts; ++pi) {
+                    if (lu[pi] > b || tu[pi] > t
+                        || dp[state(b - lu[pi], t - tu[pi])] == inf) {
+                        continue;
+                    }
+                    const double e = dp[state(b - lu[pi], t - tu[pi])]
+                                     + frontiers[li].points[pi].energy_mj;
+                    if (e < ndp[state(b, t)]) {
+                        ndp[state(b, t)] = e;
+                        choice[li][state(b, t)] = static_cast<int>(pi);
+                    }
                 }
             }
         }
         dp = std::move(ndp);
     }
-    if (dp[static_cast<std::size_t>(b_total)] == inf) {
-        throw std::invalid_argument(
-            "select_frontier_points: no selection meets the budget");
+
+    if (dp[state(b_total, t_total)] == inf) {
+        return std::nullopt;
     }
 
-    // Reconstruct backwards from the full budget.
+    // Reconstruct backwards from the full budgets.
     std::vector<std::size_t> picked(n, 0);
     int b = b_total;
+    int t = t_total;
     for (std::size_t li = n; li-- > 0;) {
-        const int pi = choice[li][static_cast<std::size_t>(b)];
+        const int pi = choice[li][state(b, t)];
         picked[li] = static_cast<std::size_t>(pi);
-        b -= units(frontiers[li].points[picked[li]].accuracy_loss);
+        b -= loss_units[li][picked[li]];
+        t -= time_units[li][picked[li]];
     }
     return picked;
 }
+
+} // namespace
 
 frontier_selection select_frontier_points_budgeted(
     const std::vector<layer_frontier>& frontiers, double accuracy_budget,
@@ -769,12 +755,13 @@ frontier_selection select_frontier_points_budgeted(
         return sel;
     };
 
-    if (accuracy_budget < 0.0 || resolution <= 0.0
-        || time_resolution_ms < 0.0 || !std::isfinite(accuracy_budget)
+    if (accuracy_budget < 0.0 || !(resolution > 0.0)
+        || !(time_resolution_ms >= 0.0) || !std::isfinite(accuracy_budget)
         || !std::isfinite(latency_budget_ms)) {
-        // Non-finite budgets would turn the discretization into NaN
-        // arithmetic (e.g. a phase with target_fps = 0 yields an infinite
-        // deadline); fail loudly instead.
+        // Non-finite budgets or resolutions would turn the discretization
+        // into NaN arithmetic and an undefined float-to-int cast (e.g. a
+        // phase with target_fps = 0 yields an infinite deadline); fail
+        // loudly instead.
         throw std::invalid_argument(
             "select_frontier_points_budgeted: bad budget/resolution");
     }
@@ -808,11 +795,12 @@ frontier_selection select_frontier_points_budgeted(
         return summarize(std::move(fastest), false);
     };
 
-    // Unit costs clamp at zero: a (hand-built) negative loss or time is
-    // "free", never a negative index into the DP tables.
-    const auto loss_units = [&](double loss) {
-        return std::max(
-            0, static_cast<int>(std::ceil(loss / resolution - 1e-9)));
+    // Both costs round up (conservative: the discretized plan never
+    // exceeds either real budget) and clamp at zero: a (hand-built)
+    // negative loss or time is "free", never a negative index into the DP
+    // tables.
+    const auto units = [](double cost, double res) {
+        return std::max(0, static_cast<int>(std::ceil(cost / res - 1e-9)));
     };
     const int max_units = 100000;
     if (accuracy_budget / resolution > max_units) {
@@ -822,116 +810,69 @@ frontier_selection select_frontier_points_budgeted(
     const int b_total =
         static_cast<int>(std::floor(accuracy_budget / resolution + 1e-9));
 
-    // Uniform infeasibility semantics for both latency spellings (<= 0 =
-    // unconstrained, and any positive deadline): an unmeetable *accuracy*
-    // budget returns the fallback instead of the 1-D DP's throw.
+    const std::size_t n = frontiers.size();
+    unit_table loss_units(n);
+    unit_table time_units(n);
+    // An unmeetable *accuracy* budget returns the fallback under either
+    // latency spelling (<= 0 = unconstrained, or a positive deadline).
     std::int64_t min_loss_units = 0;
-    for (const layer_frontier& f : frontiers) {
-        int best = loss_units(f.points[0].accuracy_loss);
-        for (const layer_frontier_point& p : f.points) {
-            best = std::min(best, loss_units(p.accuracy_loss));
+    for (std::size_t li = 0; li < n; ++li) {
+        const std::vector<layer_frontier_point>& pts = frontiers[li].points;
+        loss_units[li].resize(pts.size());
+        time_units[li].assign(pts.size(), 0);
+        for (std::size_t pi = 0; pi < pts.size(); ++pi) {
+            loss_units[li][pi] = units(pts[pi].accuracy_loss, resolution);
         }
-        min_loss_units += best;
+        min_loss_units += *std::min_element(loss_units[li].begin(),
+                                            loss_units[li].end());
     }
     if (min_loss_units > b_total) {
         return fastest_fallback();
     }
 
-    if (latency_budget_ms <= 0.0) {
-        return summarize(
-            select_frontier_points(frontiers, accuracy_budget, resolution),
-            true);
-    }
-    const double tres = time_resolution_ms > 0.0 ? time_resolution_ms
-                                                 : latency_budget_ms / 256.0;
-
-    // 2-D knapsack DP over (loss units, time units). Both costs round up
-    // (conservative: the discretized plan never exceeds either real
-    // budget), energies stay exact. State space is layers x ~40 loss bins
-    // x ~257 time bins -- a whole re-plan against cached frontiers takes
-    // ~0.5 ms at the median and ~3.5 ms at p99 (e2ebench `replan`),
-    // which is what makes it cheap enough to run per phase.
-    if (latency_budget_ms / tres > max_units) {
-        throw std::invalid_argument(
-            "select_frontier_points_budgeted: budget/resolution too fine");
-    }
-    const int t_total =
-        static_cast<int>(std::floor(latency_budget_ms / tres + 1e-9));
-    // The per-axis caps do not bound the *product*; cap the state count
-    // too, or a fine 2-D grid turns the dp/choice tables into a multi-GB
-    // allocation instead of an error.
-    const std::int64_t max_states = 1000000;
-    if ((static_cast<std::int64_t>(b_total) + 1)
-            * (static_cast<std::int64_t>(t_total) + 1)
-        > max_states) {
-        throw std::invalid_argument(
-            "select_frontier_points_budgeted: budget/resolution grid too "
-            "large (coarsen a resolution)");
-    }
-    const auto time_units = [&](double ms) {
-        return std::max(0,
-                        static_cast<int>(std::ceil(ms / tres - 1e-9)));
-    };
-
-    const double inf = std::numeric_limits<double>::infinity();
-    const std::size_t n = frontiers.size();
-    const std::size_t cols = static_cast<std::size_t>(t_total) + 1;
-    const std::size_t states = (static_cast<std::size_t>(b_total) + 1)
-                               * cols;
-    const auto state = [&](int b, int t) {
-        return static_cast<std::size_t>(b) * cols
-               + static_cast<std::size_t>(t);
-    };
-    // dp[state]: minimal energy over processed layers within (b, t) units.
-    std::vector<double> dp(states, 0.0);
-    std::vector<std::vector<int>> choice(n, std::vector<int>(states, -1));
-
-    for (std::size_t li = 0; li < n; ++li) {
-        // Per-point unit costs are state-independent: hoist them out of
-        // the (b, t) loops (this DP is the online re-plan hot path).
-        const std::size_t npts = frontiers[li].points.size();
-        std::vector<int> lu(npts);
-        std::vector<int> tu(npts);
-        for (std::size_t pi = 0; pi < npts; ++pi) {
-            lu[pi] = loss_units(frontiers[li].points[pi].accuracy_loss);
-            tu[pi] = time_units(frontiers[li].points[pi].time_ms);
+    // A non-positive latency budget is one time column with zero time
+    // costs. A deadline discretizes at `time_resolution_ms` (0 = budget /
+    // 256): layers x ~40 loss bins x ~257 time bins, which keeps a whole
+    // re-plan against cached frontiers around 0.5 ms at the median and
+    // 3.5 ms at p99 (e2ebench `replan`).
+    int t_total = 0;
+    if (latency_budget_ms > 0.0) {
+        const double tres = time_resolution_ms > 0.0
+                                ? time_resolution_ms
+                                : latency_budget_ms / 256.0;
+        if (latency_budget_ms / tres > max_units) {
+            throw std::invalid_argument(
+                "select_frontier_points_budgeted: budget/resolution too "
+                "fine");
         }
-        std::vector<double> ndp(states, inf);
-        for (int b = 0; b <= b_total; ++b) {
-            for (int t = 0; t <= t_total; ++t) {
-                for (std::size_t pi = 0; pi < npts; ++pi) {
-                    if (lu[pi] > b || tu[pi] > t
-                        || dp[state(b - lu[pi], t - tu[pi])] == inf) {
-                        continue;
-                    }
-                    const double e = dp[state(b - lu[pi], t - tu[pi])]
-                                     + frontiers[li].points[pi].energy_mj;
-                    if (e < ndp[state(b, t)]) {
-                        ndp[state(b, t)] = e;
-                        choice[li][state(b, t)] = static_cast<int>(pi);
-                    }
-                }
+        t_total =
+            static_cast<int>(std::floor(latency_budget_ms / tres + 1e-9));
+        // The per-axis caps do not bound the *product*; cap the state
+        // count too, or a fine 2-D grid turns the dp/choice tables into a
+        // multi-GB allocation instead of an error.
+        const std::int64_t max_states = 1000000;
+        if ((static_cast<std::int64_t>(b_total) + 1)
+                * (static_cast<std::int64_t>(t_total) + 1)
+            > max_states) {
+            throw std::invalid_argument(
+                "select_frontier_points_budgeted: budget/resolution grid "
+                "too large (coarsen a resolution)");
+        }
+        for (std::size_t li = 0; li < n; ++li) {
+            for (std::size_t pi = 0; pi < time_units[li].size(); ++pi) {
+                time_units[li][pi] =
+                    units(frontiers[li].points[pi].time_ms, tres);
             }
         }
-        dp = std::move(ndp);
     }
 
-    if (dp[state(b_total, t_total)] == inf) {
+    std::optional<std::vector<std::size_t>> picked =
+        knapsack(frontiers, loss_units, time_units, b_total, t_total);
+    if (!picked) {
         // No selection meets both budgets.
         return fastest_fallback();
     }
-
-    // Reconstruct backwards from the full budgets.
-    std::vector<std::size_t> picked(n, 0);
-    int b = b_total;
-    int t = t_total;
-    for (std::size_t li = n; li-- > 0;) {
-        const int pi = choice[li][state(b, t)];
-        picked[li] = static_cast<std::size_t>(pi);
-        b -= loss_units(frontiers[li].points[picked[li]].accuracy_loss);
-        t -= time_units(frontiers[li].points[picked[li]].time_ms);
-    }
-    return summarize(std::move(picked), true);
+    return summarize(std::move(*picked), true);
 }
 
 } // namespace dvafs

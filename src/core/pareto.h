@@ -18,10 +18,10 @@
 //     teacher dataset. Dominated points are pruned again per layer.
 //  3. precision_planner (core/planner.h) selects one point per layer by
 //     dynamic programming over the layer frontiers under a network
-//     accuracy budget -- select_frontier_points (accuracy only) for the
-//     offline flow, select_frontier_points_budgeted (accuracy + frame
-//     latency, with a minimum-time fallback) for the streaming runtime's
-//     online re-plans (src/runtime/).
+//     accuracy budget and an optional frame-latency budget, with one
+//     selector (select_frontier_points_budgeted) for both the offline flow
+//     (no latency budget) and the streaming runtime's online re-plans
+//     (src/runtime/).
 //
 // Docs: docs/architecture.md (data flow), docs/glossary.md (terms).
 
@@ -98,8 +98,6 @@ struct mode_frontier {
     // Index of the nominal reference point (1xW @ full precision @ f_nom);
     // its activity divisor is 1 by construction.
     std::size_t nominal = 0;
-
-    bool on_frontier(std::size_t point_index) const noexcept;
 };
 
 // Measures the frontier: one gate-level sweep per (mode, keep_bits) family
@@ -219,19 +217,8 @@ struct layer_frontier {
 
 // -- budgeted selection (dynamic programming) ---------------------------------
 
-// Picks one point per layer minimizing total energy subject to
-// sum(accuracy_loss) <= budget. Losses are discretized at `resolution`
-// (conservatively, rounding each loss up), which makes the selection exact
-// over the discretized problem and bit-identical across platforms and
-// thread counts. Returns one index into each frontier's `points`. Throws
-// std::invalid_argument when a frontier is empty.
-std::vector<std::size_t>
-select_frontier_points(const std::vector<layer_frontier>& frontiers,
-                       double budget, double resolution = 0.0025);
-
-// Result of a latency-constrained selection (the streaming runtime's
-// re-plan DP). `feasible` is false when no selection satisfies both
-// budgets; the returned indices are then the per-layer minimum-time
+// Result of a selection. `feasible` is false when no selection satisfies
+// both budgets; the returned indices are then the per-layer minimum-time
 // fallback (ties broken by energy, then index) so the governor always has
 // a plan to swap in.
 struct frontier_selection {
@@ -242,17 +229,17 @@ struct frontier_selection {
     double energy_mj = 0.0;
 };
 
-// Two-budget generalization of select_frontier_points: minimizes total
-// energy subject to sum(accuracy_loss) <= accuracy_budget AND
-// sum(time_ms) <= latency_budget_ms. A non-positive latency budget means
-// unconstrained (delegates to the 1-D DP above, so offline plans are
-// unchanged). Times are discretized at `time_resolution_ms` (0 = budget /
-// 256), rounding up like the losses, so the selection is exact over the
+// Picks one point per layer minimizing total energy subject to
+// sum(accuracy_loss) <= accuracy_budget AND sum(time_ms) <=
+// latency_budget_ms. A non-positive latency budget means unconstrained
+// (the offline planner's accuracy-only selection). Losses are discretized
+// at `resolution` and times at `time_resolution_ms` (0 = budget / 256),
+// each cost rounding up, which makes the selection exact over the
 // discretized problem and bit-identical across platforms and thread
-// counts. Unlike select_frontier_points, *any* infeasibility -- latency,
-// accuracy, or their combination, under either latency spelling --
-// returns the fallback instead of throwing. Throws std::invalid_argument
-// on an empty frontier or bad resolutions.
+// counts. *Any* infeasibility -- latency, accuracy, or their combination,
+// under either latency spelling -- returns the fallback instead of
+// throwing. Throws std::invalid_argument on an empty frontier, a negative
+// or non-finite budget, or bad resolutions.
 frontier_selection select_frontier_points_budgeted(
     const std::vector<layer_frontier>& frontiers, double accuracy_budget,
     double latency_budget_ms, double resolution = 0.0025,

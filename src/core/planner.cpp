@@ -381,12 +381,18 @@ network_plan precision_planner::plan_internal(
         const std::vector<layer_frontier> fls =
             layer_frontiers_from_workloads(net, reqs, workloads, data,
                                            &acc_ref, threads, compute);
-        const double budget = np.accuracy_budget;
-        const std::vector<std::size_t> sel = select_frontier_points(
-            fls, budget, cfg_.budget_resolution);
+        const frontier_selection sel = select_frontier_points_budgeted(
+            fls, np.accuracy_budget, 0.0, cfg_.budget_resolution);
+        if (!sel.feasible) {
+            // Offline there is no previous plan to keep serving: an
+            // unmeetable budget is the caller's error, not a fallback.
+            throw std::invalid_argument(
+                "precision_planner: no selection meets the accuracy "
+                "budget");
+        }
         for (std::size_t k = 0; k < fls.size(); ++k) {
             np.layers.push_back(assemble_frontier_layer(
-                runner_, workloads[k], fls[k].points[sel[k]]));
+                runner_, workloads[k], fls[k].points[sel.indices[k]]));
         }
         break;
     }

@@ -51,7 +51,8 @@ struct planner_config {
     // relative_accuracy field always reports the measured joint value --
     // check it (or tighten the budget) when the margin matters.
     double accuracy_budget = 0.0;
-    // Discretization of the budget DP (see select_frontier_points).
+    // Discretization of the budget DP (see
+    // select_frontier_points_budgeted).
     double budget_resolution = 0.0025;
     // Keep per-layer runtime as a third Pareto criterion when building
     // layer frontiers. Offline planning prunes over (energy, accuracy

@@ -1,9 +1,10 @@
-// Bit-manipulation helpers shared by the fixed-point types, the subword
-// arithmetic fast paths, and the gate-level multiplier models.
+// Bit-manipulation and rounding helpers shared by the quantizers, the
+// subword arithmetic fast paths, and the gate-level multiplier models.
 
 #pragma once
 
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 
 namespace dvafs {
@@ -88,11 +89,20 @@ inline void transpose64(std::uint64_t x[64]) noexcept
     }
 }
 
+// Rounds a scaled real value to the nearest integer, ties away from zero
+// (the common DSP convention): the value -> code step of every quantizer
+// (quantize.h quantize_value, make_requant_scale).
+inline std::int64_t round_half_away(double scaled) noexcept
+{
+    return static_cast<std::int64_t>(scaled >= 0.0 ? std::floor(scaled + 0.5)
+                                                   : std::ceil(scaled - 0.5));
+}
+
 // Arithmetic right shift with round-half-away-from-zero -- the repo-wide
 // rounding discipline for dropping fixed-point fraction bits (matches
-// round_scaled(rounding::nearest) in fixed.h and the DVAFS subword
-// datapath's post-multiply scaling stage). shift in [0, 62]; |v| must stay
-// below 2^62 so adding the rounding bias cannot overflow (asserted).
+// round_half_away above and the DVAFS subword datapath's post-multiply
+// scaling stage). shift in [0, 62]; |v| must stay below 2^62 so adding
+// the rounding bias cannot overflow (asserted).
 constexpr std::int64_t rounding_rshift(std::int64_t v, int shift) noexcept
 {
     assert(shift >= 0 && shift <= 62);

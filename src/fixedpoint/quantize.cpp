@@ -26,8 +26,7 @@ requant_scale make_requant_scale(double scale)
     }
     int exp = 0;
     const double m = std::frexp(scale, &exp); // m in [0.5, 1)
-    std::int64_t q = round_scaled(m * static_cast<double>(1LL << 31),
-                                  rounding::nearest);
+    std::int64_t q = round_half_away(m * static_cast<double>(1LL << 31));
     int shift = 31 - exp;
     if (q == (1LL << 31)) {
         // m rounded up to exactly 1.0: renormalize.

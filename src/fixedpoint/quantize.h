@@ -7,7 +7,7 @@
 
 #pragma once
 
-#include "fixedpoint/fixed.h"
+#include "fixedpoint/bitops.h"
 
 #include <cassert>
 #include <cstdint>
@@ -29,8 +29,7 @@ struct quant_params {
 inline std::int64_t quantize_value(double value, double step,
                                    int bits) noexcept
 {
-    return clamp_signed(round_scaled(value / step, rounding::nearest),
-                        bits);
+    return clamp_signed(round_half_away(value / step), bits);
 }
 
 // Integer requantization scale: a positive real scale decomposed as

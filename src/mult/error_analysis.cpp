@@ -1,117 +1,42 @@
 #include "mult/error_analysis.h"
 
 #include "fixedpoint/bitops.h"
-#include "mult/multiplier.h"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 
 namespace dvafs {
 
-namespace {
-
-error_report finish(const error_stats& es, int width)
-{
-    error_report rep;
-    rep.samples = es.count();
-    rep.rmse = es.rmse();
-    rep.rmse_relative =
-        es.rmse() / std::pow(2.0, 2.0 * (width - 1));
-    rep.mean_error = es.mean_error();
-    rep.max_abs_error = es.max_abs_error();
-    rep.error_rate = es.error_rate();
-    return rep;
-}
-
-} // namespace
-
 error_report analyze_multiplier_error(const mult_fn& candidate, int width,
                                       bool is_signed, std::uint64_t samples,
                                       std::uint64_t seed)
-{
-    return analyze_multiplier_error_batch(
-        [&candidate](const std::int64_t* a, const std::int64_t* b,
-                     std::size_t n, std::int64_t* out) {
-            for (std::size_t i = 0; i < n; ++i) {
-                out[i] = candidate(a[i], b[i]);
-            }
-        },
-        width, is_signed, samples, seed);
-}
-
-error_report analyze_multiplier_error_batch(const mult_batch_fn& candidate,
-                                            int width, bool is_signed,
-                                            std::uint64_t samples,
-                                            std::uint64_t seed)
 {
     if (width < 2 || width > 31) {
         throw std::invalid_argument("analyze_multiplier_error: bad width");
     }
     pcg32 rng(seed);
     error_stats es;
-    std::array<std::int64_t, 64> a;
-    std::array<std::int64_t, 64> b;
-    std::array<std::int64_t, 64> got;
-    for (std::uint64_t done = 0; done < samples;) {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(64, samples - done));
-        for (std::size_t i = 0; i < n; ++i) {
-            if (is_signed) {
-                a[i] = sign_extend(rng.next_u64(), width);
-                b[i] = sign_extend(rng.next_u64(), width);
-            } else {
-                a[i] = static_cast<std::int64_t>(rng.next_u64()
-                                                 & low_mask(width));
-                b[i] = static_cast<std::int64_t>(rng.next_u64()
-                                                 & low_mask(width));
-            }
+    for (std::uint64_t i = 0; i < samples; ++i) {
+        std::int64_t a = 0;
+        std::int64_t b = 0;
+        if (is_signed) {
+            a = sign_extend(rng.next_u64(), width);
+            b = sign_extend(rng.next_u64(), width);
+        } else {
+            a = static_cast<std::int64_t>(rng.next_u64() & low_mask(width));
+            b = static_cast<std::int64_t>(rng.next_u64() & low_mask(width));
         }
-        candidate(a.data(), b.data(), n, got.data());
-        for (std::size_t i = 0; i < n; ++i) {
-            es.add(static_cast<double>(a[i] * b[i]),
-                   static_cast<double>(got[i]));
-        }
-        done += n;
+        es.add(static_cast<double>(a * b),
+               static_cast<double>(candidate(a, b)));
     }
-    return finish(es, width);
-}
-
-error_report analyze_gate_level_error(structural_multiplier& m,
-                                      std::uint64_t samples,
-                                      std::uint64_t seed)
-{
-    return analyze_multiplier_error_batch(
-        [&m](const std::int64_t* a, const std::int64_t* b, std::size_t n,
-             std::int64_t* out) { m.simulate_batch(a, b, n, out); },
-        m.width(), m.is_signed(), samples, seed);
-}
-
-error_report analyze_multiplier_error_exhaustive(const mult_fn& candidate,
-                                                 int width, bool is_signed)
-{
-    if (width < 2 || width > 12) {
-        throw std::invalid_argument(
-            "analyze_multiplier_error_exhaustive: width too large");
-    }
-    error_stats es;
-    const std::int64_t n = 1LL << width;
-    for (std::int64_t ua = 0; ua < n; ++ua) {
-        for (std::int64_t ub = 0; ub < n; ++ub) {
-            const std::int64_t a =
-                is_signed ? sign_extend(static_cast<std::uint64_t>(ua),
-                                        width)
-                          : ua;
-            const std::int64_t b =
-                is_signed ? sign_extend(static_cast<std::uint64_t>(ub),
-                                        width)
-                          : ub;
-            es.add(static_cast<double>(a * b),
-                   static_cast<double>(candidate(a, b)));
-        }
-    }
-    return finish(es, width);
+    error_report rep;
+    rep.samples = es.count();
+    rep.rmse = es.rmse();
+    rep.rmse_relative = es.rmse() / std::pow(2.0, 2.0 * (width - 1));
+    rep.mean_error = es.mean_error();
+    rep.max_abs_error = es.max_abs_error();
+    rep.error_rate = es.error_rate();
+    return rep;
 }
 
 } // namespace dvafs

@@ -17,19 +17,9 @@
 
 namespace dvafs {
 
-class structural_multiplier; // mult/multiplier.h
-
 // A functional multiplier: operands are signed (or unsigned) width-bit
 // integers; the return value is the design's (possibly approximate) product.
 using mult_fn = std::function<std::int64_t(std::int64_t, std::int64_t)>;
-
-// Batched multiplier: computes n products at once. Gate-level candidates
-// bind this to structural_multiplier::simulate_batch so the sweep runs
-// through the 64-lane simulator (one levelized pass per 64 operand pairs)
-// instead of one netlist pass per sample.
-using mult_batch_fn = std::function<void(
-    const std::int64_t* a, const std::int64_t* b, std::size_t n,
-    std::int64_t* out)>;
 
 struct error_report {
     std::uint64_t samples = 0;
@@ -45,24 +35,5 @@ struct error_report {
 error_report analyze_multiplier_error(const mult_fn& candidate, int width,
                                       bool is_signed, std::uint64_t samples,
                                       std::uint64_t seed = 1);
-
-// Batched variant: identical operand stream and statistics (the scalar
-// entry point delegates here), but candidates are evaluated 64 pairs per
-// call so gate-level designs amortize the netlist pass.
-error_report analyze_multiplier_error_batch(const mult_batch_fn& candidate,
-                                            int width, bool is_signed,
-                                            std::uint64_t samples,
-                                            std::uint64_t seed = 1);
-
-// Gate-level convenience: runs `m` through the 64-lane simulator and
-// reports its error against the exact product (useful for approximate
-// designs whose netlist *is* the specification).
-error_report analyze_gate_level_error(structural_multiplier& m,
-                                      std::uint64_t samples,
-                                      std::uint64_t seed = 1);
-
-// Exhaustive variant for small widths (cost is 4^width evaluations).
-error_report analyze_multiplier_error_exhaustive(const mult_fn& candidate,
-                                                 int width, bool is_signed);
 
 } // namespace dvafs

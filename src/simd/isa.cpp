@@ -160,11 +160,6 @@ bool is_vector_op(opcode op) noexcept
     }
 }
 
-bool is_memory_op(opcode op) noexcept
-{
-    return op == opcode::vload || op == opcode::vstore || op == opcode::lw;
-}
-
 bool is_arith_vector_op(opcode op) noexcept
 {
     return op == opcode::vadd || op == opcode::vmul || op == opcode::vmac;

@@ -73,7 +73,6 @@ instruction make_setmode(sw_mode m);
 
 // Instruction classification used by the energy model.
 bool is_vector_op(opcode op) noexcept;
-bool is_memory_op(opcode op) noexcept;
 bool is_arith_vector_op(opcode op) noexcept; // vadd/vmul/vmac (as domain)
 
 } // namespace dvafs

@@ -62,33 +62,12 @@ TEST(error_analysis, unsigned_sampling_stays_in_range)
     EXPECT_EQ(rep.rmse, 0.0);
 }
 
-TEST(error_analysis, exhaustive_counts_all_pairs)
-{
-    const error_report rep = analyze_multiplier_error_exhaustive(
-        [](std::int64_t a, std::int64_t b) { return a * b; }, 4, true);
-    EXPECT_EQ(rep.samples, 256U);
-    EXPECT_EQ(rep.rmse, 0.0);
-}
-
-TEST(error_analysis, exhaustive_known_single_error)
-{
-    // Only 3*3 is wrong by -2 (the Kulkarni block): RMSE over 16 pairs.
-    const error_report rep = analyze_multiplier_error_exhaustive(
-        [](std::int64_t a, std::int64_t b) {
-            return (a == 3 && b == 3) ? 7 : a * b;
-        },
-        2, false);
-    EXPECT_EQ(rep.samples, 16U);
-    EXPECT_DOUBLE_EQ(rep.rmse, std::sqrt(4.0 / 16.0));
-    EXPECT_DOUBLE_EQ(rep.error_rate, 1.0 / 16.0);
-}
-
 TEST(error_analysis, width_guards)
 {
     const auto f = [](std::int64_t a, std::int64_t b) { return a * b; };
     EXPECT_THROW((void)analyze_multiplier_error(f, 1, true, 10, 1),
                  std::invalid_argument);
-    EXPECT_THROW((void)analyze_multiplier_error_exhaustive(f, 13, true),
+    EXPECT_THROW((void)analyze_multiplier_error(f, 32, true, 10, 1),
                  std::invalid_argument);
 }
 

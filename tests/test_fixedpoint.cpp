@@ -1,5 +1,4 @@
 #include "fixedpoint/bitops.h"
-#include "fixedpoint/fixed.h"
 #include "fixedpoint/quantize.h"
 #include "mult/dvafs_mult.h"
 
@@ -86,15 +85,26 @@ TEST(bitops, truncate_lsbs_idempotent)
     }
 }
 
+TEST(bitops, round_half_away_ties_away_from_zero)
+{
+    EXPECT_EQ(round_half_away(2.5), 3);
+    EXPECT_EQ(round_half_away(-2.5), -3);
+    EXPECT_EQ(round_half_away(0.5), 1);
+    EXPECT_EQ(round_half_away(-0.5), -1);
+    EXPECT_EQ(round_half_away(2.49), 2);
+    EXPECT_EQ(round_half_away(-2.7), -3);
+    EXPECT_EQ(round_half_away(0.0), 0);
+    EXPECT_EQ(round_half_away(-0.0), 0);
+}
+
 TEST(bitops, rounding_rshift_matches_round_half_away)
 {
     // The integer shift must agree with the real-valued round-half-away
-    // discipline (round_scaled's rounding::nearest) at every scale.
+    // discipline (round_half_away) at every scale.
     for (int shift = 0; shift <= 8; ++shift) {
         for (std::int64_t v = -2049; v <= 2049; ++v) {
             const double exact = std::ldexp(static_cast<double>(v), -shift);
-            EXPECT_EQ(rounding_rshift(v, shift),
-                      round_scaled(exact, rounding::nearest))
+            EXPECT_EQ(rounding_rshift(v, shift), round_half_away(exact))
                 << "v=" << v << " shift=" << shift;
         }
     }
@@ -304,113 +314,14 @@ TEST(fixedpoint_property, requantize_quantize_round_trip_within_one_ulp)
         const double ratio =
             std::exp2(-static_cast<double>(rng.next_u64() % 600) / 100.0);
         const double step2 = step1 / ratio; // coarser or equal grid
-        const std::int64_t fine =
-            round_scaled(x / step1, rounding::nearest);
+        const std::int64_t fine = round_half_away(x / step1);
         const std::int64_t via = requantize(
             fine, make_requant_scale(ratio), 32);
-        const std::int64_t direct =
-            round_scaled(x / step2, rounding::nearest);
+        const std::int64_t direct = round_half_away(x / step2);
         const std::int64_t diff = via > direct ? via - direct : direct - via;
         ASSERT_LE(diff, 1)
             << "x=" << x << " step1=" << step1 << " step2=" << step2;
     }
-}
-
-TEST(fixed_point, from_double_round_trip)
-{
-    const fixed_format fmt{16, 8};
-    const fixed_point fp = fixed_point::from_double(1.5, fmt);
-    EXPECT_DOUBLE_EQ(fp.to_double(), 1.5);
-    EXPECT_EQ(fp.raw(), 384);
-}
-
-TEST(fixed_point, saturation_on_overflow)
-{
-    const fixed_format fmt{8, 4};
-    const fixed_point hi = fixed_point::from_double(100.0, fmt);
-    EXPECT_DOUBLE_EQ(hi.to_double(), fmt.max_value());
-    const fixed_point lo = fixed_point::from_double(-100.0, fmt);
-    EXPECT_DOUBLE_EQ(lo.to_double(), fmt.min_value());
-}
-
-TEST(fixed_point, wrap_overflow_mode)
-{
-    const fixed_format fmt{8, 0};
-    const fixed_point fp =
-        fixed_point::from_double(130.0, fmt, rounding::nearest,
-                                 overflow::wrap);
-    EXPECT_EQ(fp.raw(), 130 - 256);
-}
-
-TEST(fixed_point, rounding_modes)
-{
-    EXPECT_EQ(round_scaled(2.5, rounding::nearest), 3);
-    EXPECT_EQ(round_scaled(-2.5, rounding::nearest), -3);
-    EXPECT_EQ(round_scaled(2.5, rounding::nearest_even), 2);
-    EXPECT_EQ(round_scaled(3.5, rounding::nearest_even), 4);
-    EXPECT_EQ(round_scaled(2.7, rounding::truncate), 2);
-    EXPECT_EQ(round_scaled(-2.7, rounding::truncate), -2);
-}
-
-TEST(fixed_point, exact_add_and_mul)
-{
-    const fixed_format fmt{8, 4};
-    const fixed_point a = fixed_point::from_double(1.25, fmt);
-    const fixed_point b = fixed_point::from_double(2.5, fmt);
-    EXPECT_DOUBLE_EQ(a.add(b).to_double(), 3.75);
-    EXPECT_DOUBLE_EQ(a.sub(b).to_double(), -1.25);
-    EXPECT_DOUBLE_EQ(a.mul(b).to_double(), 3.125);
-    EXPECT_EQ(a.mul(b).format().width, 16);
-    EXPECT_EQ(a.mul(b).format().frac_bits, 8);
-}
-
-TEST(fixed_point, add_requires_matching_frac)
-{
-    const fixed_point a = fixed_point::from_double(1.0, {8, 4});
-    const fixed_point b = fixed_point::from_double(1.0, {8, 2});
-    EXPECT_THROW((void)a.add(b), std::invalid_argument);
-}
-
-TEST(fixed_point, convert_rounding)
-{
-    // 1.375 in Q.4 = raw 22; to Q.1: 2.75 units -> nearest 3 (1.5).
-    const fixed_point a = fixed_point::from_double(1.375, {16, 4});
-    EXPECT_DOUBLE_EQ(a.convert({16, 1}).to_double(), 1.5);
-    EXPECT_DOUBLE_EQ(
-        a.convert({16, 1}, rounding::truncate).to_double(), 1.0);
-    // Widening conversion is exact.
-    EXPECT_DOUBLE_EQ(a.convert({24, 8}).to_double(), 1.375);
-}
-
-TEST(fixed_point, convert_negative_truncate_toward_zero)
-{
-    const fixed_point a = fixed_point::from_double(-1.375, {16, 4});
-    EXPECT_DOUBLE_EQ(
-        a.convert({16, 1}, rounding::truncate).to_double(), -1.0);
-}
-
-TEST(fixed_point, truncated_gates_lsbs)
-{
-    const fixed_point a = fixed_point::from_raw(0x00ff, {16, 0});
-    EXPECT_EQ(a.truncated(8).raw(), 0x00ff & ~0xff);
-}
-
-TEST(fixed_point, invalid_formats_throw)
-{
-    EXPECT_THROW((void)fixed_point::from_raw(0, {1, 0}),
-                 std::invalid_argument);
-    EXPECT_THROW((void)fixed_point::from_raw(0, {64, 0}),
-                 std::invalid_argument);
-    EXPECT_THROW((void)fixed_point::from_raw(200, {8, 0}),
-                 std::out_of_range);
-}
-
-TEST(fixed_point, format_limits)
-{
-    const fixed_format fmt{8, 4};
-    EXPECT_DOUBLE_EQ(fmt.lsb(), 1.0 / 16.0);
-    EXPECT_DOUBLE_EQ(fmt.max_value(), 127.0 / 16.0);
-    EXPECT_DOUBLE_EQ(fmt.min_value(), -128.0 / 16.0);
 }
 
 } // namespace

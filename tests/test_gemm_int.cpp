@@ -294,8 +294,8 @@ TEST(gemm_int_forward, conv_i8_is_exactly_the_documented_pipeline)
     std::vector<std::int32_t> bias(m);
     for (std::size_t i = 0; i < m; ++i) {
         bias[i] = static_cast<std::int32_t>(clamp_signed(
-            round_scaled(static_cast<double>(conv.biases()[i]) / acc_step,
-                         rounding::nearest),
+            round_half_away(static_cast<double>(conv.biases()[i])
+                            / acc_step),
             31));
     }
     std::vector<std::int32_t> acc(m * n);

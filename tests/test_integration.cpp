@@ -145,7 +145,8 @@ TEST(integration, dct_style_fixed_point_flow)
         v = rng.uniform(-1.0, 1.0);
     }
     snr_stats snr;
-    const fixed_format fmt{16, 12};
+    // Q3.12 operands; the exact integer product carries 24 fraction bits.
+    const double lsb = std::ldexp(1.0, -12);
     for (int k = 0; k < n; ++k) {
         double exact = 0.0;
         double approx = 0.0;
@@ -153,10 +154,10 @@ TEST(integration, dct_style_fixed_point_flow)
             const double c =
                 std::cos((2 * i + 1) * k * 3.14159265358979 / (2 * n));
             exact += signal[static_cast<std::size_t>(i)] * c;
-            const fixed_point fx = fixed_point::from_double(
-                signal[static_cast<std::size_t>(i)], fmt);
-            const fixed_point fc = fixed_point::from_double(c, fmt);
-            approx += fx.mul(fc).to_double();
+            const std::int64_t fx = quantize_value(
+                signal[static_cast<std::size_t>(i)], lsb, 16);
+            const std::int64_t fc = quantize_value(c, lsb, 16);
+            approx += std::ldexp(static_cast<double>(fx * fc), -24);
         }
         snr.add(exact, approx);
     }

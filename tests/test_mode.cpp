@@ -36,20 +36,5 @@ TEST(mode_for_precision, narrowest_fitting_lane)
     EXPECT_THROW((void)mode_for_precision(17), std::invalid_argument);
 }
 
-TEST(enumerate_modes, complete_and_valid)
-{
-    const auto modes = enumerate_modes();
-    // 4 per subword mode (quarter granularity).
-    EXPECT_EQ(modes.size(), 12U);
-    for (const dvafs_mode& m : modes) {
-        EXPECT_TRUE(m.valid()) << m.to_string();
-    }
-    // Widest first.
-    EXPECT_EQ(modes.front().subword, sw_mode::w1x16);
-    EXPECT_EQ(modes.front().precision_bits, 16);
-    EXPECT_EQ(modes.back().subword, sw_mode::w4x4);
-    EXPECT_EQ(modes.back().precision_bits, 1);
-}
-
 } // namespace
 } // namespace dvafs

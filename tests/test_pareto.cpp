@@ -1,15 +1,20 @@
 // Unit tests of the measured Pareto-frontier machinery (core/pareto.h):
-// dominance extraction, the budgeted DP selector, the measured mode
-// frontier and its process-wide cache.
+// dominance extraction, the budgeted DP selector (with an exhaustive-
+// enumeration oracle), the measured mode frontier and its process-wide
+// cache.
 
 #include "core/pareto.h"
 
+#include "util/rng.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <initializer_list>
 #include <limits>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -49,7 +54,7 @@ TEST(pareto_front, incomparable_rows_all_survive)
     EXPECT_EQ(pareto_front(c), (std::vector<std::size_t>{0, 1, 2}));
 }
 
-// -- select_frontier_points ---------------------------------------------------
+// -- offline selection (no latency budget) ------------------------------------
 
 layer_frontier make_frontier(const char* name,
                              std::initializer_list<std::pair<double, double>>
@@ -66,14 +71,24 @@ layer_frontier make_frontier(const char* name,
     return lf;
 }
 
+// The offline planner's call: the one selector with latency budget 0.
+std::vector<std::size_t> select_offline(const std::vector<layer_frontier>& fls,
+                                        double budget,
+                                        double resolution = 0.0025)
+{
+    const frontier_selection sel =
+        select_frontier_points_budgeted(fls, budget, 0.0, resolution);
+    EXPECT_TRUE(sel.feasible);
+    return sel.indices;
+}
+
 TEST(select_frontier_points, zero_budget_picks_cheapest_lossless)
 {
     const std::vector<layer_frontier> fls = {
         make_frontier("a", {{5.0, 0.0}, {3.0, 0.0}, {1.0, 0.1}}),
         make_frontier("b", {{2.0, 0.0}, {1.0, 0.2}}),
     };
-    const auto sel = select_frontier_points(fls, 0.0);
-    EXPECT_EQ(sel, (std::vector<std::size_t>{1, 0}));
+    EXPECT_EQ(select_offline(fls, 0.0), (std::vector<std::size_t>{1, 0}));
 }
 
 TEST(select_frontier_points, budget_buys_the_best_tradeoff)
@@ -84,11 +99,9 @@ TEST(select_frontier_points, budget_buys_the_best_tradeoff)
         make_frontier("a", {{3.0, 0.0}, {1.0, 0.1}}),
         make_frontier("b", {{2.0, 0.0}, {1.0, 0.1}}),
     };
-    const auto sel = select_frontier_points(fls, 0.1);
-    EXPECT_EQ(sel, (std::vector<std::size_t>{1, 0}));
+    EXPECT_EQ(select_offline(fls, 0.1), (std::vector<std::size_t>{1, 0}));
     // Twice the budget buys both downgrades.
-    const auto sel2 = select_frontier_points(fls, 0.2);
-    EXPECT_EQ(sel2, (std::vector<std::size_t>{1, 1}));
+    EXPECT_EQ(select_offline(fls, 0.2), (std::vector<std::size_t>{1, 1}));
 }
 
 TEST(select_frontier_points, relaxing_budget_never_raises_energy)
@@ -100,7 +113,7 @@ TEST(select_frontier_points, relaxing_budget_never_raises_energy)
     };
     double prev = std::numeric_limits<double>::infinity();
     for (const double budget : {0.0, 0.02, 0.05, 0.1, 0.2, 0.5}) {
-        const auto sel = select_frontier_points(fls, budget);
+        const auto sel = select_offline(fls, budget);
         double e = 0.0;
         double loss = 0.0;
         for (std::size_t i = 0; i < fls.size(); ++i) {
@@ -117,18 +130,24 @@ TEST(select_frontier_points, rejects_bad_inputs)
 {
     const std::vector<layer_frontier> ok = {
         make_frontier("a", {{1.0, 0.0}})};
-    EXPECT_THROW((void)select_frontier_points(ok, -0.1),
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW((void)select_frontier_points_budgeted(ok, -0.1, 0.0),
                  std::invalid_argument);
-    EXPECT_THROW((void)select_frontier_points(ok, 0.1, 0.0),
+    EXPECT_THROW((void)select_frontier_points_budgeted(ok, nan, 0.0),
                  std::invalid_argument);
-    EXPECT_THROW((void)select_frontier_points({layer_frontier{}}, 0.1),
+    EXPECT_THROW((void)select_frontier_points_budgeted(ok, 0.1, 0.0, 0.0),
                  std::invalid_argument);
-    // No zero-loss point and no budget to pay for the lossy one.
+    EXPECT_THROW((void)select_frontier_points_budgeted(ok, 0.1, 0.0, nan),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        (void)select_frontier_points_budgeted({layer_frontier{}}, 0.1, 0.0),
+        std::invalid_argument);
+    // No zero-loss point and no budget to pay for the lossy one: the
+    // selector reports it (the offline planner turns this into a throw).
     const std::vector<layer_frontier> lossy = {
         make_frontier("a", {{1.0, 0.5}})};
-    EXPECT_THROW((void)select_frontier_points(lossy, 0.0),
-                 std::invalid_argument);
-    EXPECT_NO_THROW((void)select_frontier_points(lossy, 0.5));
+    EXPECT_FALSE(select_frontier_points_budgeted(lossy, 0.0, 0.0).feasible);
+    EXPECT_TRUE(select_frontier_points_budgeted(lossy, 0.5, 0.0).feasible);
 }
 
 // -- select_frontier_points_budgeted ------------------------------------------
@@ -148,19 +167,6 @@ layer_frontier make_timed_frontier(
         lf.points.push_back(p);
     }
     return lf;
-}
-
-TEST(select_frontier_points_budgeted, unconstrained_matches_1d_dp)
-{
-    const std::vector<layer_frontier> fls = {
-        make_timed_frontier("a", {{1.0, 0.0, 5.0}, {0.4, 0.08, 2.0}}),
-        make_timed_frontier("b", {{2.0, 0.0, 8.0}, {0.9, 0.05, 3.0}})};
-    for (const double budget : {0.0, 0.06, 0.2}) {
-        const frontier_selection sel =
-            select_frontier_points_budgeted(fls, budget, 0.0);
-        EXPECT_EQ(sel.indices, select_frontier_points(fls, budget));
-        EXPECT_TRUE(sel.feasible);
-    }
 }
 
 TEST(select_frontier_points_budgeted, deadline_forces_faster_points)
@@ -201,14 +207,12 @@ TEST(select_frontier_points_budgeted, mixed_budgets_interact)
 TEST(select_frontier_points_budgeted,
      accuracy_infeasibility_falls_back_in_both_latency_spellings)
 {
-    // Every point of layer b is lossy and the budget is zero: the 1-D DP
-    // throws here, but the budgeted selector's contract is "always have
-    // a plan" -- under an explicit deadline *and* unconstrained.
+    // Every point of layer b is lossy and the budget is zero: the
+    // selector's contract is "always have a plan" -- under an explicit
+    // deadline *and* unconstrained.
     const std::vector<layer_frontier> fls = {
         make_timed_frontier("a", {{1.0, 0.0, 5.0}, {3.0, 0.0, 2.0}}),
         make_timed_frontier("b", {{2.0, 0.1, 4.0}})};
-    EXPECT_THROW((void)select_frontier_points(fls, 0.0),
-                 std::invalid_argument);
     for (const double latency : {0.0, 1e9}) {
         const frontier_selection sel =
             select_frontier_points_budgeted(fls, 0.0, latency);
@@ -239,8 +243,7 @@ TEST(select_frontier_points_budgeted, negative_costs_are_treated_as_free)
         select_frontier_points_budgeted(fls, 0.0, 10.0);
     EXPECT_TRUE(sel.feasible);
     EXPECT_EQ(sel.indices, (std::vector<std::size_t>{0}));
-    EXPECT_EQ(select_frontier_points(fls, 0.0),
-              (std::vector<std::size_t>{0}));
+    EXPECT_EQ(select_offline(fls, 0.0), (std::vector<std::size_t>{0}));
 }
 
 TEST(select_frontier_points_budgeted, infeasible_returns_fastest_fallback)
@@ -277,6 +280,121 @@ TEST(select_frontier_points_budgeted, relaxing_deadline_never_raises_energy)
         EXPECT_LE(sel.energy_mj, prev) << "deadline " << deadline;
         prev = sel.energy_mj;
     }
+}
+
+// -- selector property: exhaustive-enumeration oracle -------------------------
+
+// The selector's discretization, restated: costs round up to whole units
+// (clamped at zero), budgets round down.
+int cost_units(double cost, double res)
+{
+    return std::max(0, static_cast<int>(std::ceil(cost / res - 1e-9)));
+}
+
+int budget_units(double budget, double res)
+{
+    return static_cast<int>(std::floor(budget / res + 1e-9));
+}
+
+TEST(selector_property, minimal_energy_over_every_fitting_selection)
+{
+    // Random small frontiers (<= 5 layers x <= 5 points) with energies on
+    // a coarse grid so ties are common. Every selection is enumerated: the
+    // selector's energy must be the minimum over the selections whose
+    // rounded-up unit costs fit both budgets; `feasible` must be false
+    // exactly when none fits, and the indices are then the per-layer
+    // fastest fallback (ties by energy, then index).
+    const double res = 0.0025;
+    pcg32 rng(2024);
+    int feasible_cases = 0;
+    int infeasible_cases = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        const int layers = 1 + static_cast<int>(rng.next_u64() % 5);
+        std::vector<layer_frontier> fls(static_cast<std::size_t>(layers));
+        for (layer_frontier& lf : fls) {
+            lf.layer_name = "l";
+            const int pts = 1 + static_cast<int>(rng.next_u64() % 5);
+            for (int k = 0; k < pts; ++k) {
+                layer_frontier_point p;
+                p.energy_mj = static_cast<double>(1 + rng.next_u64() % 4);
+                p.accuracy_loss = rng.next_u64() % 3 == 0
+                                      ? 0.0
+                                      : rng.uniform(0.0, 0.02);
+                p.time_ms = static_cast<double>(1 + rng.next_u64() % 8)
+                            * 0.5;
+                lf.points.push_back(p);
+            }
+        }
+        for (const double acc_budget : {0.0, 0.004, 0.012, 0.05}) {
+            for (const double latency : {0.0, 3.0, 7.5, 20.0}) {
+                const frontier_selection sel =
+                    select_frontier_points_budgeted(fls, acc_budget,
+                                                    latency, res);
+                const double tres = latency / 256.0;
+                const int b_total = budget_units(acc_budget, res);
+                const int t_total =
+                    latency > 0.0 ? budget_units(latency, tres) : 0;
+
+                // Enumerate every selection as a mixed-radix counter.
+                std::vector<std::size_t> idx(fls.size(), 0);
+                double best = std::numeric_limits<double>::infinity();
+                for (;;) {
+                    int b = 0;
+                    int t = 0;
+                    double e = 0.0;
+                    for (std::size_t li = 0; li < fls.size(); ++li) {
+                        const layer_frontier_point& p =
+                            fls[li].points[idx[li]];
+                        b += cost_units(p.accuracy_loss, res);
+                        t += latency > 0.0 ? cost_units(p.time_ms, tres)
+                                           : 0;
+                        e += p.energy_mj;
+                    }
+                    if (b <= b_total && t <= t_total) {
+                        best = std::min(best, e);
+                    }
+                    std::size_t li = 0;
+                    while (li < fls.size()
+                           && ++idx[li] == fls[li].points.size()) {
+                        idx[li++] = 0;
+                    }
+                    if (li == fls.size()) {
+                        break;
+                    }
+                }
+
+                const std::string ctx =
+                    "trial " + std::to_string(trial) + " budget "
+                    + std::to_string(acc_budget) + " latency "
+                    + std::to_string(latency);
+                ASSERT_EQ(sel.indices.size(), fls.size()) << ctx;
+                ASSERT_EQ(sel.feasible, std::isfinite(best)) << ctx;
+                if (sel.feasible) {
+                    ++feasible_cases;
+                    EXPECT_DOUBLE_EQ(sel.energy_mj, best) << ctx;
+                    continue;
+                }
+                ++infeasible_cases;
+                for (std::size_t li = 0; li < fls.size(); ++li) {
+                    std::size_t fastest = 0;
+                    for (std::size_t pi = 1; pi < fls[li].points.size();
+                         ++pi) {
+                        const layer_frontier_point& p = fls[li].points[pi];
+                        const layer_frontier_point& f =
+                            fls[li].points[fastest];
+                        if (std::tie(p.time_ms, p.energy_mj)
+                            < std::tie(f.time_ms, f.energy_mj)) {
+                            fastest = pi;
+                        }
+                    }
+                    EXPECT_EQ(sel.indices[li], fastest) << ctx;
+                }
+            }
+        }
+    }
+    // Both branches of the contract were exercised.
+    EXPECT_GT(feasible_cases, 1000);
+    EXPECT_GT(infeasible_cases, 100);
 }
 
 // -- measured mode frontier ---------------------------------------------------
@@ -356,8 +474,11 @@ TEST_F(mode_frontier_test, frontier_members_are_points)
     ASSERT_FALSE(mf().pareto.empty());
     for (const std::size_t pi : mf().pareto) {
         ASSERT_LT(pi, mf().points.size());
-        EXPECT_TRUE(mf().on_frontier(pi));
     }
+    // Ascending and duplicate-free (pareto_front's contract).
+    EXPECT_TRUE(std::is_sorted(mf().pareto.begin(), mf().pareto.end()));
+    EXPECT_EQ(std::adjacent_find(mf().pareto.begin(), mf().pareto.end()),
+              mf().pareto.end());
 }
 
 TEST(mode_frontier, bit_identical_across_thread_counts)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace dvafs {
 namespace {
 
@@ -67,6 +69,25 @@ TEST_F(planner_test, end_to_end_plan_on_lenet)
         EXPECT_GE(lp.weight_bits, 1);
         EXPECT_LE(lp.weight_bits, 10);
         EXPECT_GT(lp.power_mw, 0.0);
+    }
+}
+
+TEST_F(planner_test, non_finite_accuracy_budget_throws)
+{
+    // A NaN or infinite budget cannot size the selection DP; the
+    // frontier search rejects it instead of casting it to a table size.
+    const network net = make_lenet5({.seed = 4});
+    quant_sweep_config cfg;
+    cfg.images = 4;
+    cfg.max_bits = 8;
+    for (const double budget : {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()}) {
+        planner_config pc;
+        pc.accuracy_budget = budget;
+        const precision_planner p(model, pc);
+        EXPECT_THROW((void)p.plan(net, cfg), std::invalid_argument)
+            << budget;
     }
 }
 

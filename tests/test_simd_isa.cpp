@@ -30,11 +30,6 @@ TEST(isa, classification)
     EXPECT_FALSE(is_vector_op(opcode::addi));
     EXPECT_FALSE(is_vector_op(opcode::halt));
 
-    EXPECT_TRUE(is_memory_op(opcode::vload));
-    EXPECT_TRUE(is_memory_op(opcode::vstore));
-    EXPECT_TRUE(is_memory_op(opcode::lw));
-    EXPECT_FALSE(is_memory_op(opcode::vmac));
-
     EXPECT_TRUE(is_arith_vector_op(opcode::vmul));
     EXPECT_TRUE(is_arith_vector_op(opcode::vadd));
     EXPECT_TRUE(is_arith_vector_op(opcode::vmac));

@@ -1,4 +1,3 @@
-#include "util/csv.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -6,8 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 
 namespace dvafs {
 namespace {
@@ -182,32 +179,6 @@ TEST(fmt, formatting_helpers)
     EXPECT_EQ(fmt_percent(0.5, 0), "50%");
     EXPECT_EQ(fmt_double(1234.0, 4), "1234");
     EXPECT_NE(fmt_sci(0.001, 2).find("e"), std::string::npos);
-}
-
-TEST(csv, writes_escaped_rows)
-{
-    const std::string path = ::testing::TempDir() + "dvafs_csv_test.csv";
-    {
-        csv_writer w(path, {"x", "y"});
-        w.add_row({"a,b", "plain"});
-        w.add_row_numeric({1.5, 2.5});
-    }
-    std::ifstream in(path);
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "x,y");
-    std::getline(in, line);
-    EXPECT_EQ(line, "\"a,b\",plain");
-    std::getline(in, line);
-    EXPECT_EQ(line, "1.5,2.5");
-    std::remove(path.c_str());
-}
-
-TEST(csv, escape_rules)
-{
-    EXPECT_EQ(csv_escape("plain"), "plain");
-    EXPECT_EQ(csv_escape("a\"b"), "\"a\"\"b\"");
-    EXPECT_EQ(csv_escape("a\nb"), "\"a\nb\"");
 }
 
 } // namespace
