@@ -77,6 +77,7 @@
 #include "core/mode.h"
 #include "core/pareto.h"
 #include "core/planner.h"
+#include "core/select.h"
 
 #include "runtime/adaptive_governor.h"
 #include "runtime/fault_injector.h"

@@ -5,8 +5,6 @@
 #include "util/serial.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -661,218 +659,6 @@ bool layer_frontier::contains(const operating_point_spec& spec) const
                        [&](const layer_frontier_point& p) {
                            return p.spec == spec;
                        });
-}
-
-// -- budgeted selection -------------------------------------------------------
-
-namespace {
-
-// Per-layer, per-point unit costs of the discretized selection problem.
-using unit_table = std::vector<std::vector<int>>;
-
-// Knapsack DP over (loss units, time units): the minimal-energy choice of
-// one point per layer whose summed unit costs fit (b_total, t_total).
-// Energies stay exact; ties keep the lower point index. Returns nullopt
-// when no selection fits. With t_total = 0 and all-zero time costs this
-// is the accuracy-only DP of the offline planner.
-std::optional<std::vector<std::size_t>>
-knapsack(const std::vector<layer_frontier>& frontiers,
-         const unit_table& loss_units, const unit_table& time_units,
-         int b_total, int t_total)
-{
-    const double inf = std::numeric_limits<double>::infinity();
-    const std::size_t n = frontiers.size();
-    const std::size_t cols = static_cast<std::size_t>(t_total) + 1;
-    const std::size_t states = (static_cast<std::size_t>(b_total) + 1)
-                               * cols;
-    const auto state = [&](int b, int t) {
-        return static_cast<std::size_t>(b) * cols
-               + static_cast<std::size_t>(t);
-    };
-    // dp[state]: minimal energy over processed layers within (b, t) units.
-    std::vector<double> dp(states, 0.0);
-    std::vector<std::vector<int>> choice(n, std::vector<int>(states, -1));
-
-    for (std::size_t li = 0; li < n; ++li) {
-        const std::vector<int>& lu = loss_units[li];
-        const std::vector<int>& tu = time_units[li];
-        const std::size_t npts = lu.size();
-        std::vector<double> ndp(states, inf);
-        for (int b = 0; b <= b_total; ++b) {
-            for (int t = 0; t <= t_total; ++t) {
-                for (std::size_t pi = 0; pi < npts; ++pi) {
-                    if (lu[pi] > b || tu[pi] > t
-                        || dp[state(b - lu[pi], t - tu[pi])] == inf) {
-                        continue;
-                    }
-                    const double e = dp[state(b - lu[pi], t - tu[pi])]
-                                     + frontiers[li].points[pi].energy_mj;
-                    if (e < ndp[state(b, t)]) {
-                        ndp[state(b, t)] = e;
-                        choice[li][state(b, t)] = static_cast<int>(pi);
-                    }
-                }
-            }
-        }
-        dp = std::move(ndp);
-    }
-
-    if (dp[state(b_total, t_total)] == inf) {
-        return std::nullopt;
-    }
-
-    // Reconstruct backwards from the full budgets.
-    std::vector<std::size_t> picked(n, 0);
-    int b = b_total;
-    int t = t_total;
-    for (std::size_t li = n; li-- > 0;) {
-        const int pi = choice[li][state(b, t)];
-        picked[li] = static_cast<std::size_t>(pi);
-        b -= loss_units[li][picked[li]];
-        t -= time_units[li][picked[li]];
-    }
-    return picked;
-}
-
-} // namespace
-
-frontier_selection select_frontier_points_budgeted(
-    const std::vector<layer_frontier>& frontiers, double accuracy_budget,
-    double latency_budget_ms, double resolution, double time_resolution_ms)
-{
-    const auto summarize = [&](std::vector<std::size_t> indices,
-                               bool feasible) {
-        frontier_selection sel;
-        sel.indices = std::move(indices);
-        sel.feasible = feasible;
-        for (std::size_t li = 0; li < frontiers.size(); ++li) {
-            const layer_frontier_point& p =
-                frontiers[li].points[sel.indices[li]];
-            sel.accuracy_loss += p.accuracy_loss;
-            sel.time_ms += p.time_ms;
-            sel.energy_mj += p.energy_mj;
-        }
-        return sel;
-    };
-
-    if (accuracy_budget < 0.0 || !(resolution > 0.0)
-        || !(time_resolution_ms >= 0.0) || !std::isfinite(accuracy_budget)
-        || !std::isfinite(latency_budget_ms)) {
-        // Non-finite budgets or resolutions would turn the discretization
-        // into NaN arithmetic and an undefined float-to-int cast (e.g. a
-        // phase with target_fps = 0 yields an infinite deadline); fail
-        // loudly instead.
-        throw std::invalid_argument(
-            "select_frontier_points_budgeted: bad budget/resolution");
-    }
-    for (const layer_frontier& f : frontiers) {
-        if (f.points.empty()) {
-            throw std::invalid_argument(
-                "select_frontier_points_budgeted: empty layer frontier "
-                "for "
-                + f.layer_name);
-        }
-    }
-
-    const auto fastest_fallback = [&]() {
-        // Per-layer minimum-time selection (ties by energy, then index)
-        // -- the governor's "always have a plan" guarantee on any
-        // infeasibility. The caller sees feasible = false.
-        std::vector<std::size_t> fastest(frontiers.size(), 0);
-        for (std::size_t li = 0; li < frontiers.size(); ++li) {
-            for (std::size_t pi = 1; pi < frontiers[li].points.size();
-                 ++pi) {
-                const layer_frontier_point& p = frontiers[li].points[pi];
-                const layer_frontier_point& best =
-                    frontiers[li].points[fastest[li]];
-                if (p.time_ms < best.time_ms
-                    || (p.time_ms == best.time_ms
-                        && p.energy_mj < best.energy_mj)) {
-                    fastest[li] = pi;
-                }
-            }
-        }
-        return summarize(std::move(fastest), false);
-    };
-
-    // Both costs round up (conservative: the discretized plan never
-    // exceeds either real budget) and clamp at zero: a (hand-built)
-    // negative loss or time is "free", never a negative index into the DP
-    // tables.
-    const auto units = [](double cost, double res) {
-        return std::max(0, static_cast<int>(std::ceil(cost / res - 1e-9)));
-    };
-    const int max_units = 100000;
-    if (accuracy_budget / resolution > max_units) {
-        throw std::invalid_argument(
-            "select_frontier_points_budgeted: budget/resolution too fine");
-    }
-    const int b_total =
-        static_cast<int>(std::floor(accuracy_budget / resolution + 1e-9));
-
-    const std::size_t n = frontiers.size();
-    unit_table loss_units(n);
-    unit_table time_units(n);
-    // An unmeetable *accuracy* budget returns the fallback under either
-    // latency spelling (<= 0 = unconstrained, or a positive deadline).
-    std::int64_t min_loss_units = 0;
-    for (std::size_t li = 0; li < n; ++li) {
-        const std::vector<layer_frontier_point>& pts = frontiers[li].points;
-        loss_units[li].resize(pts.size());
-        time_units[li].assign(pts.size(), 0);
-        for (std::size_t pi = 0; pi < pts.size(); ++pi) {
-            loss_units[li][pi] = units(pts[pi].accuracy_loss, resolution);
-        }
-        min_loss_units += *std::min_element(loss_units[li].begin(),
-                                            loss_units[li].end());
-    }
-    if (min_loss_units > b_total) {
-        return fastest_fallback();
-    }
-
-    // A non-positive latency budget is one time column with zero time
-    // costs. A deadline discretizes at `time_resolution_ms` (0 = budget /
-    // 256): layers x ~40 loss bins x ~257 time bins, which keeps a whole
-    // re-plan against cached frontiers around 0.5 ms at the median and
-    // 3.5 ms at p99 (e2ebench `replan`).
-    int t_total = 0;
-    if (latency_budget_ms > 0.0) {
-        const double tres = time_resolution_ms > 0.0
-                                ? time_resolution_ms
-                                : latency_budget_ms / 256.0;
-        if (latency_budget_ms / tres > max_units) {
-            throw std::invalid_argument(
-                "select_frontier_points_budgeted: budget/resolution too "
-                "fine");
-        }
-        t_total =
-            static_cast<int>(std::floor(latency_budget_ms / tres + 1e-9));
-        // The per-axis caps do not bound the *product*; cap the state
-        // count too, or a fine 2-D grid turns the dp/choice tables into a
-        // multi-GB allocation instead of an error.
-        const std::int64_t max_states = 1000000;
-        if ((static_cast<std::int64_t>(b_total) + 1)
-                * (static_cast<std::int64_t>(t_total) + 1)
-            > max_states) {
-            throw std::invalid_argument(
-                "select_frontier_points_budgeted: budget/resolution grid "
-                "too large (coarsen a resolution)");
-        }
-        for (std::size_t li = 0; li < n; ++li) {
-            for (std::size_t pi = 0; pi < time_units[li].size(); ++pi) {
-                time_units[li][pi] =
-                    units(frontiers[li].points[pi].time_ms, tres);
-            }
-        }
-    }
-
-    std::optional<std::vector<std::size_t>> picked =
-        knapsack(frontiers, loss_units, time_units, b_total, t_total);
-    if (!picked) {
-        // No selection meets both budgets.
-        return fastest_fallback();
-    }
-    return summarize(std::move(*picked), true);
 }
 
 } // namespace dvafs

@@ -19,9 +19,9 @@
 //  3. precision_planner (core/planner.h) selects one point per layer by
 //     dynamic programming over the layer frontiers under a network
 //     accuracy budget and an optional frame-latency budget, with one
-//     selector (select_frontier_points_budgeted) for both the offline flow
-//     (no latency budget) and the streaming runtime's online re-plans
-//     (src/runtime/).
+//     selector (select_frontier_points_budgeted, core/select.h) for both
+//     the offline flow (no latency budget) and the streaming runtime's
+//     online re-plans (src/runtime/).
 //
 // Docs: docs/architecture.md (data flow), docs/glossary.md (terms).
 
@@ -214,35 +214,5 @@ struct layer_frontier {
 
     bool contains(const operating_point_spec& spec) const noexcept;
 };
-
-// -- budgeted selection (dynamic programming) ---------------------------------
-
-// Result of a selection. `feasible` is false when no selection satisfies
-// both budgets; the returned indices are then the per-layer minimum-time
-// fallback (ties broken by energy, then index) so the governor always has
-// a plan to swap in.
-struct frontier_selection {
-    std::vector<std::size_t> indices;  // one per frontier
-    bool feasible = true;
-    double accuracy_loss = 0.0;        // sum over selected points
-    double time_ms = 0.0;
-    double energy_mj = 0.0;
-};
-
-// Picks one point per layer minimizing total energy subject to
-// sum(accuracy_loss) <= accuracy_budget AND sum(time_ms) <=
-// latency_budget_ms. A non-positive latency budget means unconstrained
-// (the offline planner's accuracy-only selection). Losses are discretized
-// at `resolution` and times at `time_resolution_ms` (0 = budget / 256),
-// each cost rounding up, which makes the selection exact over the
-// discretized problem and bit-identical across platforms and thread
-// counts. *Any* infeasibility -- latency, accuracy, or their combination,
-// under either latency spelling -- returns the fallback instead of
-// throwing. Throws std::invalid_argument on an empty frontier, a negative
-// or non-finite budget, or bad resolutions.
-frontier_selection select_frontier_points_budgeted(
-    const std::vector<layer_frontier>& frontiers, double accuracy_budget,
-    double latency_budget_ms, double resolution = 0.0025,
-    double time_resolution_ms = 0.0);
 
 } // namespace dvafs

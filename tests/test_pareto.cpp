@@ -1,9 +1,11 @@
 // Unit tests of the measured Pareto-frontier machinery (core/pareto.h):
-// dominance extraction, the budgeted DP selector (with an exhaustive-
-// enumeration oracle), the measured mode frontier and its process-wide
+// dominance extraction, the budgeted DP selector of core/select.h (with an
+// exhaustive-enumeration oracle and the dense 2-D knapsack as a
+// differential oracle), the measured mode frontier and its process-wide
 // cache.
 
 #include "core/pareto.h"
+#include "core/select.h"
 
 #include "util/rng.h"
 
@@ -11,9 +13,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
 #include <limits>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -282,6 +287,40 @@ TEST(select_frontier_points_budgeted, relaxing_deadline_never_raises_energy)
     }
 }
 
+TEST(select_frontier_points_budgeted, cost_beyond_the_budget_is_never_free)
+{
+    // At a 1e-6 ms deadline (resolution 1e-6 / 256 ms) the slow point
+    // costs ~2.6e11 time units and a 1e12 loss ~4e14 loss units: far past
+    // int. Both must stay unpayable, never wrap into a free point.
+    const std::vector<layer_frontier> slow = {
+        make_timed_frontier("a", {{1.0, 0.0, 1000.0}, {2.0, 0.0, 1e-7}})};
+    const frontier_selection sel =
+        select_frontier_points_budgeted(slow, 0.0, 1e-6);
+    EXPECT_TRUE(sel.feasible);
+    EXPECT_EQ(sel.indices, (std::vector<std::size_t>{1}));
+    EXPECT_LE(sel.time_ms, 1e-6);
+
+    const std::vector<layer_frontier> lossy = {
+        make_frontier("a", {{1.0, 1e12}, {2.0, 0.0}})};
+    EXPECT_EQ(select_offline(lossy, 0.1), (std::vector<std::size_t>{1}));
+}
+
+TEST(select_frontier_points_budgeted, rejects_non_finite_point_costs)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const auto& [loss, time] :
+         {std::pair{nan, 1.0}, std::pair{inf, 1.0}, std::pair{0.0, nan},
+          std::pair{0.0, inf}, std::pair{-inf, 1.0}}) {
+        const std::vector<layer_frontier> fls = {make_timed_frontier(
+            "a", {{1.0, 0.0, 1.0}, {0.5, loss, time}})};
+        EXPECT_THROW((void)select_frontier_points_budgeted(fls, 0.1, 0.0),
+                     std::invalid_argument);
+        EXPECT_THROW((void)select_frontier_points_budgeted(fls, 0.1, 5.0),
+                     std::invalid_argument);
+    }
+}
+
 // -- selector property: exhaustive-enumeration oracle -------------------------
 
 // The selector's discretization, restated: costs round up to whole units
@@ -394,6 +433,193 @@ TEST(selector_property, minimal_energy_over_every_fitting_selection)
     }
     // Both branches of the contract were exercised.
     EXPECT_GT(feasible_cases, 1000);
+    EXPECT_GT(infeasible_cases, 100);
+}
+
+// -- selector property: the dense 2-D knapsack as a differential oracle -------
+
+// Per-layer, per-point unit costs of the discretized selection problem.
+using unit_table = std::vector<std::vector<int>>;
+
+// The selector's former dense DP, kept verbatim as the oracle.
+//
+// Knapsack DP over (loss units, time units): the minimal-energy choice of
+// one point per layer whose summed unit costs fit (b_total, t_total).
+// Energies stay exact; ties keep the lower point index. Returns nullopt
+// when no selection fits. With t_total = 0 and all-zero time costs this
+// is the accuracy-only DP of the offline planner.
+std::optional<std::vector<std::size_t>>
+knapsack(const std::vector<layer_frontier>& frontiers,
+         const unit_table& loss_units, const unit_table& time_units,
+         int b_total, int t_total)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::size_t n = frontiers.size();
+    const std::size_t cols = static_cast<std::size_t>(t_total) + 1;
+    const std::size_t states = (static_cast<std::size_t>(b_total) + 1)
+                               * cols;
+    const auto state = [&](int b, int t) {
+        return static_cast<std::size_t>(b) * cols
+               + static_cast<std::size_t>(t);
+    };
+    // dp[state]: minimal energy over processed layers within (b, t) units.
+    std::vector<double> dp(states, 0.0);
+    std::vector<std::vector<int>> choice(n, std::vector<int>(states, -1));
+
+    for (std::size_t li = 0; li < n; ++li) {
+        const std::vector<int>& lu = loss_units[li];
+        const std::vector<int>& tu = time_units[li];
+        const std::size_t npts = lu.size();
+        std::vector<double> ndp(states, inf);
+        for (int b = 0; b <= b_total; ++b) {
+            for (int t = 0; t <= t_total; ++t) {
+                for (std::size_t pi = 0; pi < npts; ++pi) {
+                    if (lu[pi] > b || tu[pi] > t
+                        || dp[state(b - lu[pi], t - tu[pi])] == inf) {
+                        continue;
+                    }
+                    const double e = dp[state(b - lu[pi], t - tu[pi])]
+                                     + frontiers[li].points[pi].energy_mj;
+                    if (e < ndp[state(b, t)]) {
+                        ndp[state(b, t)] = e;
+                        choice[li][state(b, t)] = static_cast<int>(pi);
+                    }
+                }
+            }
+        }
+        dp = std::move(ndp);
+    }
+
+    if (dp[state(b_total, t_total)] == inf) {
+        return std::nullopt;
+    }
+
+    // Reconstruct backwards from the full budgets.
+    std::vector<std::size_t> picked(n, 0);
+    int b = b_total;
+    int t = t_total;
+    for (std::size_t li = n; li-- > 0;) {
+        const int pi = choice[li][state(b, t)];
+        picked[li] = static_cast<std::size_t>(pi);
+        b -= loss_units[li][picked[li]];
+        t -= time_units[li][picked[li]];
+    }
+    return picked;
+}
+
+// The selector's former unit discretization around the dense DP, kept
+// verbatim (default time resolution); nullopt when no selection fits.
+std::optional<std::vector<std::size_t>>
+dense_select(const std::vector<layer_frontier>& frontiers,
+             double accuracy_budget, double latency_budget_ms,
+             double resolution)
+{
+    const auto units = [](double cost, double res) {
+        return std::max(0, static_cast<int>(std::ceil(cost / res - 1e-9)));
+    };
+    const int b_total =
+        static_cast<int>(std::floor(accuracy_budget / resolution + 1e-9));
+    const std::size_t n = frontiers.size();
+    unit_table loss_units(n);
+    unit_table time_units(n);
+    std::int64_t min_loss_units = 0;
+    for (std::size_t li = 0; li < n; ++li) {
+        const std::vector<layer_frontier_point>& pts = frontiers[li].points;
+        loss_units[li].resize(pts.size());
+        time_units[li].assign(pts.size(), 0);
+        for (std::size_t pi = 0; pi < pts.size(); ++pi) {
+            loss_units[li][pi] = units(pts[pi].accuracy_loss, resolution);
+        }
+        min_loss_units += *std::min_element(loss_units[li].begin(),
+                                            loss_units[li].end());
+    }
+    if (min_loss_units > b_total) {
+        return std::nullopt;
+    }
+    int t_total = 0;
+    if (latency_budget_ms > 0.0) {
+        const double tres = latency_budget_ms / 256.0;
+        t_total =
+            static_cast<int>(std::floor(latency_budget_ms / tres + 1e-9));
+        for (std::size_t li = 0; li < n; ++li) {
+            for (std::size_t pi = 0; pi < time_units[li].size(); ++pi) {
+                time_units[li][pi] =
+                    units(frontiers[li].points[pi].time_ms, tres);
+            }
+        }
+    }
+    return knapsack(frontiers, loss_units, time_units, b_total, t_total);
+}
+
+TEST(selector_property, label_dp_picks_what_the_dense_dp_picks)
+{
+    // Random frontiers up to 16 layers x 9 points. Energies sit on a coarse
+    // grid (ties across paths are common), and some losses and times are
+    // zero, negative or exact unit multiples. Budgets reach 72 loss units;
+    // the latency is either unconstrained or 0.5-5x the sum of the
+    // per-layer fastest times. Indices and `feasible` must match exactly.
+    const double res = 0.0025;
+    pcg32 rng(23);
+    const auto cost = [&](double scale) {
+        switch (rng.next_u32() % 6) {
+        case 0:
+            return 0.0;
+        case 1:
+            return -rng.uniform() * scale;
+        case 2:
+            return static_cast<double>(rng.next_u32() % 8) * scale / 8.0;
+        default:
+            return rng.uniform() * scale;
+        }
+    };
+    int feasible_cases = 0;
+    int infeasible_cases = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::size_t layers = 1 + rng.next_u32() % 16;
+        std::vector<layer_frontier> fls(layers);
+        double fastest_ms = 0.0;
+        for (layer_frontier& lf : fls) {
+            lf.layer_name = "l";
+            const std::size_t pts = 1 + rng.next_u32() % 9;
+            double fastest = std::numeric_limits<double>::infinity();
+            for (std::size_t k = 0; k < pts; ++k) {
+                layer_frontier_point p;
+                p.energy_mj = 0.25 * static_cast<double>(rng.next_u32() % 9);
+                p.accuracy_loss = cost(0.03);
+                p.time_ms = cost(4.0);
+                fastest = std::min(fastest, p.time_ms);
+                lf.points.push_back(p);
+            }
+            fastest_ms += fastest;
+        }
+        for (int q = 0; q < 4; ++q) {
+            const double acc_budget =
+                static_cast<double>(rng.next_u32() % 73) * res;
+            const double latency =
+                q == 0 ? 0.0
+                       : (0.5 + 4.5 * rng.uniform())
+                             * std::max(fastest_ms, 0.5);
+            const frontier_selection sel =
+                select_frontier_points_budgeted(fls, acc_budget, latency,
+                                                res);
+            const std::optional<std::vector<std::size_t>> dense =
+                dense_select(fls, acc_budget, latency, res);
+            const std::string ctx = "trial " + std::to_string(trial)
+                                    + " budget " + std::to_string(acc_budget)
+                                    + " latency " + std::to_string(latency);
+            ASSERT_EQ(sel.feasible, dense.has_value()) << ctx;
+            if (dense) {
+                ++feasible_cases;
+                ASSERT_EQ(sel.indices, *dense) << ctx;
+            } else {
+                // The indices are then the fastest fallback, which
+                // minimal_energy_over_every_fitting_selection checks.
+                ++infeasible_cases;
+            }
+        }
+    }
+    // Both outcomes were exercised.
+    EXPECT_GT(feasible_cases, 300);
     EXPECT_GT(infeasible_cases, 100);
 }
 
