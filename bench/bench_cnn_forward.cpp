@@ -13,14 +13,17 @@
 // the machine-readable records (README "Benchmark output"); every record
 // carries the active host-SIMD backend in its "isa" field. `--isa <name>`
 // forces a specific vec backend (exit 1 when unavailable); before any
-// timing, all three GEMM datatypes are cross-checked under every
-// available backend against the forced-scalar reference -- exit 1 on any
-// byte of disagreement.
+// timing, all three GEMM datatypes and the quantize kernel are
+// cross-checked under every available backend against the scalar overlay
+// -- exit 1 on any byte of disagreement. The layer table is followed by
+// the `fake_quant.<shape>_ms` record: 8-bit fake quantization of the
+// VGG16-S input.
 
 #include "core/dvafs.h"
 
 #include "cnn/gemm_int.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -30,18 +33,65 @@ using namespace dvafs;
 
 namespace {
 
+// Pre-timing cross-backend check of the quantize kernel: fake-quantized
+// floats and int32 codes over ragged lengths and several bit-widths must
+// match the scalar overlay byte for byte under every available backend.
+bool quantize_backends_identical()
+{
+    const vec::kernel_table& ref = *vec::scalar::table();
+    pcg32 rng(98);
+    bool ok = true;
+    for (const std::size_t len : {1, 7, 8, 9, 17, 1000}) {
+        std::vector<float> x(len);
+        for (float& v : x) {
+            v = static_cast<float>(rng.gaussian(0.0, 1.0));
+        }
+        for (const int bits : {2, 4, 8, 16}) {
+            const double step = 2.5 / static_cast<double>(signed_max(bits));
+            const double lo = static_cast<double>(signed_min(bits));
+            const double hi = static_cast<double>(signed_max(bits));
+            std::vector<float> fref(len);
+            std::vector<std::int32_t> cref(len);
+            ref.quantize_f32(x.data(), len, step, lo, hi, fref.data(),
+                             nullptr);
+            ref.quantize_f32(x.data(), len, step, lo, hi, nullptr,
+                             cref.data());
+            for (const vec::isa level : vec::available()) {
+                const vec::kernel_table& t = *vec::table_for(level);
+                std::vector<float> f(len);
+                std::vector<std::int32_t> c(len);
+                t.quantize_f32(x.data(), len, step, lo, hi, f.data(),
+                               nullptr);
+                t.quantize_f32(x.data(), len, step, lo, hi, nullptr,
+                               c.data());
+                if (std::memcmp(f.data(), fref.data(), len * sizeof(float))
+                        != 0
+                    || c != cref) {
+                    std::cerr << "FAIL: vec backend " << vec::isa_name(level)
+                              << " quantize kernel disagrees with the "
+                                 "scalar overlay at length "
+                              << len << ", " << bits << " bits\n";
+                    ok = false;
+                }
+            }
+        }
+    }
+    return ok;
+}
+
 // Pre-timing cross-backend check: float, int8 and int16 GEMMs over a few
-// shapes (full 4x8 / 4x16 tiles, ragged edges, the n == 1 fc shape the
-// int8 gate measures) must produce byte-identical outputs under every
-// available vec backend vs the scalar overlay. Restores the previously
-// active backend before returning.
+// shapes (a full 8 x 24 float tile, full 4x16 int8 / 4x8 int16 tiles,
+// ragged edges, the n == 1 fc shape the int8 gate measures) must produce
+// byte-identical outputs under every available vec backend vs the scalar
+// overlay. Restores the previously active backend before returning.
 bool vec_backends_identical()
 {
     struct shape {
         std::size_t m, k, n;
     };
     const std::vector<shape> shapes = {
-        {8, 576, 1}, {4, 64, 16}, {5, 33, 19}, {1, 7, 1}, {3, 66, 40}};
+        {8, 576, 1}, {4, 64, 16}, {5, 33, 19},
+        {1, 7, 1},   {3, 66, 40}, {9, 27, 49}};
     pcg32 rng(99);
     const vec::isa restore = vec::active_isa();
     bool ok = true;
@@ -215,6 +265,26 @@ double bench_layers(bench_reporter& report)
     }
     t.print(std::cout);
     report.add("int8.widest_speedup", widest_speedup, "x");
+
+    // The 8-bit input fake-quantization every f32 plan forward of the
+    // first VGG16-S block runs (choose_quant's scan plus the vec quantize
+    // kernel, in place on a fresh copy each rep).
+    tensor x(vgg.input_shape());
+    pcg32 rng(7);
+    for (float& v : x.flat()) {
+        v = static_cast<float>(rng.uniform(0.0, 1.0));
+    }
+    tensor y = x;
+    const int fq_reps = 2000;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int r = 0; r < fq_reps; ++r) {
+        std::copy(x.flat().begin(), x.flat().end(), y.flat().begin());
+        fake_quantize_inplace(y.flat(), 8);
+    }
+    const double fq_ms = seconds_since(t0) * 1e3 / fq_reps;
+    std::cout << "  fake-quantize " << x.shape().to_string()
+              << " (8 bits): " << fmt_fixed(fq_ms * 1e3, 2) << " us\n\n";
+    report.add("fake_quant." + x.shape().to_string() + "_ms", fq_ms, "ms");
     return widest_speedup;
 }
 
@@ -330,7 +400,7 @@ int main(int argc, char** argv)
         !isa_flag.empty() || std::getenv("DVAFS_FORCE_ISA") != nullptr;
     std::cout << "host-SIMD backend: " << vec::isa_name(vec::active_isa())
               << (pinned ? " (forced)" : " (auto-detected)") << "\n";
-    if (!vec_backends_identical()) {
+    if (!vec_backends_identical() || !quantize_backends_identical()) {
         return 1;
     }
 

@@ -6,15 +6,27 @@
 // layout conv weights are already stored in -- and B is the im2col packing
 // of the input feature map [C*K*K x OH*OW].
 //
-// Bit-compatibility contract: each output accumulates in double, in
-// ascending k, starting from the bias -- the same order as the naive
-// reference loops in layers.cpp -- and zero-padded taps contribute
-// `acc += w * 0.0`, which leaves the accumulator unchanged. The GEMM
-// forward is therefore float-equal to reference_forward on every element
-// (signed zeros may differ in sign; they compare equal), which
-// tests/test_gemm.cpp pins across random shapes, strides and paddings.
-// The blocking only reorders *independent* outputs (register tiles over
-// the m and n dimensions), never the k reduction.
+// Bit-compatibility contract: each output starts from its bias (0.0 when
+// bias is null) and adds double(a) * double(b) in ascending k, one
+// rounded multiply and one rounded add per step (no FMA; the product of
+// two floats is exact in double anyway), then rounds once to float --
+// the same order as the naive reference loops in layers.cpp.
+// Zero-padded taps contribute `acc += w * 0.0`, which leaves the
+// accumulator unchanged. The GEMM forward is therefore float-equal to
+// reference_forward on every element (signed zeros may differ in sign;
+// they compare equal), and every vec backend is bit-identical to the
+// scalar one, infinities and signed zeros included; a NaN output is NaN
+// everywhere, but which NaN operand an add propagates is up to the
+// compiler's operand order, so its sign and payload are not part of the
+// contract. tests/test_gemm.cpp pins this across random shapes, strides,
+// paddings, tile edges, IEEE corner values and whole zoo networks under
+// every available ISA.
+//
+// The blocking only reorders *independent* outputs, never the k
+// reduction: A is packed into 8-row panels of doubles, and an 8 x 24
+// register tile walks the 24-column n-tiles of B; the fc case
+// (n == 1) is a matrix-vector product vectorized across rows
+// (src/vec/kernels_body.h).
 
 #pragma once
 

@@ -9,10 +9,8 @@
 
 #include "fixedpoint/bitops.h"
 
-#include <cassert>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 namespace dvafs {
@@ -56,30 +54,26 @@ inline std::int64_t requantize(std::int64_t acc, const requant_scale& s,
 }
 
 // Chooses quantization parameters for `data` at `bits` precision: the
-// largest observed magnitude maps to the largest code.
+// largest observed magnitude maps to the largest code. Throws
+// std::invalid_argument when `data` holds a NaN or an infinity (no grid
+// can represent it).
 quant_params choose_quant(std::span<const float> data, int bits);
 
 // Quantizes to integer codes of type T (int8_t / int16_t for the integer
-// inference path, int32_t for wider grids), saturating and rounding
-// half away from zero. qp.bits must fit T (asserted).
+// inference path, int32_t for wider grids) through quantize_value's map,
+// saturating and rounding half away from zero. qp.bits must fit T
+// (asserted). Throws std::invalid_argument on non-finite data or a step
+// that is not finite and positive. Instantiated for int8_t, int16_t and
+// int32_t.
 template <typename T>
 std::vector<T> quantize_codes(std::span<const float> data,
-                              const quant_params& qp)
-{
-    static_assert(std::is_signed_v<T> && sizeof(T) <= 4);
-    assert(qp.bits >= 1 && qp.bits <= static_cast<int>(8 * sizeof(T)));
-    std::vector<T> out;
-    out.reserve(data.size());
-    for (const float v : data) {
-        out.push_back(static_cast<T>(
-            quantize_value(static_cast<double>(v), qp.step, qp.bits)));
-    }
-    return out;
-}
+                              const quant_params& qp);
 
 // One-shot "fake quantization": each value is replaced by code * step on
 // the choose_quant grid. This is what the Fig. 6 sweeps apply to
-// weights/activations to emulate b-bit hardware.
+// weights/activations to emulate b-bit hardware. Throws
+// std::invalid_argument, leaving `data` untouched, when it holds a NaN or
+// an infinity.
 void fake_quantize_inplace(std::span<float> data, int bits);
 
 } // namespace dvafs

@@ -2,8 +2,9 @@
 // the matching -m flags when the compiler has them; otherwise the guard
 // fails and the TU degrades to a nullptr table. The overlay stack is
 // ops_avx512.h over ops_avx2.h over the scalar fallback: AVX-512 only
-// re-overlays the ops where 512-bit vectors or vpopcntq actually win
-// (toggle kernel, masked popcount, float tile, int8 dot); the rest reuse
+// re-overlays the ops where 512-bit vectors, masks or vpopcntq actually
+// win (toggle kernel, masked popcount, float tile and matrix-vector
+// kernel, quantizer, int8 dot); the rest reuse
 // the AVX2 definitions recompiled under this TU's flags.
 
 #include "vec/backend_prelude.h"

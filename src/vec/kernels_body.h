@@ -17,7 +17,9 @@
 // backend gets its own fully-specialized copy under its own compile
 // flags. No shared templates are instantiated with shared types (see
 // backend_prelude.h for why); in particular gemm blocking avoids
-// std::min and eval_gate_kind is instantiated with the local `bword`.
+// std::min, the float GEMM's packing scratch is a local new[] buffer
+// rather than a std::vector, and eval_gate_kind is instantiated with the
+// local `bword`.
 
 // -- gate-run executor --------------------------------------------------------
 
@@ -99,35 +101,61 @@ inline void exec_gates(const gate_run_args& g)
 
 // -- GEMM blocking drivers ----------------------------------------------------
 
-// Float edge tile (mb <= 4, nb <= 8, runtime trips). Identical arithmetic
-// across backends: per-element double mul/add with k ascending -- lane
-// order never changes per-element op sequences, so autovectorization
-// under any flags keeps it bit-identical.
-inline void f32_edge(const float* a, const float* b, const float* bias,
-                     float* c, std::size_t k, std::size_t n, std::size_t m0,
-                     std::size_t n0, std::size_t mb, std::size_t nb)
+// Float GEMM. Every output starts from its bias (or 0.0) and adds
+// double(a) * double(b) with k ascending, separate multiply and add --
+// the cnn/gemm.h contract -- so only the assignment of outputs to tiles
+// and lanes differs between backends, and no backend changes a bit.
+// n == 1 (every fc layer) is a matrix-vector product vectorized across
+// rows (f32_gemv). Otherwise A is packed into 8-row panels of doubles in
+// per-thread scratch -- the bias row first, then k groups of eight (rows
+// past m are zero and never stored) -- and an 8 x 24 register tile walks
+// the 24-column n-tiles in the outer loop, so one n-tile of B stays in
+// cache while the packed panels stream past it.
+//
+// The panels are packed as many at a time as fit 15360 doubles (120 KiB;
+// at least one): stream workers are short-lived threads that each pack
+// anew, and a buffer below the allocator's default 128 KiB mmap
+// threshold neither maps and unmaps pages per thread nor raises that
+// threshold for every later allocation. The zoo's wide-m layers all have
+// small n, so re-reading B once per batch of panels is cheap.
+inline constexpr std::size_t f32_pack_doubles = 15360;
+
+// Per-thread packing buffer. A plain new[] rather than std::vector: a
+// backend TU must not instantiate shared templates (backend_prelude.h).
+struct f64_scratch {
+    double* data = nullptr;
+    std::size_t size = 0;
+    f64_scratch() = default;
+    f64_scratch(const f64_scratch&) = delete;
+    f64_scratch& operator=(const f64_scratch&) = delete;
+    ~f64_scratch() { delete[] data; }
+};
+
+inline double* packed_panels(std::size_t doubles)
 {
-    double acc[4][8];
-    for (std::size_t i = 0; i < mb; ++i) {
-        const double init =
-            bias != nullptr ? static_cast<double>(bias[m0 + i]) : 0.0;
-        for (std::size_t j = 0; j < nb; ++j) {
-            acc[i][j] = init;
-        }
+    thread_local f64_scratch s;
+    if (doubles > s.size) {
+        double* const fresh = new double[doubles];
+        delete[] s.data;
+        s.data = fresh;
+        s.size = doubles;
+    }
+    return s.data;
+}
+
+// Packs rows [m0, m0 + 8) of A (and their bias) into one panel.
+inline void pack_panel(const float* a, const float* bias, std::size_t m,
+                       std::size_t k, std::size_t m0, double* dst)
+{
+    const std::size_t mb = m - m0 < 8 ? m - m0 : 8;
+    for (std::size_t i = 0; i < 8; ++i) {
+        dst[i] = i < mb && bias != nullptr ? static_cast<double>(bias[m0 + i])
+                                           : 0.0;
     }
     for (std::size_t r = 0; r < k; ++r) {
-        const float* brow = b + r * n + n0;
-        for (std::size_t i = 0; i < mb; ++i) {
-            const double av = static_cast<double>(a[(m0 + i) * k + r]);
-            for (std::size_t j = 0; j < nb; ++j) {
-                acc[i][j] += av * static_cast<double>(brow[j]);
-            }
-        }
-    }
-    for (std::size_t i = 0; i < mb; ++i) {
-        float* crow = c + (m0 + i) * n + n0;
-        for (std::size_t j = 0; j < nb; ++j) {
-            crow[j] = static_cast<float>(acc[i][j]);
+        double* const col = dst + 8 + 8 * r;
+        for (std::size_t i = 0; i < 8; ++i) {
+            col[i] = i < mb ? static_cast<double>(a[(m0 + i) * k + r]) : 0.0;
         }
     }
 }
@@ -136,17 +164,31 @@ inline void gemm_f32_impl(const float* a, const float* b,
                           const float* bias, float* c, std::size_t m,
                           std::size_t k, std::size_t n)
 {
-    for (std::size_t m0 = 0; m0 < m; m0 += 4) {
-        const std::size_t mb = m - m0 < 4 ? m - m0 : 4;
-        std::size_t n0 = 0;
-        if (mb == 4) {
-            for (; n0 + 8 <= n; n0 += 8) {
-                f32_tile(a, b, bias, c, k, n, m0, n0);
-            }
+    // f32_gemv's overlays address rows by 32-bit gather offsets (up to
+    // 31 * k); rows too long for that take the panel path, which gives
+    // the same bits.
+    if (n == 1 && k < (std::size_t{1} << 26)) {
+        f32_gemv(a, b, bias, c, m, k);
+        return;
+    }
+    const std::size_t panels = (m + 7) / 8;
+    const std::size_t stride = 8 * (k + 1);
+    std::size_t batch = f32_pack_doubles / stride;
+    batch = batch < 1 ? 1 : (batch > panels ? panels : batch);
+    double* const packed = packed_panels(batch * stride);
+    for (std::size_t p0 = 0; p0 < panels; p0 += batch) {
+        const std::size_t pn = panels - p0 < batch ? panels - p0 : batch;
+        for (std::size_t p = 0; p < pn; ++p) {
+            pack_panel(a, bias, m, k, 8 * (p0 + p), packed + p * stride);
         }
-        for (; n0 < n; n0 += 8) {
-            const std::size_t nb = n - n0 < 8 ? n - n0 : 8;
-            f32_edge(a, b, bias, c, k, n, m0, n0, mb, nb);
+        for (std::size_t n0 = 0; n0 < n; n0 += 24) {
+            const std::size_t nb = n - n0 < 24 ? n - n0 : 24;
+            for (std::size_t p = 0; p < pn; ++p) {
+                const std::size_t m0 = 8 * (p0 + p);
+                const std::size_t mb = m - m0 < 8 ? m - m0 : 8;
+                f32_tile(packed + p * stride, b + n0, c + m0 * n + n0, k,
+                         n, mb, nb);
+            }
         }
     }
 }
@@ -274,6 +316,7 @@ inline constexpr kernel_table k_table = {
     &gemm_f32_impl,
     &gemm_s8_impl,
     &gemm_s16_impl,
+    &quantize_f32,
 };
 
 const kernel_table* table() noexcept

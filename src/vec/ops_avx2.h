@@ -4,8 +4,8 @@
 // backend_avx512.cpp's namespace for the ops AVX-512 does not re-overlay);
 // no #includes here -- intrinsics come from vec/backend_prelude.h. Every
 // op is bit-identical to the ops_scalar.h fallback: bitwise kernels by
-// construction, the float tile by replicating the exact per-element
-// mul/add sequence in double, the integer kernels because exact integer
+// construction, the float kernels by replicating the exact per-element
+// double op sequence, the integer kernels because exact integer
 // accumulation is order-free.
 
 #ifndef DVAFS_VEC_HAVE_MASKED_POPCOUNT
@@ -144,41 +144,210 @@ inline void transpose64(std::uint64_t x[64])
 }
 #endif
 
+// Lane mask for a 4-float vmaskmovps: lanes [0, min(w, 4)) set, the rest
+// clear (masked loads and stores neither read nor write clear lanes).
+inline __m128i f32_lane_mask(std::size_t w)
+{
+    const int wi = w >= 4 ? 4 : static_cast<int>(w);
+    return _mm_cmpgt_epi32(_mm_set1_epi32(wi), _mm_setr_epi32(0, 1, 2, 3));
+}
+
 #ifndef DVAFS_VEC_HAVE_F32_TILE
 #define DVAFS_VEC_HAVE_F32_TILE 1
-// 4x8 tile, two 4-double accumulators per row. Same per-element op
-// sequence as the scalar tile: widen to double, multiply, add, k
-// ascending -- vcvtps2pd/vmulpd/vaddpd are the IEEE-exact vector forms of
-// exactly those scalar ops (no FMA; the build sets -ffp-contract=off so
-// the scalar side cannot fuse either).
-inline void f32_tile(const float* a, const float* b, const float* bias,
-                     float* c, std::size_t k, std::size_t n, std::size_t m0,
-                     std::size_t n0)
+// A 4 x 4G block of the 8 x 24 tile (G <= 3): 4 rows x G accumulators of
+// four doubles -- 12 of the 16 ymm registers at G = 3. Per k step, G
+// loads widened by vcvtps2pd, then per row one broadcast and vmulpd +
+// vaddpd: the scalar tile's exact op sequence (no FMA). Only the last
+// group of a column tail (Tail) masks its load and store, which keeps the
+// full blocks free of mask registers.
+template <int G, bool Tail>
+inline void f32_block(const double* panel, std::size_t row0,
+                      const float* b, float* c, std::size_t k,
+                      std::size_t n, std::size_t rows, std::size_t cols)
 {
-    __m256d acc0[4];
-    __m256d acc1[4];
-    for (std::size_t i = 0; i < 4; ++i) {
-        const double init =
-            bias != nullptr ? static_cast<double>(bias[m0 + i]) : 0.0;
-        acc0[i] = _mm256_set1_pd(init);
-        acc1[i] = _mm256_set1_pd(init);
-    }
-    for (std::size_t r = 0; r < k; ++r) {
-        const float* brow = b + r * n + n0;
-        const __m256d bd0 = _mm256_cvtps_pd(_mm_loadu_ps(brow));
-        const __m256d bd1 = _mm256_cvtps_pd(_mm_loadu_ps(brow + 4));
-        for (std::size_t i = 0; i < 4; ++i) {
-            const __m256d av = _mm256_set1_pd(
-                static_cast<double>(a[(m0 + i) * k + r]));
-            acc0[i] = _mm256_add_pd(acc0[i], _mm256_mul_pd(av, bd0));
-            acc1[i] = _mm256_add_pd(acc1[i], _mm256_mul_pd(av, bd1));
+    const __m128i mask = f32_lane_mask(cols - 4 * (G - 1));
+    __m256d acc[4][G];
+    #pragma GCC unroll 8
+    for (int i = 0; i < 4; ++i) {
+        const __m256d init = _mm256_set1_pd(panel[row0 + i]);
+        #pragma GCC unroll 8
+        for (int g = 0; g < G; ++g) {
+            acc[i][g] = init;
         }
     }
-    for (std::size_t i = 0; i < 4; ++i) {
-        float* crow = c + (m0 + i) * n + n0;
-        _mm_storeu_ps(crow, _mm256_cvtpd_ps(acc0[i]));
-        _mm_storeu_ps(crow + 4, _mm256_cvtpd_ps(acc1[i]));
+    const double* ap = panel + 8 + row0;
+    for (std::size_t r = 0; r < k; ++r, ap += 8) {
+        const float* brow = b + r * n;
+        __m256d bv[G];
+        #pragma GCC unroll 8
+        for (int g = 0; g < G; ++g) {
+            bv[g] = _mm256_cvtps_pd(
+                Tail && g == G - 1 ? _mm_maskload_ps(brow + 4 * g, mask)
+                                   : _mm_loadu_ps(brow + 4 * g));
+        }
+        #pragma GCC unroll 8
+        for (int i = 0; i < 4; ++i) {
+            const __m256d av = _mm256_broadcast_sd(ap + i);
+            #pragma GCC unroll 8
+            for (int g = 0; g < G; ++g) {
+                acc[i][g] =
+                    _mm256_add_pd(acc[i][g], _mm256_mul_pd(av, bv[g]));
+            }
+        }
     }
+    #pragma GCC unroll 8
+    for (int i = 0; i < 4; ++i) {
+        if (static_cast<std::size_t>(i) < rows) {
+            float* const crow = c + static_cast<std::size_t>(i) * n;
+            #pragma GCC unroll 8
+            for (int g = 0; g < G; ++g) {
+                const __m128 out = _mm256_cvtpd_ps(acc[i][g]);
+                if (Tail && g == G - 1) {
+                    _mm_maskstore_ps(crow + 4 * g, mask, out);
+                } else {
+                    _mm_storeu_ps(crow + 4 * g, out);
+                }
+            }
+        }
+    }
+}
+
+// The 8 x 24 tile as up to 2 x 2 blocks of 4 rows x 12 columns.
+inline void f32_tile(const double* panel, const float* b, float* c,
+                     std::size_t k, std::size_t n, std::size_t mb,
+                     std::size_t nb)
+{
+    for (std::size_t row0 = 0; row0 < mb; row0 += 4) {
+        const std::size_t rows = mb - row0 < 4 ? mb - row0 : 4;
+        for (std::size_t col0 = 0; col0 < nb; col0 += 12) {
+            const std::size_t cols = nb - col0 < 12 ? nb - col0 : 12;
+            const float* const bb = b + col0;
+            float* const cb = c + row0 * n + col0;
+            if (cols == 12) {
+                f32_block<3, false>(panel, row0, bb, cb, k, n, rows, cols);
+            } else if (cols > 8) {
+                f32_block<3, true>(panel, row0, bb, cb, k, n, rows, cols);
+            } else if (cols > 4) {
+                f32_block<2, true>(panel, row0, bb, cb, k, n, rows, cols);
+            } else {
+                f32_block<1, true>(panel, row0, bb, cb, k, n, rows, cols);
+            }
+        }
+    }
+}
+#endif
+
+#ifndef DVAFS_VEC_HAVE_F32_GEMV
+#define DVAFS_VEC_HAVE_F32_GEMV 1
+// n == 1: eight rows per 8-lane gather, four gathers (32 rows, eight ymm
+// accumulators of four doubles) in flight. Per k step each gather pulls
+// column r of eight row-major weight rows, vcvtps2pd widens both halves,
+// and one broadcast b[r] feeds vmulpd + vaddpd -- per row the scalar
+// kernel's sequence. Gather indices are 32-bit lane offsets (row * k, up
+// to 31 * k < 2^31 under the driver's k bound).
+inline void f32_gemv(const float* a, const float* b, const float* bias,
+                     float* c, std::size_t m, std::size_t k)
+{
+    const int ki = static_cast<int>(k);
+    const __m256i lanes = _mm256_mullo_epi32(
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), _mm256_set1_epi32(ki));
+    const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    __m256i idx[4];
+    #pragma GCC unroll 8
+    for (int q = 0; q < 4; ++q) {
+        idx[q] = _mm256_add_epi32(lanes, _mm256_set1_epi32(8 * q * ki));
+    }
+    for (std::size_t m0 = 0; m0 < m; m0 += 32) {
+        const std::size_t rows = m - m0 < 32 ? m - m0 : 32;
+        __m256 mask[4];
+        __m256d lo[4];
+        __m256d hi[4];
+        #pragma GCC unroll 8
+        for (int q = 0; q < 4; ++q) {
+            const std::size_t first = 8 * static_cast<std::size_t>(q);
+            const int w = rows > first ? static_cast<int>(rows - first) : 0;
+            mask[q] = _mm256_castsi256_ps(
+                _mm256_cmpgt_epi32(_mm256_set1_epi32(w), iota));
+            const __m256 init =
+                bias != nullptr && w > 0
+                    ? _mm256_maskload_ps(bias + m0 + first,
+                                         _mm256_castps_si256(mask[q]))
+                    : _mm256_setzero_ps();
+            lo[q] = _mm256_cvtps_pd(_mm256_castps256_ps128(init));
+            hi[q] = _mm256_cvtps_pd(_mm256_extractf128_ps(init, 1));
+        }
+        const float* base = a + m0 * k;
+        for (std::size_t r = 0; r < k; ++r) {
+            const __m256d bv = _mm256_set1_pd(static_cast<double>(b[r]));
+            #pragma GCC unroll 8
+            for (int q = 0; q < 4; ++q) {
+                const __m256 av = _mm256_mask_i32gather_ps(
+                    _mm256_setzero_ps(), base + r, idx[q], mask[q], 4);
+                lo[q] = _mm256_add_pd(
+                    lo[q],
+                    _mm256_mul_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(av)),
+                                  bv));
+                hi[q] = _mm256_add_pd(
+                    hi[q],
+                    _mm256_mul_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(av, 1)),
+                                  bv));
+            }
+        }
+        #pragma GCC unroll 8
+        for (int q = 0; q < 4; ++q) {
+            const std::size_t first = 8 * static_cast<std::size_t>(q);
+            if (rows > first) {
+                const __m256 out =
+                    _mm256_set_m128(_mm256_cvtpd_ps(hi[q]),
+                                    _mm256_cvtpd_ps(lo[q]));
+                _mm256_maskstore_ps(c + m0 + first,
+                                    _mm256_castps_si256(mask[q]), out);
+            }
+        }
+    }
+}
+#endif
+
+#ifndef DVAFS_VEC_HAVE_QUANTIZE
+#define DVAFS_VEC_HAVE_QUANTIZE 1
+// Four elements per step: vdivpd, vroundpd toward -inf / +inf picked by
+// the sign of the quotient, vmaxpd/vminpd clamp and + 0.0 -- each the
+// exactly rounded double op of the scalar kernel. A non-finite x is
+// caught with |x| !< inf (unordered-true, so NaN counts) and reported
+// after the loop; its lane's output is unspecified.
+inline bool quantize_f32(const float* x, std::size_t n, double step,
+                         double lo, double hi, float* fake,
+                         std::int32_t* codes)
+{
+    const __m256d vstep = _mm256_set1_pd(step);
+    const __m256d half = _mm256_set1_pd(0.5);
+    const __m256d vlo = _mm256_set1_pd(lo);
+    const __m256d vhi = _mm256_set1_pd(hi);
+    const __m256d zero = _mm256_setzero_pd();
+    const __m128 inf = _mm_set1_ps(__builtin_inff());
+    const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
+    __m128 bad = _mm_setzero_ps();
+    for (std::size_t i = 0; i < n; i += 4) {
+        const __m128i mk = f32_lane_mask(n - i);
+        const __m128 xf = _mm_maskload_ps(x + i, mk);
+        bad = _mm_or_ps(bad, _mm_cmp_ps(_mm_and_ps(xf, abs_mask), inf,
+                                        _CMP_NLT_UQ));
+        const __m256d q = _mm256_div_pd(_mm256_cvtps_pd(xf), vstep);
+        const __m256d up = _mm256_round_pd(
+            _mm256_add_pd(q, half), _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+        const __m256d down = _mm256_round_pd(
+            _mm256_sub_pd(q, half), _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
+        __m256d r = _mm256_blendv_pd(down, up,
+                                     _mm256_cmp_pd(q, zero, _CMP_GE_OQ));
+        r = _mm256_add_pd(_mm256_min_pd(_mm256_max_pd(r, vlo), vhi), zero);
+        if (fake != nullptr) {
+            _mm_maskstore_ps(fake + i, mk,
+                             _mm256_cvtpd_ps(_mm256_mul_pd(r, vstep)));
+        } else {
+            _mm_maskstore_epi32(codes + i, mk, _mm256_cvttpd_epi32(r));
+        }
+    }
+    return _mm_movemask_ps(bad) == 0;
 }
 #endif
 

@@ -124,29 +124,179 @@ inline std::uint64_t shift_transitions(const std::uint64_t* cur,
 
 #ifndef DVAFS_VEC_HAVE_F32_TILE
 #define DVAFS_VEC_HAVE_F32_TILE 1
-// 4x8 tile with one 8-double zmm accumulator per row; vcvtps2pd, vmulpd,
-// vaddpd -- the same exact op sequence as the scalar tile (no FMA).
-inline void f32_tile(const float* a, const float* b, const float* bias,
-                     float* c, std::size_t k, std::size_t n, std::size_t m0,
-                     std::size_t n0)
+// The 8 x 24 tile as 8 rows x G zmm accumulators of eight doubles (24 of
+// the 32 registers at G = 3): per k step, G masked vcvtps2pd loads of the
+// B row, then per row one broadcast and vmulpd + vaddpd -- the scalar
+// tile's exact op sequence (no FMA). Column tails mask the loads and the
+// stores; rows past mb are computed on the panel's zero padding and
+// dropped.
+template <int G>
+inline void f32_tile_cols(const double* panel, const float* b, float* c,
+                          std::size_t k, std::size_t n, std::size_t mb,
+                          std::size_t nb)
 {
-    __m512d acc[4];
-    for (std::size_t i = 0; i < 4; ++i) {
-        acc[i] = _mm512_set1_pd(
-            bias != nullptr ? static_cast<double>(bias[m0 + i]) : 0.0);
+    __mmask8 mask[G];
+    #pragma GCC unroll 8
+    for (int g = 0; g < G; ++g) {
+        const std::size_t w = nb - 8 * static_cast<std::size_t>(g);
+        mask[g] = w >= 8 ? static_cast<__mmask8>(0xff)
+                         : static_cast<__mmask8>((1U << w) - 1U);
     }
-    for (std::size_t r = 0; r < k; ++r) {
-        const __m512d bd =
-            _mm512_cvtps_pd(_mm256_loadu_ps(b + r * n + n0));
-        for (std::size_t i = 0; i < 4; ++i) {
-            const __m512d av = _mm512_set1_pd(
-                static_cast<double>(a[(m0 + i) * k + r]));
-            acc[i] = _mm512_add_pd(acc[i], _mm512_mul_pd(av, bd));
+    __m512d acc[8][G];
+    #pragma GCC unroll 8
+    for (int i = 0; i < 8; ++i) {
+        const __m512d init = _mm512_set1_pd(panel[i]);
+        #pragma GCC unroll 8
+        for (int g = 0; g < G; ++g) {
+            acc[i][g] = init;
         }
     }
-    for (std::size_t i = 0; i < 4; ++i) {
-        _mm256_storeu_ps(c + (m0 + i) * n + n0, _mm512_cvtpd_ps(acc[i]));
+    const double* ap = panel + 8;
+    for (std::size_t r = 0; r < k; ++r, ap += 8) {
+        const float* brow = b + r * n;
+        __m512d bv[G];
+        #pragma GCC unroll 8
+        for (int g = 0; g < G; ++g) {
+            bv[g] = _mm512_cvtps_pd(
+                _mm256_maskz_loadu_ps(mask[g], brow + 8 * g));
+        }
+        #pragma GCC unroll 8
+        for (int i = 0; i < 8; ++i) {
+            const __m512d av = _mm512_set1_pd(ap[i]);
+            #pragma GCC unroll 8
+            for (int g = 0; g < G; ++g) {
+                acc[i][g] =
+                    _mm512_add_pd(acc[i][g], _mm512_mul_pd(av, bv[g]));
+            }
+        }
     }
+    #pragma GCC unroll 8
+    for (int i = 0; i < 8; ++i) {
+        if (static_cast<std::size_t>(i) < mb) {
+            #pragma GCC unroll 8
+            for (int g = 0; g < G; ++g) {
+                _mm256_mask_storeu_ps(c + static_cast<std::size_t>(i) * n
+                                          + 8 * g,
+                                      mask[g], _mm512_cvtpd_ps(acc[i][g]));
+            }
+        }
+    }
+}
+
+inline void f32_tile(const double* panel, const float* b, float* c,
+                     std::size_t k, std::size_t n, std::size_t mb,
+                     std::size_t nb)
+{
+    if (nb > 16) {
+        f32_tile_cols<3>(panel, b, c, k, n, mb, nb);
+    } else if (nb > 8) {
+        f32_tile_cols<2>(panel, b, c, k, n, mb, nb);
+    } else {
+        f32_tile_cols<1>(panel, b, c, k, n, mb, nb);
+    }
+}
+#endif
+
+#ifndef DVAFS_VEC_HAVE_F32_GEMV
+#define DVAFS_VEC_HAVE_F32_GEMV 1
+// n == 1: eight rows per zmm, four zmm (32 rows) in flight. Per k step a
+// masked 8-lane gather pulls column r of eight row-major weight rows,
+// vcvtps2pd widens it, and one broadcast b[r] feeds vmulpd + vaddpd --
+// per row the scalar kernel's sequence. Gather indices are 32-bit lane
+// offsets (row * k, up to 31 * k < 2^31 under the driver's k bound).
+inline void f32_gemv(const float* a, const float* b, const float* bias,
+                     float* c, std::size_t m, std::size_t k)
+{
+    const int ki = static_cast<int>(k);
+    const __m256i lanes = _mm256_mullo_epi32(
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), _mm256_set1_epi32(ki));
+    __m256i idx[4];
+    #pragma GCC unroll 8
+    for (int q = 0; q < 4; ++q) {
+        idx[q] = _mm256_add_epi32(lanes, _mm256_set1_epi32(8 * q * ki));
+    }
+    for (std::size_t m0 = 0; m0 < m; m0 += 32) {
+        const std::size_t rows = m - m0 < 32 ? m - m0 : 32;
+        __mmask8 mask[4];
+        __m512d acc[4];
+        #pragma GCC unroll 8
+        for (int q = 0; q < 4; ++q) {
+            const std::size_t lo = 8 * static_cast<std::size_t>(q);
+            const std::size_t w = rows > lo ? rows - lo : 0;
+            mask[q] = w >= 8 ? static_cast<__mmask8>(0xff)
+                             : static_cast<__mmask8>((1U << w) - 1U);
+            // An empty group's zero mask reads nothing; its address
+            // stays at bias + m0, inside the array.
+            acc[q] = bias != nullptr
+                         ? _mm512_cvtps_pd(_mm256_maskz_loadu_ps(
+                               mask[q], bias + m0 + (w > 0 ? lo : 0)))
+                         : _mm512_setzero_pd();
+        }
+        const float* base = a + m0 * k;
+        for (std::size_t r = 0; r < k; ++r) {
+            const __m512d bv = _mm512_set1_pd(static_cast<double>(b[r]));
+            #pragma GCC unroll 8
+            for (int q = 0; q < 4; ++q) {
+                const __m512d av =
+                    _mm512_cvtps_pd(_mm256_mmask_i32gather_ps(
+                        _mm256_setzero_ps(), mask[q], idx[q], base + r, 4));
+                acc[q] = _mm512_add_pd(acc[q], _mm512_mul_pd(av, bv));
+            }
+        }
+        #pragma GCC unroll 8
+        for (int q = 0; q < 4; ++q) {
+            if (mask[q] != 0) {
+                _mm256_mask_storeu_ps(c + m0 + 8 * static_cast<std::size_t>(q),
+                                      mask[q], _mm512_cvtpd_ps(acc[q]));
+            }
+        }
+    }
+}
+#endif
+
+#ifndef DVAFS_VEC_HAVE_QUANTIZE
+#define DVAFS_VEC_HAVE_QUANTIZE 1
+// Eight elements per step: vdivpd, vrndscalepd toward -inf / +inf picked
+// by the sign of the quotient, vmaxpd/vminpd clamp and + 0.0 -- each the
+// exactly rounded double op of the scalar kernel. A non-finite x is
+// caught with |x| !< inf (unordered-true, so NaN counts) and reported
+// after the loop; its lane's output is unspecified.
+inline bool quantize_f32(const float* x, std::size_t n, double step,
+                         double lo, double hi, float* fake,
+                         std::int32_t* codes)
+{
+    const __m512d vstep = _mm512_set1_pd(step);
+    const __m512d half = _mm512_set1_pd(0.5);
+    const __m512d vlo = _mm512_set1_pd(lo);
+    const __m512d vhi = _mm512_set1_pd(hi);
+    const __m512d zero = _mm512_setzero_pd();
+    const __m256 inf = _mm256_set1_ps(__builtin_inff());
+    const __m256 abs_mask =
+        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+    __mmask8 bad = 0;
+    for (std::size_t i = 0; i < n; i += 8) {
+        const std::size_t w = n - i;
+        const __mmask8 mk = w >= 8 ? static_cast<__mmask8>(0xff)
+                                   : static_cast<__mmask8>((1U << w) - 1U);
+        const __m256 xf = _mm256_maskz_loadu_ps(mk, x + i);
+        bad |= _mm256_mask_cmp_ps_mask(mk, _mm256_and_ps(xf, abs_mask), inf,
+                                       _CMP_NLT_UQ);
+        const __m512d q = _mm512_div_pd(_mm512_cvtps_pd(xf), vstep);
+        const __m512d up = _mm512_roundscale_pd(
+            _mm512_add_pd(q, half), _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+        const __m512d down = _mm512_roundscale_pd(
+            _mm512_sub_pd(q, half), _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
+        __m512d r = _mm512_mask_blend_pd(
+            _mm512_cmp_pd_mask(q, zero, _CMP_GE_OQ), down, up);
+        r = _mm512_add_pd(_mm512_min_pd(_mm512_max_pd(r, vlo), vhi), zero);
+        if (fake != nullptr) {
+            _mm256_mask_storeu_ps(fake + i, mk,
+                                  _mm512_cvtpd_ps(_mm512_mul_pd(r, vstep)));
+        } else {
+            _mm256_mask_storeu_epi32(codes + i, mk, _mm512_cvttpd_epi32(r));
+        }
+    }
+    return bad == 0;
 }
 #endif
 

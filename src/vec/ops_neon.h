@@ -1,7 +1,8 @@
 // NEON (aarch64) overlay. Included inside the neon backend namespace; no
 // #includes here -- intrinsics come from vec/backend_prelude.h. Ops this
-// overlay does not define (transpose64, s8_ctile, s16_dot) fall through
-// to the scalar fallback underneath.
+// overlay does not define (transpose64, the float GEMM kernels, s8_ctile,
+// s16_dot, the quantizer) fall through to the scalar fallback underneath,
+// which this TU's NEON baseline may autovectorize.
 
 #ifndef DVAFS_VEC_HAVE_MASKED_POPCOUNT
 #define DVAFS_VEC_HAVE_MASKED_POPCOUNT 1
@@ -56,47 +57,6 @@ inline std::uint64_t shift_transitions(const std::uint64_t* cur,
             __builtin_popcountll((cur[k] ^ shifted) & mask[k]));
     }
     return total;
-}
-#endif
-
-#ifndef DVAFS_VEC_HAVE_F32_TILE
-#define DVAFS_VEC_HAVE_F32_TILE 1
-// 4x8 tile, four 2-double accumulators per row; vcvt_f64_f32 widens, then
-// separate mul and add (no vfma -- the bit-identity contract).
-inline void f32_tile(const float* a, const float* b, const float* bias,
-                     float* c, std::size_t k, std::size_t n, std::size_t m0,
-                     std::size_t n0)
-{
-    float64x2_t acc[4][4];
-    for (std::size_t i = 0; i < 4; ++i) {
-        const double init =
-            bias != nullptr ? static_cast<double>(bias[m0 + i]) : 0.0;
-        for (std::size_t q = 0; q < 4; ++q) {
-            acc[i][q] = vdupq_n_f64(init);
-        }
-    }
-    for (std::size_t r = 0; r < k; ++r) {
-        const float* brow = b + r * n + n0;
-        const float32x4_t blo = vld1q_f32(brow);
-        const float32x4_t bhi = vld1q_f32(brow + 4);
-        const float64x2_t bd[4] = {
-            vcvt_f64_f32(vget_low_f32(blo)), vcvt_high_f64_f32(blo),
-            vcvt_f64_f32(vget_low_f32(bhi)), vcvt_high_f64_f32(bhi)};
-        for (std::size_t i = 0; i < 4; ++i) {
-            const float64x2_t av = vdupq_n_f64(
-                static_cast<double>(a[(m0 + i) * k + r]));
-            for (std::size_t q = 0; q < 4; ++q) {
-                acc[i][q] = vaddq_f64(acc[i][q], vmulq_f64(av, bd[q]));
-            }
-        }
-    }
-    for (std::size_t i = 0; i < 4; ++i) {
-        float* crow = c + (m0 + i) * n + n0;
-        vst1q_f32(crow, vcombine_f32(vcvt_f32_f64(acc[i][0]),
-                                     vcvt_f32_f64(acc[i][1])));
-        vst1q_f32(crow + 4, vcombine_f32(vcvt_f32_f64(acc[i][2]),
-                                         vcvt_f32_f64(acc[i][3])));
-    }
 }
 #endif
 

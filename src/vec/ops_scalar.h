@@ -66,40 +66,102 @@ inline void transpose64(std::uint64_t x[64])
 
 #ifndef DVAFS_VEC_HAVE_F32_TILE
 #define DVAFS_VEC_HAVE_F32_TILE 1
-// Full 4x8 float tile, double accumulators, k ascending, separate mul and
-// add per element -- the accumulation contract every overlay must match
-// bit for bit (the build disables FP contraction globally).
-inline void f32_tile(const float* a, const float* b, const float* bias,
-                     float* c, std::size_t k, std::size_t n, std::size_t m0,
-                     std::size_t n0)
+// One 8 x nb float tile (nb <= 24) over a packed A panel (kernels_body.h
+// gemm_f32_impl): panel[0..8) holds the eight rows' start values (bias or
+// 0.0), then k groups of eight doubles, one per row. `b` and `c` point at
+// the tile's first column of B and of its first C row; both have row
+// stride n. Only the first mb rows are stored. Per element: start value,
+// then acc += a * b in double with k ascending, separate mul and add --
+// the accumulation contract every overlay must match bit for bit (the
+// build disables FP contraction globally).
+inline void f32_tile(const double* panel, const float* b, float* c,
+                     std::size_t k, std::size_t n, std::size_t mb,
+                     std::size_t nb)
 {
-    double acc[4][8];
-    for (std::size_t i = 0; i < 4; ++i) {
-        const double init =
-            bias != nullptr ? static_cast<double>(bias[m0 + i]) : 0.0;
-        for (std::size_t j = 0; j < 8; ++j) {
-            acc[i][j] = init;
+    double acc[8][24];
+    for (std::size_t i = 0; i < mb; ++i) {
+        for (std::size_t j = 0; j < nb; ++j) {
+            acc[i][j] = panel[i];
         }
     }
     for (std::size_t r = 0; r < k; ++r) {
-        const float* brow = b + r * n + n0;
-        double bd[8];
-        for (std::size_t j = 0; j < 8; ++j) {
-            bd[j] = static_cast<double>(brow[j]);
-        }
-        for (std::size_t i = 0; i < 4; ++i) {
-            const double av = static_cast<double>(a[(m0 + i) * k + r]);
-            for (std::size_t j = 0; j < 8; ++j) {
-                acc[i][j] += av * bd[j];
+        const float* brow = b + r * n;
+        const double* arow = panel + 8 + 8 * r;
+        for (std::size_t i = 0; i < mb; ++i) {
+            const double av = arow[i];
+            for (std::size_t j = 0; j < nb; ++j) {
+                acc[i][j] += av * static_cast<double>(brow[j]);
             }
         }
     }
-    for (std::size_t i = 0; i < 4; ++i) {
-        float* crow = c + (m0 + i) * n + n0;
-        for (std::size_t j = 0; j < 8; ++j) {
-            crow[j] = static_cast<float>(acc[i][j]);
+    for (std::size_t i = 0; i < mb; ++i) {
+        for (std::size_t j = 0; j < nb; ++j) {
+            c[i * n + j] = static_cast<float>(acc[i][j]);
         }
     }
+}
+#endif
+
+#ifndef DVAFS_VEC_HAVE_F32_GEMV
+#define DVAFS_VEC_HAVE_F32_GEMV 1
+// The n == 1 float GEMM (every fc layer): c[i] = bias[i] + sum_r
+// a[i][r] * b[r], each row its own double accumulator with r ascending.
+// The k reduction is sequential per output by contract, so the
+// parallelism is across rows: eight rows advance together.
+inline void f32_gemv(const float* a, const float* b, const float* bias,
+                     float* c, std::size_t m, std::size_t k)
+{
+    for (std::size_t m0 = 0; m0 < m; m0 += 8) {
+        const std::size_t mb = m - m0 < 8 ? m - m0 : 8;
+        double acc[8];
+        for (std::size_t i = 0; i < mb; ++i) {
+            acc[i] = bias != nullptr ? static_cast<double>(bias[m0 + i])
+                                     : 0.0;
+        }
+        for (std::size_t r = 0; r < k; ++r) {
+            const double bv = static_cast<double>(b[r]);
+            for (std::size_t i = 0; i < mb; ++i) {
+                acc[i] += static_cast<double>(a[(m0 + i) * k + r]) * bv;
+            }
+        }
+        for (std::size_t i = 0; i < mb; ++i) {
+            c[m0 + i] = static_cast<float>(acc[i]);
+        }
+    }
+}
+#endif
+
+#ifndef DVAFS_VEC_HAVE_QUANTIZE
+#define DVAFS_VEC_HAVE_QUANTIZE 1
+// The value -> code map of fixedpoint/quantize.h (quantize_value) over n
+// floats, computed in double without the int64 round trip:
+//   code = clamp(q >= 0 ? floor(q + 0.5) : ceil(q - 0.5), lo, hi) + 0.0
+// with q = x / step. The + 0.0 turns ceil's -0.0 into the +0.0 an
+// integer code converts back to. Writes float(code * step) to `fake` or
+// the code to `codes` (exactly one is non-null; `fake` may alias x).
+// Returns false -- outputs unspecified -- when some x is NaN or +-inf:
+// the one non-finite rule every backend shares.
+inline bool quantize_f32(const float* x, std::size_t n, double step,
+                         double lo, double hi, float* fake,
+                         std::int32_t* codes)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const double v = static_cast<double>(x[i]);
+        if (!(__builtin_fabs(v) < __builtin_inf())) {
+            return false;
+        }
+        const double q = v / step;
+        double r =
+            q >= 0.0 ? __builtin_floor(q + 0.5) : __builtin_ceil(q - 0.5);
+        r = r < lo ? lo : (r > hi ? hi : r);
+        r += 0.0;
+        if (fake != nullptr) {
+            fake[i] = static_cast<float>(r * step);
+        } else {
+            codes[i] = static_cast<std::int32_t>(r);
+        }
+    }
+    return true;
 }
 #endif
 

@@ -8,8 +8,9 @@
 // The layout follows the simdops/cardioid "null.hpp" pattern: one scalar
 // fallback header (ops_scalar.h) defines the complete op vocabulary --
 // masked popcount, the fused shift/xor/mask/popcount toggle kernel, the
-// 64x64 bit transpose, the float GEMM register tile and the int8/int16
-// widening multiply-accumulate kernels -- each op guarded by a
+// 64x64 bit transpose, the float GEMM register tile and row-vectorized
+// matrix-vector kernel, the int8/int16 widening multiply-accumulate
+// kernels and the quantizer -- each op guarded by a
 // DVAFS_VEC_HAVE_* macro. Per-ISA overlay headers (ops_avx2.h, ops_avx512.h,
 // ops_neon.h) define some of those ops first and set the guards, so a
 // backend translation unit stacks overlays over the scalar fallback and
@@ -21,10 +22,12 @@
 // binary stays runnable on a baseline host).
 //
 // Contract: every backend is bit-identical to the scalar overlay. Integer
-// ops are exact, so any evaluation order is fine; the float tile must
-// reproduce the scalar tile's operation sequence per output element
+// ops are exact, so any evaluation order is fine; the float kernels must
+// reproduce the scalar overlay's operation sequence per output element
 // (double accumulation, k ascending, separate mul and add -- the build
-// sets -ffp-contract=off so no backend ever fuses). tests/test_vec.cpp
+// sets -ffp-contract=off so no backend ever fuses -- and for the
+// quantizer one IEEE divide, floor/ceil, clamp and multiply in double,
+// all exactly rounded in every ISA). tests/test_vec.cpp
 // enforces this differentially; the throughput benches re-check it on
 // their own workloads before timing.
 //
@@ -101,6 +104,15 @@ struct kernel_table {
     void (*gemm_s16)(const std::int16_t* a, const std::int16_t* b,
                      const std::int64_t* bias, std::int64_t* c,
                      std::size_t m, std::size_t k, std::size_t n);
+    // Symmetric quantizer (fixedpoint/quantize.h quantize_value) over n
+    // floats: code = clamp(round_half_away(x / step), lo, hi) with lo/hi
+    // the signed range as doubles. Writes float(code * step) to `fake`
+    // (fake quantization; may alias x) or the code to `codes` -- exactly
+    // one is non-null. step must be finite and > 0. Returns false, with
+    // the outputs unspecified, when some x is NaN or +-inf.
+    bool (*quantize_f32)(const float* x, std::size_t n, double step,
+                         double lo, double hi, float* fake,
+                         std::int32_t* codes);
 };
 
 // Per-backend tables. A backend whose ISA the *build* cannot target

@@ -13,8 +13,17 @@
 #include "cnn/zoo.h"
 
 #include "util/rng.h"
+#include "vec/vec.h"
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <vector>
 
 namespace dvafs {
 namespace {
@@ -36,36 +45,110 @@ void expect_float_equal(const tensor& a, const tensor& b,
     }
 }
 
+// Gaussian operands with the IEEE corner values mixed in: signed zeros
+// (about 1 in 8), and a few infinities and NaNs (about 1 in 300 each way).
+void fill_with_specials(std::span<float> v, pcg32& rng)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (float& x : v) {
+        const std::uint32_t r = rng.bounded(1200);
+        x = r < 75    ? 0.0F
+            : r < 150 ? -0.0F
+            : r < 152 ? inf
+            : r < 154 ? -inf
+            : r < 156 ? nan
+                      : static_cast<float>(rng.gaussian(0.0, 0.5));
+    }
+}
+
+// Bit equality, except that any NaN matches any NaN: which of two NaN
+// operands an add propagates depends on the operand order the compiler
+// picks, so a NaN's sign and payload are outside the contract.
+bool same_bits(float x, float y)
+{
+    return (std::isnan(x) && std::isnan(y))
+           || std::bit_cast<std::uint32_t>(x)
+                  == std::bit_cast<std::uint32_t>(y);
+}
+
+// The cnn/gemm.h contract written out: start from the bias (or 0.0), add
+// double(a) * double(b) with k ascending, round once to float.
+std::vector<float> naive_gemm(const std::vector<float>& a,
+                              const std::vector<float>& b,
+                              const float* bias, std::size_t m,
+                              std::size_t k, std::size_t n)
+{
+    std::vector<float> c(m * n);
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            double acc = bias != nullptr ? static_cast<double>(bias[i]) : 0.0;
+            for (std::size_t r = 0; r < k; ++r) {
+                acc += static_cast<double>(a[i * k + r])
+                       * static_cast<double>(b[r * n + j]);
+            }
+            c[i * n + j] = static_cast<float>(acc);
+        }
+    }
+    return c;
+}
+
+// Every available backend's float GEMM against the naive loop, bit for
+// bit (signed zeros and infinities included; NaN for NaN), over the tile
+// edges:
+// m around the 8-row panel, n around the 24-column tile and the n == 1
+// matrix-vector path, k from the bias-only 0 up to a deep 433.
 TEST(gemm, matches_naive_triple_loop)
 {
+    std::vector<std::array<std::size_t, 3>> shapes = {
+        {1, 1, 1},  {3, 5, 7},   {4, 8, 8},
+        {5, 9, 17}, {16, 27, 33}, {7, 64, 1}};
+    for (const std::size_t m : {1, 6, 7, 9, 15, 17}) {
+        for (const std::size_t n : {1, 9, 23, 24, 25, 49, 100}) {
+            for (const std::size_t k : {0, 1, 27, 433}) {
+                shapes.push_back({m, k, n});
+            }
+        }
+    }
     pcg32 rng(11);
-    for (const auto [m, k, n] :
-         {std::array<std::size_t, 3>{1, 1, 1},
-          std::array<std::size_t, 3>{3, 5, 7},
-          std::array<std::size_t, 3>{4, 8, 8},
-          std::array<std::size_t, 3>{5, 9, 17},
-          std::array<std::size_t, 3>{16, 27, 33},
-          std::array<std::size_t, 3>{7, 64, 1}}) {
-        std::vector<float> a(m * k);
-        std::vector<float> b(k * n);
-        std::vector<float> bias(m);
-        fill_gaussian(a, rng);
-        fill_gaussian(b, rng);
-        fill_gaussian(bias, rng);
-
-        std::vector<float> c(m * n);
-        gemm_blocked(a.data(), b.data(), bias.data(), c.data(), m, k, n);
-
-        for (std::size_t i = 0; i < m; ++i) {
-            for (std::size_t j = 0; j < n; ++j) {
-                double acc = bias[i];
-                for (std::size_t r = 0; r < k; ++r) {
-                    acc += static_cast<double>(a[i * k + r])
-                           * static_cast<double>(b[r * n + j]);
+    for (const auto [m, k, n] : shapes) {
+        for (const bool specials : {false, true}) {
+            std::vector<float> a(m * k);
+            std::vector<float> b(k * n);
+            std::vector<float> bias(m);
+            if (specials) {
+                fill_with_specials(a, rng);
+                fill_with_specials(b, rng);
+                fill_with_specials(bias, rng);
+            } else {
+                fill_gaussian(a, rng);
+                fill_gaussian(b, rng);
+                fill_gaussian(bias, rng);
+            }
+            const float* const biases[] = {bias.data(), nullptr};
+            for (const float* bp : biases) {
+                const std::vector<float> want = naive_gemm(a, b, bp, m, k, n);
+                for (const vec::isa level : vec::available()) {
+                    // A guard band after C catches a store past a tail.
+                    constexpr float guard = 12345.0F;
+                    std::vector<float> c(m * n + 32, guard);
+                    vec::table_for(level)->gemm_f32(a.data(), b.data(), bp,
+                                                    c.data(), m, k, n);
+                    for (std::size_t e = m * n; e < c.size(); ++e) {
+                        ASSERT_EQ(c[e], guard)
+                            << vec::isa_name(level) << " " << m << "x" << k
+                            << "x" << n << " wrote past C";
+                    }
+                    c.resize(m * n);
+                    for (std::size_t e = 0; e < c.size(); ++e) {
+                        ASSERT_TRUE(same_bits(c[e], want[e]))
+                            << vec::isa_name(level) << " " << m << "x" << k
+                            << "x" << n << (specials ? " specials" : "")
+                            << (bp == nullptr ? " no bias" : "") << " @ ("
+                            << e / n << "," << e % n << "): " << c[e]
+                            << " vs " << want[e];
+                    }
                 }
-                ASSERT_EQ(c[i * n + j], static_cast<float>(acc))
-                    << m << "x" << k << "x" << n << " @ (" << i << ","
-                    << j << ")";
             }
         }
     }
@@ -194,23 +277,54 @@ TEST(gemm_forward, fc_matches_reference_across_random_shapes)
     }
 }
 
+// Pins the dispatched backend for one scope and restores the previous
+// one on exit, so a failing assertion cannot leak a forced ISA.
+class isa_scope {
+public:
+    isa_scope() : restore_(vec::active_isa()) {}
+    isa_scope(const isa_scope&) = delete;
+    isa_scope& operator=(const isa_scope&) = delete;
+    ~isa_scope() { vec::force_isa(restore_); }
+
+private:
+    vec::isa restore_;
+};
+
+// Whole networks, GEMM forward vs the naive reference loops, float-equal
+// on every output under every available ISA: the float network and a
+// mixed-precision overlay (different weight and input bits per layer,
+// some layers left in float).
 TEST(gemm_forward, network_forward_matches_reference_end_to_end)
 {
-    const network net = make_lenet5({.seed = 9});
-    const std::vector<layer_quant> overlay(net.depth());
-    std::vector<layer_quant> quantized(net.depth());
-    for (const std::size_t li : net.weighted_layers()) {
-        quantized[li] = {.weight_bits = 6, .input_bits = 5};
+    const isa_scope scope;
+    for (const network& net :
+         {make_lenet5({.seed = 9}), make_alexnet_scaled({.seed = 9}),
+          make_vgg16_scaled({.seed = 9})}) {
+        const std::vector<layer_quant> overlay(net.depth());
+        std::vector<layer_quant> mixed(net.depth());
+        const int weight_bits[] = {6, 3, 8, 0, 5};
+        const int input_bits[] = {5, 7, 0, 4, 8, 6};
+        std::size_t w = 0;
+        for (const std::size_t li : net.weighted_layers()) {
+            mixed[li] = {.weight_bits = weight_bits[w % 5],
+                         .input_bits = input_bits[w % 6]};
+            ++w;
+        }
+        pcg32 rng(123);
+        tensor in(net.input_shape());
+        fill_gaussian(in.flat(), rng, 0.3);
+        const tensor want_float = net.reference_forward(in, overlay);
+        const tensor want_mixed = net.reference_forward(in, mixed);
+        for (const vec::isa level : vec::available()) {
+            ASSERT_TRUE(vec::force_isa(level));
+            const std::string tag =
+                net.name() + " " + vec::isa_name(level);
+            expect_float_equal(net.forward(in, overlay), want_float,
+                               "float " + tag);
+            expect_float_equal(net.forward(in, mixed), want_mixed,
+                               "mixed " + tag);
+        }
     }
-    pcg32 rng(123);
-    tensor in(net.input_shape());
-    fill_gaussian(in.flat(), rng, 0.3);
-
-    expect_float_equal(net.forward(in, overlay),
-                       net.reference_forward(in, overlay), "float lenet");
-    expect_float_equal(net.forward(in, quantized),
-                       net.reference_forward(in, quantized),
-                       "quantized lenet");
 }
 
 TEST(weight_cache, mutating_weights_invalidates)

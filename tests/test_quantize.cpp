@@ -1,11 +1,15 @@
 #include "fixedpoint/quantize.h"
 
 #include "util/rng.h"
+#include "vec/vec.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace dvafs {
@@ -154,6 +158,113 @@ TEST(quantize, lower_precision_is_sparser)
     const double sp2 = zero_code_fraction(data, 2);
     const double sp8 = zero_code_fraction(data, 8);
     EXPECT_GT(sp2, sp8);
+}
+
+// Pins the dispatched backend for one scope and restores the previous
+// one on exit.
+class isa_scope {
+public:
+    isa_scope() : restore_(vec::active_isa()) {}
+    isa_scope(const isa_scope&) = delete;
+    isa_scope& operator=(const isa_scope&) = delete;
+    ~isa_scope() { vec::force_isa(restore_); }
+
+private:
+    vec::isa restore_;
+};
+
+// The vector quantize kernel behind fake_quantize_inplace and
+// quantize_codes computes quantize_value's map without its int64 round
+// trip; under every backend both entry points must equal the scalar map
+// element for element, ties and saturation included.
+TEST(quantize, every_backend_follows_quantize_value)
+{
+    const isa_scope scope;
+    pcg32 rng(21);
+    std::vector<float> data;
+    for (int i = 0; i < 203; ++i) {
+        const std::uint32_t r = rng.bounded(8);
+        data.push_back(r == 0   ? -0.0F
+                       : r == 1 ? static_cast<float>(
+                                      0.25 * (static_cast<double>(
+                                                  rng.bounded(33))
+                                              - 16.0))
+                                : static_cast<float>(rng.gaussian(0.0, 2.0)));
+    }
+    for (const vec::isa level : vec::available()) {
+        ASSERT_TRUE(vec::force_isa(level));
+        for (const int bits : {1, 2, 3, 5, 8, 12, 16}) {
+            const quant_params qp = choose_quant(data, bits);
+            std::vector<float> fake = data;
+            fake_quantize_inplace(fake, bits);
+            const quant_params narrow{.bits = bits, .step = 0.125};
+            const auto codes = quantize_codes<std::int32_t>(data, narrow);
+            for (std::size_t i = 0; i < data.size(); ++i) {
+                const double v = static_cast<double>(data[i]);
+                const float want = static_cast<float>(
+                    static_cast<double>(quantize_value(v, qp.step, bits))
+                    * qp.step);
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(fake[i]),
+                          std::bit_cast<std::uint32_t>(want))
+                    << vec::isa_name(level) << " bits " << bits << " x "
+                    << data[i];
+                ASSERT_EQ(codes[i], quantize_value(v, narrow.step, bits))
+                    << vec::isa_name(level) << " bits " << bits << " x "
+                    << data[i];
+            }
+            if (bits <= 8) {
+                const auto c8 = quantize_codes<std::int8_t>(data, narrow);
+                for (std::size_t i = 0; i < data.size(); ++i) {
+                    ASSERT_EQ(c8[i], codes[i]) << vec::isa_name(level);
+                }
+            }
+        }
+    }
+}
+
+// NaN and +-inf have no code on any grid. A NaN skipped by the max pass,
+// or an inf turned into an inf step, would reach an int64 conversion
+// (undefined behaviour), so every entry point rejects non-finite data
+// under every backend -- and fake_quantize_inplace leaves it untouched.
+TEST(quantize, non_finite_data_is_rejected)
+{
+    const isa_scope scope;
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const float bad :
+         {std::numeric_limits<float>::quiet_NaN(), inf, -inf}) {
+        for (const vec::isa level : vec::available()) {
+            ASSERT_TRUE(vec::force_isa(level));
+            for (const std::size_t at : {0, 5, 16}) {
+                std::vector<float> data(17, 0.5F);
+                data[3] = -1.25F;
+                data[at] = bad;
+                const std::vector<float> before = data;
+                EXPECT_THROW(fake_quantize_inplace(data, 6),
+                             std::invalid_argument)
+                    << vec::isa_name(level) << " at " << at;
+                for (std::size_t i = 0; i < data.size(); ++i) {
+                    EXPECT_EQ(std::bit_cast<std::uint32_t>(data[i]),
+                              std::bit_cast<std::uint32_t>(before[i]));
+                }
+                EXPECT_THROW(choose_quant(data, 8), std::invalid_argument);
+                const quant_params qp{.bits = 8, .step = 0.01};
+                EXPECT_THROW(quantize_codes<std::int8_t>(data, qp),
+                             std::invalid_argument)
+                    << vec::isa_name(level) << " at " << at;
+                EXPECT_THROW(quantize_codes<std::int32_t>(data, qp),
+                             std::invalid_argument)
+                    << vec::isa_name(level) << " at " << at;
+            }
+        }
+    }
+    // A step that is not finite and positive is rejected as well.
+    const std::vector<float> data{1.0F, -2.0F};
+    for (const double step : {0.0, -1.0, static_cast<double>(inf)}) {
+        EXPECT_THROW(
+            quantize_codes<std::int16_t>(data, {.bits = 8, .step = step}),
+            std::invalid_argument)
+            << step;
+    }
 }
 
 } // namespace

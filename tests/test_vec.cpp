@@ -1,8 +1,9 @@
 // Differential suite for the host-SIMD layer (src/vec/): every backend
 // available on this host must be bit-identical to the scalar overlay on
 // every vocabulary op -- masked popcount, the fused toggle kernel, the
-// 64x64 bit transpose, the float GEMM tile and the int8/int16 widening
-// MAC kernels -- over random inputs, ragged sizes and signed extremes.
+// 64x64 bit transpose, the float GEMM, the quantizer and the int8/int16
+// widening MAC kernels -- over random inputs, ragged sizes, signed
+// extremes and IEEE corner values.
 // Plus the dispatch contracts: DVAFS_FORCE_ISA round-trip via
 // refresh_from_env, graceful fallback when a forced ISA is unavailable,
 // and an end-to-end compiled_sim run per forced backend.
@@ -18,8 +19,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -141,8 +145,8 @@ TEST_F(vec_test, transpose64_matches_reference_network)
     }
 }
 
-// GEMM shapes covering the fc n == 1 fast path, full 4x8 / 4x16 tiles,
-// ragged m/n edges, k == 0 (bias copy) and single elements.
+// GEMM shapes covering the fc n == 1 fast path, full 4x16 int8 and 4x8
+// int16 tiles, ragged m/n edges, k == 0 (bias copy) and single elements.
 struct gemm_shape {
     std::size_t m, k, n;
 };
@@ -152,47 +156,145 @@ const gemm_shape kGemmShapes[] = {
     {3, 66, 40}, {4, 0, 8},   {2, 5, 3},  {1, 1, 1},   {9, 31, 17},
 };
 
+// Bit equality, except that any NaN matches any NaN: which of two NaN
+// operands an add propagates depends on the operand order the compiler
+// picks, so a NaN's sign and payload are outside the contract.
+bool same_bits(float x, float y)
+{
+    return (std::isnan(x) && std::isnan(y))
+           || std::bit_cast<std::uint32_t>(x)
+                  == std::bit_cast<std::uint32_t>(y);
+}
+
+// Uniform values with signed zeros (1 in 8) and, when `specials`, a few
+// infinities and NaNs mixed in.
+void fill_float_operands(std::vector<float>& v, pcg32& rng, double span,
+                         bool specials)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    for (float& x : v) {
+        const std::uint32_t r = rng.bounded(1200);
+        x = r < 75                ? 0.0F
+            : r < 150             ? -0.0F
+            : !specials || r >= 156
+                ? static_cast<float>(rng.uniform(-span, span))
+            : r < 152 ? inf
+            : r < 154 ? -inf
+                      : std::numeric_limits<float>::quiet_NaN();
+    }
+}
+
 TEST_F(vec_test, gemm_f32_bit_identical)
 {
+    // kGemmShapes plus the edges of the 8-row panel, the 24-column tile
+    // (and its 8-column groups) and the n == 1 matrix-vector path.
+    std::vector<gemm_shape> shapes(std::begin(kGemmShapes),
+                                   std::end(kGemmShapes));
+    for (const std::size_t m : {1, 6, 7, 9, 15, 17}) {
+        for (const std::size_t n : {1, 9, 23, 24, 25, 49, 100}) {
+            for (const std::size_t k : {0, 1, 27, 433}) {
+                shapes.push_back({m, k, n});
+            }
+        }
+    }
     pcg32 rng(404);
-    for (const gemm_shape& sh : kGemmShapes) {
-        std::vector<float> a(std::max<std::size_t>(sh.m * sh.k, 1));
-        std::vector<float> b(std::max<std::size_t>(sh.k * sh.n, 1));
-        std::vector<float> bias(sh.m);
-        for (float& v : a) {
-            v = static_cast<float>(rng.uniform(-2.0, 2.0));
+    for (const gemm_shape& sh : shapes) {
+        for (const bool specials : {false, true}) {
+            std::vector<float> a(sh.m * sh.k);
+            std::vector<float> b(sh.k * sh.n);
+            std::vector<float> bias(sh.m);
+            fill_float_operands(a, rng, 2.0, specials);
+            fill_float_operands(b, rng, 2.0, specials);
+            fill_float_operands(bias, rng, 1.0, specials);
+            const float* const biases[] = {bias.data(), nullptr};
+            for (const float* bp : biases) {
+                std::vector<float> ref(sh.m * sh.n);
+                scalar_table().gemm_f32(a.data(), b.data(), bp, ref.data(),
+                                        sh.m, sh.k, sh.n);
+                for (const vec::isa level : other_backends()) {
+                    std::vector<float> c(sh.m * sh.n);
+                    vec::table_for(level)->gemm_f32(a.data(), b.data(), bp,
+                                                    c.data(), sh.m, sh.k,
+                                                    sh.n);
+                    for (std::size_t e = 0; e < c.size(); ++e) {
+                        ASSERT_TRUE(same_bits(c[e], ref[e]))
+                            << vec::isa_name(level) << " " << sh.m << "x"
+                            << sh.k << "x" << sh.n
+                            << (specials ? " specials" : "")
+                            << (bp == nullptr ? " no bias" : "")
+                            << " element " << e << ": " << c[e] << " vs "
+                            << ref[e];
+                    }
+                }
+            }
         }
-        for (float& v : b) {
-            v = static_cast<float>(rng.uniform(-2.0, 2.0));
+    }
+}
+
+// The quantizer kernel: every backend matches the scalar overlay byte for
+// byte in both output forms, over ragged lengths, every bit-width the
+// engines use, steps that put values on rounding ties, and saturating
+// steps; and every backend reports a non-finite input the same way.
+TEST_F(vec_test, quantize_f32_bit_identical)
+{
+    pcg32 rng(808);
+    for (const std::size_t len : {1, 3, 4, 7, 8, 9, 15, 16, 17, 100, 257}) {
+        std::vector<float> x(len);
+        for (float& v : x) {
+            const std::uint32_t r = rng.bounded(10);
+            // Half-integers times the step are exact ties.
+            v = r == 0   ? 0.0F
+                : r == 1 ? -0.0F
+                : r < 4  ? static_cast<float>(
+                              0.5 * (static_cast<double>(rng.bounded(41))
+                                     - 20.0))
+                         : static_cast<float>(rng.gaussian(0.0, 3.0));
         }
-        for (float& v : bias) {
-            v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        for (const int bits : {1, 2, 4, 8, 12, 16, 31, 32}) {
+            for (const double step : {1.0, 0.25, 1e-3, 7.0 / 3.0}) {
+                const double lo =
+                    static_cast<double>(signed_min(bits));
+                const double hi =
+                    static_cast<double>(signed_max(bits));
+                std::vector<float> fake_ref(len);
+                std::vector<std::int32_t> codes_ref(len);
+                ASSERT_TRUE(scalar_table().quantize_f32(
+                    x.data(), len, step, lo, hi, fake_ref.data(), nullptr));
+                ASSERT_TRUE(scalar_table().quantize_f32(
+                    x.data(), len, step, lo, hi, nullptr, codes_ref.data()));
+                for (const vec::isa level : other_backends()) {
+                    const vec::kernel_table& t = *vec::table_for(level);
+                    std::vector<float> fake(len);
+                    std::vector<std::int32_t> codes(len);
+                    ASSERT_TRUE(t.quantize_f32(x.data(), len, step, lo, hi,
+                                               fake.data(), nullptr));
+                    ASSERT_TRUE(t.quantize_f32(x.data(), len, step, lo, hi,
+                                               nullptr, codes.data()));
+                    ASSERT_EQ(std::memcmp(fake.data(), fake_ref.data(),
+                                          len * sizeof(float)),
+                              0)
+                        << vec::isa_name(level) << " len " << len
+                        << " bits " << bits << " step " << step;
+                    ASSERT_EQ(codes, codes_ref)
+                        << vec::isa_name(level) << " len " << len
+                        << " bits " << bits << " step " << step;
+                }
+            }
         }
-        std::vector<float> ref(sh.m * sh.n);
-        scalar_table().gemm_f32(a.data(), b.data(), bias.data(),
-                                ref.data(), sh.m, sh.k, sh.n);
-        for (const vec::isa level : other_backends()) {
-            std::vector<float> c(sh.m * sh.n);
-            vec::table_for(level)->gemm_f32(a.data(), b.data(),
-                                            bias.data(), c.data(), sh.m,
-                                            sh.k, sh.n);
-            ASSERT_EQ(std::memcmp(c.data(), ref.data(),
-                                  c.size() * sizeof(float)),
-                      0)
-                << vec::isa_name(level) << " " << sh.m << "x" << sh.k
-                << "x" << sh.n;
-        }
-        // Null bias path.
-        scalar_table().gemm_f32(a.data(), b.data(), nullptr, ref.data(),
-                                sh.m, sh.k, sh.n);
-        for (const vec::isa level : other_backends()) {
-            std::vector<float> c(sh.m * sh.n);
-            vec::table_for(level)->gemm_f32(a.data(), b.data(), nullptr,
-                                            c.data(), sh.m, sh.k, sh.n);
-            ASSERT_EQ(std::memcmp(c.data(), ref.data(),
-                                  c.size() * sizeof(float)),
-                      0)
-                << vec::isa_name(level) << " (no bias)";
+        // One non-finite element anywhere, the tail included, is reported
+        // by every backend.
+        for (const float bad : {std::numeric_limits<float>::infinity(),
+                                -std::numeric_limits<float>::infinity(),
+                                std::numeric_limits<float>::quiet_NaN()}) {
+            std::vector<float> y = x;
+            y[rng.bounded(static_cast<std::uint32_t>(len))] = bad;
+            std::vector<std::int32_t> codes(len);
+            for (const vec::isa level : vec::available()) {
+                EXPECT_FALSE(vec::table_for(level)->quantize_f32(
+                    y.data(), len, 0.5, -128.0, 127.0, nullptr,
+                    codes.data()))
+                    << vec::isa_name(level) << " len " << len;
+            }
         }
     }
 }
