@@ -15,7 +15,7 @@ void gemm_blocked(const float* a, const float* b, const float* bias,
     // live in the host-SIMD layer (src/vec/kernels_body.h) so each ISA
     // backend compiles them with real vector flags; every backend is
     // bit-identical to the scalar overlay (k-ascending double
-    // accumulation, no FMA contraction).
+    // accumulation; the vector tiles' FMA is exact, see gemm.h).
     vec::active().gemm_f32(a, b, bias, c, m, k, n);
 }
 

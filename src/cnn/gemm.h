@@ -7,10 +7,26 @@
 // of the input feature map [C*K*K x OH*OW].
 //
 // Bit-compatibility contract: each output starts from its bias (0.0 when
-// bias is null) and adds double(a) * double(b) in ascending k, one
-// rounded multiply and one rounded add per step (no FMA; the product of
-// two floats is exact in double anyway), then rounds once to float --
-// the same order as the naive reference loops in layers.cpp.
+// bias is null) and adds double(a) * double(b) in ascending k, rounding
+// to double once per step, then rounds once to float -- the same order as
+// the naive reference loops in layers.cpp. The scalar overlay writes each
+// step as a multiply and an add; the vector tiles as one fused
+// multiply-add, which gives the same bits:
+//   * A float has a 24-bit significand, so a float x float product has at
+//     most 48 significant bits and fits the 53 of a double. Its magnitude
+//     lies between 2^-298 (two subnormals) and 2^256 (two FLT_MAX), so it
+//     neither overflows nor goes subnormal in double: the multiply is
+//     exact, RN(a*b) = a*b.
+//   * Every accumulator is a float bias plus such products, hence a
+//     multiple of 2^-298; a nonzero sum is at least 2^-298 in magnitude,
+//     far above double's subnormal range, so no sum goes subnormal either.
+//   * Hence fma(a, b, c) = RN(a*b + c) = RN(RN(a*b) + c): one rounding
+//     either way. An exactly zero sum takes its sign from the IEEE
+//     addition rule in both forms, and inf/NaN operands give inf or NaN
+//     alike (a NaN's payload is outside the contract, see below).
+// The build keeps -ffp-contract=off everywhere, so the compiler never
+// fuses on its own; fusion happens only through explicit FMA intrinsics
+// in src/vec/, where the argument above makes it exact.
 // Zero-padded taps contribute `acc += w * 0.0`, which leaves the
 // accumulator unchanged. The GEMM forward is therefore float-equal to
 // reference_forward on every element (signed zeros may differ in sign;

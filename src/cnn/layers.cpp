@@ -390,7 +390,45 @@ tensor_shape maxpool_layer::out_shape(const tensor_shape& in) const
             (in.w - size_) / stride_ + 1};
 }
 
+// Row-pointer walk: each output row starts at -inf and takes one tap
+// (ky, kx) across all its outputs per pass, so the outputs' independent
+// max chains interleave. Per output the taps keep the reference order
+// (ky, then kx) and the same std::max step, so NaN taps are skipped and
+// the first of two equal-comparing zeros wins exactly as there.
 tensor maxpool_layer::forward(const tensor& in, const layer_quant& q) const
+{
+    tensor xq;
+    const tensor& x = maybe_quantized(in, q.input_bits, xq);
+    const tensor_shape is = in.shape();
+    const tensor_shape os = out_shape(is);
+    tensor out(os);
+    const std::size_t iw = static_cast<std::size_t>(is.w);
+    const std::size_t plane = static_cast<std::size_t>(is.h) * iw;
+    const std::size_t ow = static_cast<std::size_t>(os.w);
+    const std::size_t size = static_cast<std::size_t>(size_);
+    const std::size_t stride = static_cast<std::size_t>(stride_);
+    const float* src = x.flat().data();
+    float* dst = out.flat().data();
+    for (int c = 0; c < os.c; ++c, src += plane) {
+        for (int oy = 0; oy < os.h; ++oy, dst += ow) {
+            std::fill(dst, dst + ow, -std::numeric_limits<float>::infinity());
+            const float* row =
+                src + static_cast<std::size_t>(oy) * stride * iw;
+            for (std::size_t ky = 0; ky < size; ++ky, row += iw) {
+                for (std::size_t kx = 0; kx < size; ++kx) {
+                    const float* tap = row + kx;
+                    for (std::size_t ox = 0; ox < ow; ++ox) {
+                        dst[ox] = std::max(dst[ox], tap[ox * stride]);
+                    }
+                }
+            }
+        }
+    }
+    return out;
+}
+
+tensor maxpool_layer::reference_forward(const tensor& in,
+                                        const layer_quant& q) const
 {
     tensor xq;
     const tensor& x = maybe_quantized(in, q.input_bits, xq);

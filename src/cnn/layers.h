@@ -204,7 +204,11 @@ public:
     maxpool_layer(std::string name, int size, int stride);
     const std::string& name() const noexcept override { return name_; }
     tensor_shape out_shape(const tensor_shape& in) const override;
+    // forward walks raw rows; reference_forward reads every tap through
+    // tensor::at. Same taps, same order, same bits.
     tensor forward(const tensor& in, const layer_quant& q) const override;
+    tensor reference_forward(const tensor& in,
+                             const layer_quant& q) const override;
     std::uint64_t macs(const tensor_shape&) const override { return 0; }
 
 private:

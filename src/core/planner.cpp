@@ -165,11 +165,11 @@ std::vector<layer_workload> precision_planner::build_workloads(
 std::vector<layer_frontier> precision_planner::layer_frontiers(
     const network& net, const std::vector<layer_quant_requirement>& reqs,
     const std::vector<layer_sparsity>& sparsity,
-    const teacher_dataset* data) const
+    const teacher_dataset* data, unsigned threads) const
 {
     return layer_frontiers_from_workloads(
-        net, reqs, build_workloads(net, reqs, sparsity), data, nullptr, 0,
-        cfg_.compute);
+        net, reqs, build_workloads(net, reqs, sparsity), data, nullptr,
+        threads, cfg_.compute);
 }
 
 std::vector<layer_frontier>

@@ -150,12 +150,13 @@ public:
     // exposed for benches and the property tests. Points below a layer's
     // requirement are included only when `data` is non-null (their
     // accuracy loss is measured on it) and the accuracy budget is
-    // positive.
+    // positive. `threads` is the worker count of those loss probes (0 =
+    // hardware default); the frontiers do not depend on it.
     std::vector<layer_frontier> layer_frontiers(
         const network& net,
         const std::vector<layer_quant_requirement>& reqs,
         const std::vector<layer_sparsity>& sparsity,
-        const teacher_dataset* data = nullptr) const;
+        const teacher_dataset* data = nullptr, unsigned threads = 0) const;
 
     // Streaming re-plan API (src/runtime/): assembles a plan by DP over
     // *precomputed* layer frontiers under an accuracy and a per-frame

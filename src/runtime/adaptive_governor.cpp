@@ -317,7 +317,7 @@ adaptive_governor::prepare(const network& net)
 void adaptive_governor::rebuild_frontiers(network_state& st)
 {
     st.frontiers = planner_.layer_frontiers(*st.net, st.reqs, st.sparsity,
-                                            &st.data);
+                                            &st.data, cfg_.sweep.threads);
 }
 
 double adaptive_governor::effective_budget(const network& net,

@@ -36,7 +36,9 @@ bool cpu_supports(isa level) noexcept
     case isa::neon:
         return false;
     case isa::avx2:
-        return __builtin_cpu_supports("avx2") != 0;
+        // The AVX2 float kernels are FMA kernels (ops_avx2.h).
+        return __builtin_cpu_supports("avx2") != 0
+               && __builtin_cpu_supports("fma") != 0;
     case isa::avx512:
         return __builtin_cpu_supports("avx512f") != 0
                && __builtin_cpu_supports("avx512bw") != 0

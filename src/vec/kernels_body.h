@@ -102,9 +102,10 @@ inline void exec_gates(const gate_run_args& g)
 // -- GEMM blocking drivers ----------------------------------------------------
 
 // Float GEMM. Every output starts from its bias (or 0.0) and adds
-// double(a) * double(b) with k ascending, separate multiply and add --
-// the cnn/gemm.h contract -- so only the assignment of outputs to tiles
-// and lanes differs between backends, and no backend changes a bit.
+// double(a) * double(b) with k ascending, one rounding per step (the
+// scalar overlay's multiply and add, the vector overlays' FMA) -- the
+// cnn/gemm.h contract -- so only the assignment of outputs to tiles and
+// lanes differs between backends, and no backend changes a bit.
 // n == 1 (every fc layer) is a matrix-vector product vectorized across
 // rows (f32_gemv). Otherwise A is packed into 8-row panels of doubles in
 // per-thread scratch -- the bias row first, then k groups of eight (rows

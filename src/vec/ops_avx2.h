@@ -144,6 +144,17 @@ inline void transpose64(std::uint64_t x[64])
 }
 #endif
 
+// The float kernels below fuse each multiply-add into one FMA, which is
+// exact here (cnn/gemm.h). FMA is a separate CPUID feature from AVX2 and
+// the AVX2 TU is built with -mavx2 -mpopcnt only, so those kernels enable
+// it per function; the dispatcher selects this backend only on CPUs that
+// report both (dispatch.cpp).
+#if defined(__GNUC__) || defined(__clang__)
+#define DVAFS_VEC_FMA __attribute__((target("fma")))
+#else
+#define DVAFS_VEC_FMA
+#endif
+
 // Lane mask for a 4-float vmaskmovps: lanes [0, min(w, 4)) set, the rest
 // clear (masked loads and stores neither read nor write clear lanes).
 inline __m128i f32_lane_mask(std::size_t w)
@@ -156,11 +167,12 @@ inline __m128i f32_lane_mask(std::size_t w)
 #define DVAFS_VEC_HAVE_F32_TILE 1
 // A 4 x 4G block of the 8 x 24 tile (G <= 3): 4 rows x G accumulators of
 // four doubles -- 12 of the 16 ymm registers at G = 3. Per k step, G
-// loads widened by vcvtps2pd, then per row one broadcast and vmulpd +
-// vaddpd: the scalar tile's exact op sequence (no FMA). Only the last
-// group of a column tail (Tail) masks its load and store, which keeps the
-// full blocks free of mask registers.
+// loads widened by vcvtps2pd, then per row one broadcast and one
+// vfmadd231pd per accumulator, bit for bit the scalar tile's multiply and
+// add. Only the last group of a column tail (Tail) masks its load and
+// store, which keeps the full blocks free of mask registers.
 template <int G, bool Tail>
+DVAFS_VEC_FMA
 inline void f32_block(const double* panel, std::size_t row0,
                       const float* b, float* c, std::size_t k,
                       std::size_t n, std::size_t rows, std::size_t cols)
@@ -190,8 +202,7 @@ inline void f32_block(const double* panel, std::size_t row0,
             const __m256d av = _mm256_broadcast_sd(ap + i);
             #pragma GCC unroll 8
             for (int g = 0; g < G; ++g) {
-                acc[i][g] =
-                    _mm256_add_pd(acc[i][g], _mm256_mul_pd(av, bv[g]));
+                acc[i][g] = _mm256_fmadd_pd(av, bv[g], acc[i][g]);
             }
         }
     }
@@ -213,6 +224,7 @@ inline void f32_block(const double* panel, std::size_t row0,
 }
 
 // The 8 x 24 tile as up to 2 x 2 blocks of 4 rows x 12 columns.
+DVAFS_VEC_FMA
 inline void f32_tile(const double* panel, const float* b, float* c,
                      std::size_t k, std::size_t n, std::size_t mb,
                      std::size_t nb)
@@ -239,71 +251,91 @@ inline void f32_tile(const double* panel, const float* b, float* c,
 
 #ifndef DVAFS_VEC_HAVE_F32_GEMV
 #define DVAFS_VEC_HAVE_F32_GEMV 1
-// n == 1: eight rows per 8-lane gather, four gathers (32 rows, eight ymm
-// accumulators of four doubles) in flight. Per k step each gather pulls
-// column r of eight row-major weight rows, vcvtps2pd widens both halves,
-// and one broadcast b[r] feeds vmulpd + vaddpd -- per row the scalar
-// kernel's sequence. Gather indices are 32-bit lane offsets (row * k, up
-// to 31 * k < 2^31 under the driver's k bound).
+// Q groups of eight rows (Q <= 4) from row m0: per k step each group's
+// 8-lane gather pulls column r of its eight row-major weight rows,
+// vcvtps2pd widens both halves, and one broadcast b[r] feeds a
+// vfmadd231pd per half -- per row the scalar kernel's sum. All groups
+// share one index vector (row offsets 0, k, ..., 7k) and one lane mask;
+// the group base moves in a general register, so the k loop holds eight
+// accumulators, the index, the mask and b[r] -- 11 of the 16 ymm
+// registers. vgatherdps merges into its destination, so each gather
+// starts from a zeroed register; with an all-ones mask known at compile
+// time GCC drops that zeroing and chains the four gathers through the
+// one register they share (half the speed), hence the empty asm that
+// hides the mask's value.
+template <int Q>
+DVAFS_VEC_FMA
+inline void f32_gemv_rows(const float* a, const float* b, const float* bias,
+                          float* c, std::size_t k, std::size_t m0,
+                          __m256i lanes, __m256i mask)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    __asm__("" : "+x"(mask));
+#endif
+    __m256d lo[Q];
+    __m256d hi[Q];
+    #pragma GCC unroll 8
+    for (int q = 0; q < Q; ++q) {
+        const __m256 init =
+            bias != nullptr
+                ? _mm256_maskload_ps(
+                      bias + m0 + 8 * static_cast<std::size_t>(q), mask)
+                : _mm256_setzero_ps();
+        lo[q] = _mm256_cvtps_pd(_mm256_castps256_ps128(init));
+        hi[q] = _mm256_cvtps_pd(_mm256_extractf128_ps(init, 1));
+    }
+    const float* const base = a + m0 * k;
+    const std::size_t group = 8 * k;
+    for (std::size_t r = 0; r < k; ++r) {
+        const __m256d bv = _mm256_set1_pd(static_cast<double>(b[r]));
+        #pragma GCC unroll 8
+        for (int q = 0; q < Q; ++q) {
+            const __m256 av = _mm256_mask_i32gather_ps(
+                _mm256_setzero_ps(),
+                base + static_cast<std::size_t>(q) * group + r, lanes,
+                _mm256_castsi256_ps(mask), 4);
+            lo[q] = _mm256_fmadd_pd(
+                _mm256_cvtps_pd(_mm256_castps256_ps128(av)), bv, lo[q]);
+            hi[q] = _mm256_fmadd_pd(
+                _mm256_cvtps_pd(_mm256_extractf128_ps(av, 1)), bv, hi[q]);
+        }
+    }
+    #pragma GCC unroll 8
+    for (int q = 0; q < Q; ++q) {
+        _mm256_maskstore_ps(c + m0 + 8 * static_cast<std::size_t>(q), mask,
+                            _mm256_set_m128(_mm256_cvtpd_ps(hi[q]),
+                                            _mm256_cvtpd_ps(lo[q])));
+    }
+}
+
+// n == 1: 32 rows (four gathers of eight, eight ymm accumulators of four
+// doubles) in flight, then the remaining full groups of eight in one
+// pass and the last m % 8 rows in a pass of their own -- the only one
+// whose lane mask is not all-ones. Gather indices are 32-bit lane
+// offsets (up to 7 * k < 2^31 under the driver's k bound).
+DVAFS_VEC_FMA
 inline void f32_gemv(const float* a, const float* b, const float* bias,
                      float* c, std::size_t m, std::size_t k)
 {
-    const int ki = static_cast<int>(k);
-    const __m256i lanes = _mm256_mullo_epi32(
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), _mm256_set1_epi32(ki));
     const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    __m256i idx[4];
-    #pragma GCC unroll 8
-    for (int q = 0; q < 4; ++q) {
-        idx[q] = _mm256_add_epi32(lanes, _mm256_set1_epi32(8 * q * ki));
+    const __m256i lanes =
+        _mm256_mullo_epi32(iota, _mm256_set1_epi32(static_cast<int>(k)));
+    const __m256i full = _mm256_set1_epi32(-1);
+    std::size_t m0 = 0;
+    for (; m - m0 >= 32; m0 += 32) {
+        f32_gemv_rows<4>(a, b, bias, c, k, m0, lanes, full);
     }
-    for (std::size_t m0 = 0; m0 < m; m0 += 32) {
-        const std::size_t rows = m - m0 < 32 ? m - m0 : 32;
-        __m256 mask[4];
-        __m256d lo[4];
-        __m256d hi[4];
-        #pragma GCC unroll 8
-        for (int q = 0; q < 4; ++q) {
-            const std::size_t first = 8 * static_cast<std::size_t>(q);
-            const int w = rows > first ? static_cast<int>(rows - first) : 0;
-            mask[q] = _mm256_castsi256_ps(
-                _mm256_cmpgt_epi32(_mm256_set1_epi32(w), iota));
-            const __m256 init =
-                bias != nullptr && w > 0
-                    ? _mm256_maskload_ps(bias + m0 + first,
-                                         _mm256_castps_si256(mask[q]))
-                    : _mm256_setzero_ps();
-            lo[q] = _mm256_cvtps_pd(_mm256_castps256_ps128(init));
-            hi[q] = _mm256_cvtps_pd(_mm256_extractf128_ps(init, 1));
-        }
-        const float* base = a + m0 * k;
-        for (std::size_t r = 0; r < k; ++r) {
-            const __m256d bv = _mm256_set1_pd(static_cast<double>(b[r]));
-            #pragma GCC unroll 8
-            for (int q = 0; q < 4; ++q) {
-                const __m256 av = _mm256_mask_i32gather_ps(
-                    _mm256_setzero_ps(), base + r, idx[q], mask[q], 4);
-                lo[q] = _mm256_add_pd(
-                    lo[q],
-                    _mm256_mul_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(av)),
-                                  bv));
-                hi[q] = _mm256_add_pd(
-                    hi[q],
-                    _mm256_mul_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(av, 1)),
-                                  bv));
-            }
-        }
-        #pragma GCC unroll 8
-        for (int q = 0; q < 4; ++q) {
-            const std::size_t first = 8 * static_cast<std::size_t>(q);
-            if (rows > first) {
-                const __m256 out =
-                    _mm256_set_m128(_mm256_cvtpd_ps(hi[q]),
-                                    _mm256_cvtpd_ps(lo[q]));
-                _mm256_maskstore_ps(c + m0 + first,
-                                    _mm256_castps_si256(mask[q]), out);
-            }
-        }
+    switch ((m - m0) / 8) {
+    case 3: f32_gemv_rows<3>(a, b, bias, c, k, m0, lanes, full); break;
+    case 2: f32_gemv_rows<2>(a, b, bias, c, k, m0, lanes, full); break;
+    case 1: f32_gemv_rows<1>(a, b, bias, c, k, m0, lanes, full); break;
+    default: break;
+    }
+    m0 += (m - m0) / 8 * 8;
+    if (m0 < m) {
+        const __m256i tail = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(static_cast<int>(m - m0)), iota);
+        f32_gemv_rows<1>(a, b, bias, c, k, m0, lanes, tail);
     }
 }
 #endif

@@ -126,10 +126,11 @@ inline std::uint64_t shift_transitions(const std::uint64_t* cur,
 #define DVAFS_VEC_HAVE_F32_TILE 1
 // The 8 x 24 tile as 8 rows x G zmm accumulators of eight doubles (24 of
 // the 32 registers at G = 3): per k step, G masked vcvtps2pd loads of the
-// B row, then per row one broadcast and vmulpd + vaddpd -- the scalar
-// tile's exact op sequence (no FMA). Column tails mask the loads and the
-// stores; rows past mb are computed on the panel's zero padding and
-// dropped.
+// B row, then per row one broadcast and one vfmadd231pd per accumulator.
+// The product of two floats is exact in double, so the fused op rounds to
+// the scalar tile's separate multiply and add bit for bit (cnn/gemm.h).
+// Column tails mask the loads and the stores; rows past mb are computed
+// on the panel's zero padding and dropped.
 template <int G>
 inline void f32_tile_cols(const double* panel, const float* b, float* c,
                           std::size_t k, std::size_t n, std::size_t mb,
@@ -165,8 +166,7 @@ inline void f32_tile_cols(const double* panel, const float* b, float* c,
             const __m512d av = _mm512_set1_pd(ap[i]);
             #pragma GCC unroll 8
             for (int g = 0; g < G; ++g) {
-                acc[i][g] =
-                    _mm512_add_pd(acc[i][g], _mm512_mul_pd(av, bv[g]));
+                acc[i][g] = _mm512_fmadd_pd(av, bv[g], acc[i][g]);
             }
         }
     }
@@ -201,9 +201,10 @@ inline void f32_tile(const double* panel, const float* b, float* c,
 #define DVAFS_VEC_HAVE_F32_GEMV 1
 // n == 1: eight rows per zmm, four zmm (32 rows) in flight. Per k step a
 // masked 8-lane gather pulls column r of eight row-major weight rows,
-// vcvtps2pd widens it, and one broadcast b[r] feeds vmulpd + vaddpd --
-// per row the scalar kernel's sequence. Gather indices are 32-bit lane
-// offsets (row * k, up to 31 * k < 2^31 under the driver's k bound).
+// vcvtps2pd widens it, and one broadcast b[r] feeds a vfmadd231pd -- per
+// row the scalar kernel's sum, rounded once per step exactly as its
+// separate multiply and add round (cnn/gemm.h). Gather indices are 32-bit
+// lane offsets (row * k, up to 31 * k < 2^31 under the driver's k bound).
 inline void f32_gemv(const float* a, const float* b, const float* bias,
                      float* c, std::size_t m, std::size_t k)
 {
@@ -240,7 +241,7 @@ inline void f32_gemv(const float* a, const float* b, const float* bias,
                 const __m512d av =
                     _mm512_cvtps_pd(_mm256_mmask_i32gather_ps(
                         _mm256_setzero_ps(), mask[q], idx[q], base + r, 4));
-                acc[q] = _mm512_add_pd(acc[q], _mm512_mul_pd(av, bv));
+                acc[q] = _mm512_fmadd_pd(av, bv, acc[q]);
             }
         }
         #pragma GCC unroll 8

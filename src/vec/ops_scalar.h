@@ -73,7 +73,8 @@ inline void transpose64(std::uint64_t x[64])
 // stride n. Only the first mb rows are stored. Per element: start value,
 // then acc += a * b in double with k ascending, separate mul and add --
 // the accumulation contract every overlay must match bit for bit (the
-// build disables FP contraction globally).
+// build disables FP contraction globally, so this stays two ops; the
+// vector overlays fuse them with an explicit FMA, exact per cnn/gemm.h).
 inline void f32_tile(const double* panel, const float* b, float* c,
                      std::size_t k, std::size_t n, std::size_t mb,
                      std::size_t nb)

@@ -23,11 +23,13 @@
 //
 // Contract: every backend is bit-identical to the scalar overlay. Integer
 // ops are exact, so any evaluation order is fine; the float kernels must
-// reproduce the scalar overlay's operation sequence per output element
-// (double accumulation, k ascending, separate mul and add -- the build
-// sets -ffp-contract=off so no backend ever fuses -- and for the
-// quantizer one IEEE divide, floor/ceil, clamp and multiply in double,
-// all exactly rounded in every ISA). tests/test_vec.cpp
+// reproduce the scalar overlay's rounding sequence per output element
+// (double accumulation, k ascending, one rounding per multiply-add step:
+// the scalar overlay multiplies and adds, the vector overlays use one
+// explicit FMA, which cnn/gemm.h shows is exact for float products; the
+// build sets -ffp-contract=off so the compiler never fuses on its own --
+// and for the quantizer one IEEE divide, floor/ceil, clamp and multiply
+// in double, all exactly rounded in every ISA). tests/test_vec.cpp
 // enforces this differentially; the throughput benches re-check it on
 // their own workloads before timing.
 //

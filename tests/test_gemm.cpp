@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -46,19 +47,44 @@ void expect_float_equal(const tensor& a, const tensor& b,
 }
 
 // Gaussian operands with the IEEE corner values mixed in: signed zeros
-// (about 1 in 8), and a few infinities and NaNs (about 1 in 300 each way).
+// (about 1 in 8), a few infinities and NaNs (about 1 in 300 each way),
+// +-FLT_MAX (whose products reach 2^256 and whose sums overflow the float
+// output) and subnormals and +-FLT_MIN (products down to 2^-298).
 void fill_with_specials(std::span<float> v, pcg32& rng)
 {
     const float inf = std::numeric_limits<float>::infinity();
     const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float big = std::numeric_limits<float>::max();
+    const float tiny = std::numeric_limits<float>::min();
     for (float& x : v) {
         const std::uint32_t r = rng.bounded(1200);
+        const float sign = rng.bounded(2) == 0 ? 1.0F : -1.0F;
         x = r < 75    ? 0.0F
             : r < 150 ? -0.0F
             : r < 152 ? inf
             : r < 154 ? -inf
             : r < 156 ? nan
-                      : static_cast<float>(rng.gaussian(0.0, 0.5));
+            : r < 159 ? sign * big
+            : r < 161 ? sign * tiny
+            : r < 166
+                ? sign * std::bit_cast<float>(1U + rng.bounded(0x7fffffU))
+                : static_cast<float>(rng.gaussian(0.0, 0.5));
+    }
+}
+
+// Order-sensitive operands: a quarter are +-2^30, the rest Gaussian. The
+// +-2^60 products cancel exactly, and while the accumulator holds one of
+// them it rounds smaller terms to its ulp, so the float output depends on
+// the order and the width of the k reduction. Gaussian data alone would
+// almost never show a reordered or narrowed reduction: its double
+// rounding errors stay far below a float ulp.
+void fill_cancelling(std::span<float> v, pcg32& rng)
+{
+    for (float& x : v) {
+        const std::uint32_t r = rng.bounded(8);
+        x = r == 0   ? 0x1p30F
+            : r == 1 ? -0x1p30F
+                     : static_cast<float>(rng.gaussian(0.0, 0.5));
     }
 }
 
@@ -94,8 +120,8 @@ std::vector<float> naive_gemm(const std::vector<float>& a,
 }
 
 // Every available backend's float GEMM against the naive loop, bit for
-// bit (signed zeros and infinities included; NaN for NaN), over the tile
-// edges:
+// bit (signed zeros and infinities included; NaN for NaN), on Gaussian,
+// IEEE-corner and cancelling operands, over the tile edges:
 // m around the 8-row panel, n around the 24-column tile and the n == 1
 // matrix-vector path, k from the bias-only 0 up to a deep 433.
 TEST(gemm, matches_naive_triple_loop)
@@ -111,19 +137,22 @@ TEST(gemm, matches_naive_triple_loop)
         }
     }
     pcg32 rng(11);
+    const char* const mode_names[] = {"", " specials", " cancelling"};
     for (const auto [m, k, n] : shapes) {
-        for (const bool specials : {false, true}) {
+        for (int mode = 0; mode < 3; ++mode) {
             std::vector<float> a(m * k);
             std::vector<float> b(k * n);
             std::vector<float> bias(m);
-            if (specials) {
-                fill_with_specials(a, rng);
-                fill_with_specials(b, rng);
-                fill_with_specials(bias, rng);
-            } else {
-                fill_gaussian(a, rng);
-                fill_gaussian(b, rng);
-                fill_gaussian(bias, rng);
+            for (const std::span<float> v :
+                 {std::span<float>(a), std::span<float>(b),
+                  std::span<float>(bias)}) {
+                if (mode == 1) {
+                    fill_with_specials(v, rng);
+                } else if (mode == 2) {
+                    fill_cancelling(v, rng);
+                } else {
+                    fill_gaussian(v, rng);
+                }
             }
             const float* const biases[] = {bias.data(), nullptr};
             for (const float* bp : biases) {
@@ -143,7 +172,7 @@ TEST(gemm, matches_naive_triple_loop)
                     for (std::size_t e = 0; e < c.size(); ++e) {
                         ASSERT_TRUE(same_bits(c[e], want[e]))
                             << vec::isa_name(level) << " " << m << "x" << k
-                            << "x" << n << (specials ? " specials" : "")
+                            << "x" << n << mode_names[mode]
                             << (bp == nullptr ? " no bias" : "") << " @ ("
                             << e / n << "," << e % n << "): " << c[e]
                             << " vs " << want[e];
@@ -151,6 +180,63 @@ TEST(gemm, matches_naive_triple_loop)
                 }
             }
         }
+    }
+}
+
+// Any finite float, drawn to cover every binade: subnormals, FLT_MIN,
+// FLT_MAX and signed zeros at fixed odds, otherwise uniform bit patterns
+// with a finite exponent.
+float any_finite_float(pcg32& rng)
+{
+    const std::uint32_t sign = rng.bounded(2) << 31;
+    const std::uint32_t r = rng.bounded(16);
+    const std::uint32_t bits =
+        r == 0   ? 0U
+        : r == 1 ? std::bit_cast<std::uint32_t>(
+                       std::numeric_limits<float>::max())
+        : r == 2 ? std::bit_cast<std::uint32_t>(
+                       std::numeric_limits<float>::min())
+        : r < 5  ? 1U + rng.bounded(0x7fffffU) // subnormal
+                 : rng.bounded(0x7f800000U);   // any finite magnitude
+    return std::bit_cast<float>(sign | bits);
+}
+
+// The exactness argument in cnn/gemm.h, checked: for float operands the
+// product is exact in double, so one fused multiply-add rounds to the
+// contract's separate multiply and add bit for bit. Accumulators are the
+// values the contract reaches: a float bias plus earlier float products,
+// zeros of either sign, and the exact negation of the product (whose zero
+// sum takes its sign from the addition rule in both forms).
+TEST(gemm, fused_multiply_add_matches_separate_ops_property)
+{
+    pcg32 rng(2718);
+    for (int trial = 0; trial < 200000; ++trial) {
+        const float a = any_finite_float(rng);
+        const float b = any_finite_float(rng);
+        const double p = static_cast<double>(a) * static_cast<double>(b);
+        double c = 0.0;
+        switch (rng.bounded(4)) {
+        case 0:
+            c = rng.bounded(2) == 0 ? 0.0 : -0.0;
+            break;
+        case 1:
+            c = -p;
+            break;
+        default:
+            c = static_cast<double>(any_finite_float(rng));
+            for (std::uint32_t s = rng.bounded(6); s > 0; --s) {
+                c += static_cast<double>(any_finite_float(rng))
+                     * static_cast<double>(any_finite_float(rng));
+            }
+            break;
+        }
+        const double fused =
+            std::fma(static_cast<double>(a), static_cast<double>(b), c);
+        const double separate = c + p;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(fused),
+                  std::bit_cast<std::uint64_t>(separate))
+            << std::hexfloat << "a " << a << " b " << b << " c " << c
+            << ": fma " << fused << " vs " << separate;
     }
 }
 
@@ -323,6 +409,33 @@ TEST(gemm_forward, network_forward_matches_reference_end_to_end)
                                "float " + tag);
             expect_float_equal(net.forward(in, mixed), want_mixed,
                                "mixed " + tag);
+        }
+    }
+    // The zoo's Gaussian weights hide a reordered or narrowed k
+    // reduction (see fill_cancelling); a conv and an fc network on
+    // cancelling weights, biases and inputs show it. Shapes put the conv
+    // on full and tail 24-column tiles and the fc on full, partial and
+    // tail row groups.
+    pcg32 rng(321);
+    auto conv = std::make_unique<conv_layer>("c", 16, 6, 3, 1, 1);
+    fill_cancelling(*conv->weights(), rng);
+    fill_cancelling(conv->biases(), rng);
+    auto fc = std::make_unique<fc_layer>("f", 77, 300);
+    fill_cancelling(*fc->weights(), rng);
+    fill_cancelling(fc->biases(), rng);
+    network conv_net("cancel_conv", tensor_shape{6, 10, 10});
+    conv_net.add(std::move(conv));
+    network fc_net("cancel_fc", tensor_shape{300, 1, 1});
+    fc_net.add(std::move(fc));
+    for (const network* net : {&conv_net, &fc_net}) {
+        tensor in(net->input_shape());
+        fill_cancelling(in.flat(), rng);
+        const std::vector<layer_quant> overlay(net->depth());
+        const tensor want = net->reference_forward(in, overlay);
+        for (const vec::isa level : vec::available()) {
+            ASSERT_TRUE(vec::force_isa(level));
+            expect_float_equal(net->forward(in, overlay), want,
+                               net->name() + " " + vec::isa_name(level));
         }
     }
 }

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace dvafs {
 namespace {
@@ -144,6 +148,66 @@ TEST(maxpool_layer, picks_window_max)
     ASSERT_EQ(out.shape(), (tensor_shape{1, 1, 2}));
     EXPECT_EQ(out.at(0, 0, 0), 4.0F);
     EXPECT_EQ(out.at(0, 0, 1), -1.0F);
+}
+
+// The row-pointer forward against the tensor::at reference loop, bit for
+// bit: NaN taps (skipped by std::max), signed zeros (the first of two
+// wins, so tap order shows) and -inf (equal to the start value), on
+// 2x2/s2, 3x3/s2 and 3x3/s1 windows over ragged inputs; plus a quantized
+// input on finite data.
+TEST(maxpool_layer, forward_matches_reference_bitwise)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    pcg32 rng(77);
+    const std::array<std::array<int, 2>, 3> windows = {
+        {{2, 2}, {3, 2}, {3, 1}}};
+    for (const auto [size, stride] : windows) {
+        for (const tensor_shape is :
+             {tensor_shape{1, 3, 3}, tensor_shape{2, 4, 7},
+              tensor_shape{3, 9, 8}, tensor_shape{5, 13, 13}}) {
+            const maxpool_layer p("p", size, stride);
+            tensor in(is);
+            // Mostly zeros and negatives, so many windows peak at a zero
+            // of either sign and the tap order decides which one.
+            for (float& v : in.flat()) {
+                const std::uint32_t r = rng.bounded(16);
+                v = r == 0   ? nan
+                    : r < 5  ? 0.0F
+                    : r < 9  ? -0.0F
+                    : r == 9 ? -inf
+                             : static_cast<float>(rng.uniform(-1.0, 0.2));
+            }
+            // A window of nothing but NaN and -inf yields -inf.
+            in.at(0, 0, 0) = nan;
+            in.at(0, 0, 1) = -inf;
+            in.at(0, 1, 0) = nan;
+            in.at(0, 1, 1) = nan;
+            const tensor got = p.forward(in, {});
+            const tensor want = p.reference_forward(in, {});
+            ASSERT_EQ(got.shape(), want.shape());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(got.flat()[i]),
+                          std::bit_cast<std::uint32_t>(want.flat()[i]))
+                    << size << "x" << size << "/s" << stride << " element "
+                    << i << ": " << got.flat()[i] << " vs "
+                    << want.flat()[i];
+            }
+            for (float& v : in.flat()) {
+                if (!std::isfinite(v)) {
+                    v = 0.5F;
+                }
+            }
+            const layer_quant q{.weight_bits = 0, .input_bits = 4};
+            const tensor gq = p.forward(in, q);
+            const tensor wq = p.reference_forward(in, q);
+            for (std::size_t i = 0; i < gq.size(); ++i) {
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(gq.flat()[i]),
+                          std::bit_cast<std::uint32_t>(wq.flat()[i]))
+                    << "quantized element " << i;
+            }
+        }
+    }
 }
 
 TEST(maxpool_layer, rejects_input_smaller_than_window)

@@ -196,6 +196,50 @@ TEST_P(planner_properties, plan_is_bit_identical_across_thread_counts)
     }
 }
 
+TEST_P(planner_properties, priced_frontiers_identical_across_probe_threads)
+{
+    // The loss-pricing probes' worker count (the runtime passes its sweep
+    // workers) changes how images are spread, never a frontier value.
+    // These seeds give networks whose frontiers keep points below a
+    // layer's requirement, so the probes run (checked at the end).
+    const network net = random_network(GetParam() * 3 + 4);
+    const quant_sweep_config qcfg = sweep_config();
+    planner_config cfg = fast_planner_config();
+    cfg.accuracy_budget = 0.2;
+    const precision_planner planner(model, cfg);
+    const teacher_dataset data = make_teacher_dataset(net, qcfg);
+    const auto reqs = refine_requirements(
+        net, sweep_layer_precision(net, data, qcfg), data, qcfg);
+    const auto sparsity = measure_sparsity(net, data);
+    const std::vector<layer_frontier> one =
+        planner.layer_frontiers(net, reqs, sparsity, &data, 1);
+    const std::vector<layer_frontier> three =
+        planner.layer_frontiers(net, reqs, sparsity, &data, 3);
+    ASSERT_EQ(one.size(), three.size());
+    std::size_t priced = 0; // points below a requirement: loss probed
+    for (std::size_t i = 0; i < one.size(); ++i) {
+        EXPECT_EQ(one[i].layer_name, three[i].layer_name);
+        EXPECT_EQ(one[i].layer_index, three[i].layer_index);
+        EXPECT_EQ(one[i].required_bits, three[i].required_bits);
+        ASSERT_EQ(one[i].points.size(), three[i].points.size())
+            << one[i].layer_name;
+        for (std::size_t j = 0; j < one[i].points.size(); ++j) {
+            const layer_frontier_point& a = one[i].points[j];
+            const layer_frontier_point& b = three[i].points[j];
+            EXPECT_EQ(a.mode_point, b.mode_point);
+            EXPECT_TRUE(a.spec == b.spec) << one[i].layer_name;
+            EXPECT_EQ(a.activity_divisor, b.activity_divisor);
+            EXPECT_EQ(a.mode.vdd, b.mode.vdd);
+            EXPECT_EQ(a.mode.f_mhz, b.mode.f_mhz);
+            EXPECT_EQ(a.energy_mj, b.energy_mj);
+            EXPECT_EQ(a.time_ms, b.time_ms);
+            EXPECT_EQ(a.accuracy_loss, b.accuracy_loss);
+            priced += a.spec.keep_bits < one[i].required_bits ? 1U : 0U;
+        }
+    }
+    EXPECT_GT(priced, 0U);
+}
+
 TEST_P(planner_properties, relaxing_the_budget_never_increases_energy)
 {
     const network net = random_network(GetParam() * 29 + 11);

@@ -167,20 +167,40 @@ bool same_bits(float x, float y)
 }
 
 // Uniform values with signed zeros (1 in 8) and, when `specials`, a few
-// infinities and NaNs mixed in.
+// infinities, NaNs, +-FLT_MAX, +-FLT_MIN and subnormals mixed in.
 void fill_float_operands(std::vector<float>& v, pcg32& rng, double span,
                          bool specials)
 {
     const float inf = std::numeric_limits<float>::infinity();
+    const float big = std::numeric_limits<float>::max();
+    const float tiny = std::numeric_limits<float>::min();
     for (float& x : v) {
         const std::uint32_t r = rng.bounded(1200);
+        const float sign = r % 2 == 0 ? 1.0F : -1.0F;
         x = r < 75                ? 0.0F
             : r < 150             ? -0.0F
-            : !specials || r >= 156
+            : !specials || r >= 166
                 ? static_cast<float>(rng.uniform(-span, span))
             : r < 152 ? inf
             : r < 154 ? -inf
-                      : std::numeric_limits<float>::quiet_NaN();
+            : r < 156 ? std::numeric_limits<float>::quiet_NaN()
+            : r < 159 ? sign * big
+            : r < 161 ? sign * tiny
+                      : sign * std::bit_cast<float>(
+                          1U + rng.bounded(0x7fffffU));
+    }
+}
+
+// Order-sensitive operands (see fill_cancelling in test_gemm.cpp): a
+// quarter are +-2^30, whose exactly cancelling products make the float
+// output depend on the order and width of the k reduction.
+void fill_cancelling(std::vector<float>& v, pcg32& rng)
+{
+    for (float& x : v) {
+        const std::uint32_t r = rng.bounded(8);
+        x = r == 0   ? 0x1p30F
+            : r == 1 ? -0x1p30F
+                     : static_cast<float>(rng.uniform(-2.0, 2.0));
     }
 }
 
@@ -198,14 +218,22 @@ TEST_F(vec_test, gemm_f32_bit_identical)
         }
     }
     pcg32 rng(404);
+    const char* const mode_names[] = {"", " specials", " cancelling"};
     for (const gemm_shape& sh : shapes) {
-        for (const bool specials : {false, true}) {
+        for (int mode = 0; mode < 3; ++mode) {
             std::vector<float> a(sh.m * sh.k);
             std::vector<float> b(sh.k * sh.n);
             std::vector<float> bias(sh.m);
-            fill_float_operands(a, rng, 2.0, specials);
-            fill_float_operands(b, rng, 2.0, specials);
-            fill_float_operands(bias, rng, 1.0, specials);
+            if (mode == 2) {
+                fill_cancelling(a, rng);
+                fill_cancelling(b, rng);
+                fill_cancelling(bias, rng);
+            } else {
+                const bool specials = mode == 1;
+                fill_float_operands(a, rng, 2.0, specials);
+                fill_float_operands(b, rng, 2.0, specials);
+                fill_float_operands(bias, rng, 1.0, specials);
+            }
             const float* const biases[] = {bias.data(), nullptr};
             for (const float* bp : biases) {
                 std::vector<float> ref(sh.m * sh.n);
@@ -220,7 +248,7 @@ TEST_F(vec_test, gemm_f32_bit_identical)
                         ASSERT_TRUE(same_bits(c[e], ref[e]))
                             << vec::isa_name(level) << " " << sh.m << "x"
                             << sh.k << "x" << sh.n
-                            << (specials ? " specials" : "")
+                            << mode_names[mode]
                             << (bp == nullptr ? " no bias" : "")
                             << " element " << e << ": " << c[e] << " vs "
                             << ref[e];
