@@ -1,11 +1,9 @@
 // The AVX-512 backend (F+BW+VL+VPOPCNTDQ). CMake compiles this TU with
 // the matching -m flags when the compiler has them; otherwise the guard
-// fails and the TU degrades to a nullptr table. The overlay stack is
-// ops_avx512.h over ops_avx2.h over the scalar fallback: AVX-512 only
-// re-overlays the ops where 512-bit vectors, masks or vpopcntq actually
-// win (toggle kernel, masked popcount, float tile and matrix-vector
-// kernel, quantizer, int8 dot); the rest reuse
-// the AVX2 definitions recompiled under this TU's flags.
+// fails and the TU degrades to a nullptr table. The stack is the
+// ops_avx512.h vocabulary (kernels_body.h's vector kernels at W = 8),
+// then ops_avx2.h, whose vocabulary steps aside and whose AVX2-only
+// bodies recompile under this TU's flags, then the scalar reference.
 
 #include "vec/backend_prelude.h"
 
@@ -30,7 +28,6 @@ namespace avx512 {
 
 #include "vec/ops_avx512.h"   // NOLINT(bugprone-suspicious-include)
 #include "vec/ops_avx2.h"     // NOLINT(bugprone-suspicious-include)
-#include "vec/ops_scalar.h"   // NOLINT(bugprone-suspicious-include)
 #include "vec/kernels_body.h" // NOLINT(bugprone-suspicious-include)
 
 #else

@@ -13,7 +13,6 @@ namespace neon {
 #define DVAFS_VEC_BACKEND_LEVEL ::dvafs::vec::isa::neon
 
 #include "vec/ops_neon.h"     // NOLINT(bugprone-suspicious-include)
-#include "vec/ops_scalar.h"   // NOLINT(bugprone-suspicious-include)
 #include "vec/kernels_body.h" // NOLINT(bugprone-suspicious-include)
 
 #else

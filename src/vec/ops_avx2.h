@@ -1,104 +1,183 @@
-// AVX2 overlay: 256-bit definitions for the vocabulary ops that profit.
+// AVX2 vocabulary: the ymm vector of four doubles and the ops the vector
+// kernel bodies in kernels_body.h are written against, then the three
+// AVX2-only bodies (transpose64, s8_ctile, s16_dot).
 //
-// Included inside a backend namespace (backend_avx2.cpp, and again under
-// backend_avx512.cpp's namespace for the ops AVX-512 does not re-overlay);
-// no #includes here -- intrinsics come from vec/backend_prelude.h. Every
-// op is bit-identical to the ops_scalar.h fallback: bitwise kernels by
-// construction, the float kernels by replicating the exact per-element
-// double op sequence, the integer kernels because exact integer
-// accumulation is order-free.
+// Included inside a backend namespace: backend_avx2.cpp, and
+// backend_avx512.cpp after ops_avx512.h, whose vocabulary then stands
+// while the AVX2-only bodies recompile under that TU's flags. No
+// #includes here -- intrinsics come from vec/backend_prelude.h. Every
+// body is bit-identical to its ops_scalar.h reference: the bitwise one by
+// construction, the integer ones because exact integer accumulation is
+// order-free.
 
-#ifndef DVAFS_VEC_HAVE_MASKED_POPCOUNT
-#define DVAFS_VEC_HAVE_MASKED_POPCOUNT 1
-// Harley-Seal-free nibble-LUT popcount: pshufb on both nibbles, psadbw
-// against zero to sum bytes per qword.
-inline std::uint64_t masked_popcount(const std::uint64_t* x,
-                                     const std::uint64_t* m, int n)
+#ifndef DVAFS_VEC_HAVE_VOCABULARY
+#define DVAFS_VEC_HAVE_VOCABULARY 1
+
+// FMA is a separate CPUID feature from AVX2 and this TU is built with
+// -mavx2 -mpopcnt only, so fma() and the kernels that call it enable it
+// per function; dispatch.cpp selects this backend only on CPUs that
+// report both.
+#if defined(__GNUC__) || defined(__clang__)
+#define DVAFS_VEC_FMA __attribute__((target("fma")))
+#else
+#define DVAFS_VEC_FMA
+#endif
+
+using vd = __m256d;    // W doubles
+using vi = __m256i;    // W u64 or 2W s32 lanes
+using lmask = __m128i; // int32 lanes for a 4-float vmaskmovps
+using gidx = __m256i;  // 32-bit offsets of eight rows for a gather
+using gmask = __m256i; // int32 lanes of those eight rows
+inline constexpr int W = 4;
+// f32 tile rows: 4 rows x 3 accumulators + 3 B vectors + the broadcast
+// fill the 16 ymm registers.
+inline constexpr int tile_rows = 4;
+
+// Lanes [0, min(w, 4)) set, the rest clear (masked loads and stores
+// neither read nor write clear lanes).
+inline lmask lane_mask(std::size_t w)
+{
+    const int wi = w >= 4 ? 4 : static_cast<int>(w);
+    return _mm_cmpgt_epi32(_mm_set1_epi32(wi), _mm_setr_epi32(0, 1, 2, 3));
+}
+
+// Floats widen to doubles on load and narrow (round to nearest) on store.
+inline vd load_f32(const float* p) { return _mm256_cvtps_pd(_mm_loadu_ps(p)); }
+inline vd load_f32(const float* p, lmask m)
+{
+    return _mm256_cvtps_pd(_mm_maskload_ps(p, m));
+}
+inline void store_f32(float* p, vd v) { _mm_storeu_ps(p, _mm256_cvtpd_ps(v)); }
+inline void store_f32(float* p, vd v, lmask m)
+{
+    _mm_maskstore_ps(p, m, _mm256_cvtpd_ps(v));
+}
+// Truncating double -> int32 store.
+inline void store_i32(std::int32_t* p, vd v, lmask m)
+{
+    _mm_maskstore_epi32(p, m, _mm256_cvttpd_epi32(v));
+}
+
+inline vd splat(double x) { return _mm256_set1_pd(x); }
+DVAFS_VEC_FMA inline vd fma(vd a, vd b, vd c)
+{
+    return _mm256_fmadd_pd(a, b, c);
+}
+inline vd add(vd a, vd b) { return _mm256_add_pd(a, b); }
+inline vd sub(vd a, vd b) { return _mm256_sub_pd(a, b); }
+inline vd mul(vd a, vd b) { return _mm256_mul_pd(a, b); }
+inline vd div(vd a, vd b) { return _mm256_div_pd(a, b); }
+inline vd min(vd a, vd b) { return _mm256_min_pd(a, b); }
+inline vd max(vd a, vd b) { return _mm256_max_pd(a, b); }
+inline vd floor(vd a)
+{
+    return _mm256_round_pd(a, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+}
+inline vd ceil(vd a)
+{
+    return _mm256_round_pd(a, _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
+}
+// Per lane: s >= 0 (-0.0 included) ? a : b.
+inline vd select_nonneg(vd s, vd a, vd b)
+{
+    return _mm256_blendv_pd(b, a,
+                            _mm256_cmp_pd(s, _mm256_setzero_pd(), _CMP_GE_OQ));
+}
+inline bool any_nan(vd a)
+{
+    return _mm256_movemask_pd(_mm256_cmp_pd(a, a, _CMP_UNORD_Q)) != 0;
+}
+
+inline gidx gather_index(std::size_t k)
+{
+    return _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                              _mm256_set1_epi32(static_cast<int>(k)));
+}
+// vgatherdps merges into its destination, so each gather starts from a
+// zeroed register; with an all-ones mask known at compile time GCC drops
+// that zeroing and chains a k loop's gathers through the one register
+// they share (half the speed), hence the empty asm that hides the value.
+inline gmask gather_mask(std::size_t rows)
+{
+    const int ri = rows >= 8 ? 8 : static_cast<int>(rows);
+    gmask m = _mm256_cmpgt_epi32(_mm256_set1_epi32(ri),
+                                 _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+#if defined(__GNUC__) || defined(__clang__)
+    __asm__("" : "+x"(m));
+#endif
+    return m;
+}
+// Eight floats base[idx[j]] (lanes past the mask read nothing, give 0),
+// widened to two vectors of doubles.
+inline void gather8(vd out[2], const float* base, gidx idx, gmask m)
+{
+    const __m256 v = _mm256_mask_i32gather_ps(
+        _mm256_setzero_ps(), base, idx, _mm256_castsi256_ps(m), 4);
+    out[0] = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
+    out[1] = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
+}
+
+inline vi load_u64(const std::uint64_t* p)
+{
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+inline vi and_u64(vi a, vi b) { return _mm256_and_si256(a, b); }
+inline vi or_u64(vi a, vi b) { return _mm256_or_si256(a, b); }
+inline vi xor_u64(vi a, vi b) { return _mm256_xor_si256(a, b); }
+inline vi shl_u64(vi a, int s) { return _mm256_slli_epi64(a, s); }
+inline vi shr_u64(vi a, int s) { return _mm256_srli_epi64(a, s); }
+// [first, w0, w1, w2]: each lane's left neighbour (a qword rotation with
+// `first` blended into lane 0).
+inline vi shift_in(vi w, std::uint64_t first)
+{
+    return _mm256_blend_epi32(
+        _mm256_permute4x64_epi64(w, 0x90),
+        _mm256_set1_epi64x(static_cast<long long>(first)), 0x03);
+}
+// Nibble-LUT popcount: pshufb on both nibbles, psadbw against zero sums
+// the bytes of each qword.
+inline vi popcount_u64(vi a)
 {
     const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2,
                                          3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2,
                                          2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
     const __m256i low4 = _mm256_set1_epi8(0x0f);
-    __m256i acc = _mm256_setzero_si256();
-    int k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const __m256i v = _mm256_and_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + k)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m + k)));
-        const __m256i lo =
-            _mm256_shuffle_epi8(lut, _mm256_and_si256(v, low4));
-        const __m256i hi = _mm256_shuffle_epi8(
-            lut, _mm256_and_si256(_mm256_srli_epi16(v, 4), low4));
-        acc = _mm256_add_epi64(
-            acc, _mm256_sad_epu8(_mm256_add_epi8(lo, hi),
-                                 _mm256_setzero_si256()));
-    }
-    const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(acc),
-                                    _mm256_extracti128_si256(acc, 1));
-    std::uint64_t total =
-        static_cast<std::uint64_t>(_mm_cvtsi128_si64(s))
-        + static_cast<std::uint64_t>(_mm_extract_epi64(s, 1));
-    for (; k < n; ++k) {
-        total += static_cast<std::uint64_t>(
-            __builtin_popcountll(x[k] & m[k]));
-    }
-    return total;
+    const __m256i lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(a, low4));
+    const __m256i hi = _mm256_shuffle_epi8(
+        lut, _mm256_and_si256(_mm256_srli_epi16(a, 4), low4));
+    return _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256());
 }
-#endif
-
-#ifndef DVAFS_VEC_HAVE_SHIFT_TRANSITIONS
-#define DVAFS_VEC_HAVE_SHIFT_TRANSITIONS 1
-// Fused toggle kernel: the lane shift is a qword rotation with the carry
-// blended into lane 0, the popcount the same nibble-LUT + psadbw.
-inline std::uint64_t shift_transitions(const std::uint64_t* cur,
-                                       const std::uint64_t* mask, int n,
-                                       std::uint64_t carry_in)
+inline vi add_u64(vi a, vi b) { return _mm256_add_epi64(a, b); }
+inline std::uint64_t reduce_u64(vi v)
 {
-    const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2,
-                                         3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2,
-                                         2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-    const __m256i low4 = _mm256_set1_epi8(0x0f);
-    __m256i acc = _mm256_setzero_si256();
-    std::uint64_t carry = carry_in;
-    int k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const __m256i w = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(cur + k));
-        const __m256i mk = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(mask + k));
-        // prev = [carry<<63, w0, w1, w2]: each qword's left neighbour, so
-        // (prev >> 63) is the bit shifted into each qword's bit 0.
-        const __m256i rot = _mm256_permute4x64_epi64(w, 0x90);
-        const __m256i prev = _mm256_blend_epi32(
-            rot, _mm256_set1_epi64x(static_cast<long long>(carry << 63)),
-            0x03);
-        carry = cur[k + 3] >> 63;
-        const __m256i shifted = _mm256_or_si256(
-            _mm256_slli_epi64(w, 1), _mm256_srli_epi64(prev, 63));
-        const __m256i x =
-            _mm256_and_si256(_mm256_xor_si256(w, shifted), mk);
-        const __m256i lo =
-            _mm256_shuffle_epi8(lut, _mm256_and_si256(x, low4));
-        const __m256i hi = _mm256_shuffle_epi8(
-            lut, _mm256_and_si256(_mm256_srli_epi16(x, 4), low4));
-        acc = _mm256_add_epi64(
-            acc, _mm256_sad_epu8(_mm256_add_epi8(lo, hi),
-                                 _mm256_setzero_si256()));
-    }
-    const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(acc),
-                                    _mm256_extracti128_si256(acc, 1));
-    std::uint64_t total =
-        static_cast<std::uint64_t>(_mm_cvtsi128_si64(s))
-        + static_cast<std::uint64_t>(_mm_extract_epi64(s, 1));
-    for (; k < n; ++k) {
-        const std::uint64_t shifted = (cur[k] << 1) | carry;
-        carry = cur[k] >> 63;
-        total += static_cast<std::uint64_t>(
-            __builtin_popcountll((cur[k] ^ shifted) & mask[k]));
-    }
-    return total;
+    const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(v),
+                                    _mm256_extracti128_si256(v, 1));
+    return static_cast<std::uint64_t>(_mm_cvtsi128_si64(s))
+           + static_cast<std::uint64_t>(_mm_extract_epi64(s, 1));
 }
-#endif
+
+// 4W int8 pairs: widened to int16, vpmaddwd sums adjacent products into
+// 2W int32 lanes (exact: the 0x8000 * 0x8000 corner is unreachable from
+// int8).
+inline vi madd_s8(const std::int8_t* x, const std::int8_t* y)
+{
+    return _mm256_madd_epi16(
+        _mm256_cvtepi8_epi16(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(x))),
+        _mm256_cvtepi8_epi16(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(y))));
+}
+inline vi add_s32(vi a, vi b) { return _mm256_add_epi32(a, b); }
+inline std::int32_t reduce_s32(vi v)
+{
+    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
+                              _mm256_extracti128_si256(v, 1));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4E));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xB1));
+    return _mm_cvtsi128_si32(s);
+}
+
+#endif // DVAFS_VEC_HAVE_VOCABULARY
 
 #ifndef DVAFS_VEC_HAVE_TRANSPOSE64
 #define DVAFS_VEC_HAVE_TRANSPOSE64 1
@@ -141,276 +220,6 @@ inline void transpose64(std::uint64_t x[64])
             x[k + j] ^= t;
         }
     }
-}
-#endif
-
-// The float kernels below fuse each multiply-add into one FMA, which is
-// exact here (cnn/gemm.h). FMA is a separate CPUID feature from AVX2 and
-// the AVX2 TU is built with -mavx2 -mpopcnt only, so those kernels enable
-// it per function; the dispatcher selects this backend only on CPUs that
-// report both (dispatch.cpp).
-#if defined(__GNUC__) || defined(__clang__)
-#define DVAFS_VEC_FMA __attribute__((target("fma")))
-#else
-#define DVAFS_VEC_FMA
-#endif
-
-// Lane mask for a 4-float vmaskmovps: lanes [0, min(w, 4)) set, the rest
-// clear (masked loads and stores neither read nor write clear lanes).
-inline __m128i f32_lane_mask(std::size_t w)
-{
-    const int wi = w >= 4 ? 4 : static_cast<int>(w);
-    return _mm_cmpgt_epi32(_mm_set1_epi32(wi), _mm_setr_epi32(0, 1, 2, 3));
-}
-
-#ifndef DVAFS_VEC_HAVE_F32_TILE
-#define DVAFS_VEC_HAVE_F32_TILE 1
-// A 4 x 4G block of the 8 x 24 tile (G <= 3): 4 rows x G accumulators of
-// four doubles -- 12 of the 16 ymm registers at G = 3. Per k step, G
-// loads widened by vcvtps2pd, then per row one broadcast and one
-// vfmadd231pd per accumulator, bit for bit the scalar tile's multiply and
-// add. Only the last group of a column tail (Tail) masks its load and
-// store, which keeps the full blocks free of mask registers.
-template <int G, bool Tail>
-DVAFS_VEC_FMA
-inline void f32_block(const double* panel, std::size_t row0,
-                      const float* b, float* c, std::size_t k,
-                      std::size_t n, std::size_t rows, std::size_t cols)
-{
-    const __m128i mask = f32_lane_mask(cols - 4 * (G - 1));
-    __m256d acc[4][G];
-    #pragma GCC unroll 8
-    for (int i = 0; i < 4; ++i) {
-        const __m256d init = _mm256_set1_pd(panel[row0 + i]);
-        #pragma GCC unroll 8
-        for (int g = 0; g < G; ++g) {
-            acc[i][g] = init;
-        }
-    }
-    const double* ap = panel + 8 + row0;
-    for (std::size_t r = 0; r < k; ++r, ap += 8) {
-        const float* brow = b + r * n;
-        __m256d bv[G];
-        #pragma GCC unroll 8
-        for (int g = 0; g < G; ++g) {
-            bv[g] = _mm256_cvtps_pd(
-                Tail && g == G - 1 ? _mm_maskload_ps(brow + 4 * g, mask)
-                                   : _mm_loadu_ps(brow + 4 * g));
-        }
-        #pragma GCC unroll 8
-        for (int i = 0; i < 4; ++i) {
-            const __m256d av = _mm256_broadcast_sd(ap + i);
-            #pragma GCC unroll 8
-            for (int g = 0; g < G; ++g) {
-                acc[i][g] = _mm256_fmadd_pd(av, bv[g], acc[i][g]);
-            }
-        }
-    }
-    #pragma GCC unroll 8
-    for (int i = 0; i < 4; ++i) {
-        if (static_cast<std::size_t>(i) < rows) {
-            float* const crow = c + static_cast<std::size_t>(i) * n;
-            #pragma GCC unroll 8
-            for (int g = 0; g < G; ++g) {
-                const __m128 out = _mm256_cvtpd_ps(acc[i][g]);
-                if (Tail && g == G - 1) {
-                    _mm_maskstore_ps(crow + 4 * g, mask, out);
-                } else {
-                    _mm_storeu_ps(crow + 4 * g, out);
-                }
-            }
-        }
-    }
-}
-
-// The 8 x 24 tile as up to 2 x 2 blocks of 4 rows x 12 columns.
-DVAFS_VEC_FMA
-inline void f32_tile(const double* panel, const float* b, float* c,
-                     std::size_t k, std::size_t n, std::size_t mb,
-                     std::size_t nb)
-{
-    for (std::size_t row0 = 0; row0 < mb; row0 += 4) {
-        const std::size_t rows = mb - row0 < 4 ? mb - row0 : 4;
-        for (std::size_t col0 = 0; col0 < nb; col0 += 12) {
-            const std::size_t cols = nb - col0 < 12 ? nb - col0 : 12;
-            const float* const bb = b + col0;
-            float* const cb = c + row0 * n + col0;
-            if (cols == 12) {
-                f32_block<3, false>(panel, row0, bb, cb, k, n, rows, cols);
-            } else if (cols > 8) {
-                f32_block<3, true>(panel, row0, bb, cb, k, n, rows, cols);
-            } else if (cols > 4) {
-                f32_block<2, true>(panel, row0, bb, cb, k, n, rows, cols);
-            } else {
-                f32_block<1, true>(panel, row0, bb, cb, k, n, rows, cols);
-            }
-        }
-    }
-}
-#endif
-
-#ifndef DVAFS_VEC_HAVE_F32_GEMV
-#define DVAFS_VEC_HAVE_F32_GEMV 1
-// Q groups of eight rows (Q <= 4) from row m0: per k step each group's
-// 8-lane gather pulls column r of its eight row-major weight rows,
-// vcvtps2pd widens both halves, and one broadcast b[r] feeds a
-// vfmadd231pd per half -- per row the scalar kernel's sum. All groups
-// share one index vector (row offsets 0, k, ..., 7k) and one lane mask;
-// the group base moves in a general register, so the k loop holds eight
-// accumulators, the index, the mask and b[r] -- 11 of the 16 ymm
-// registers. vgatherdps merges into its destination, so each gather
-// starts from a zeroed register; with an all-ones mask known at compile
-// time GCC drops that zeroing and chains the four gathers through the
-// one register they share (half the speed), hence the empty asm that
-// hides the mask's value.
-template <int Q>
-DVAFS_VEC_FMA
-inline void f32_gemv_rows(const float* a, const float* b, const float* bias,
-                          float* c, std::size_t k, std::size_t m0,
-                          __m256i lanes, __m256i mask)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    __asm__("" : "+x"(mask));
-#endif
-    __m256d lo[Q];
-    __m256d hi[Q];
-    #pragma GCC unroll 8
-    for (int q = 0; q < Q; ++q) {
-        const __m256 init =
-            bias != nullptr
-                ? _mm256_maskload_ps(
-                      bias + m0 + 8 * static_cast<std::size_t>(q), mask)
-                : _mm256_setzero_ps();
-        lo[q] = _mm256_cvtps_pd(_mm256_castps256_ps128(init));
-        hi[q] = _mm256_cvtps_pd(_mm256_extractf128_ps(init, 1));
-    }
-    const float* const base = a + m0 * k;
-    const std::size_t group = 8 * k;
-    for (std::size_t r = 0; r < k; ++r) {
-        const __m256d bv = _mm256_set1_pd(static_cast<double>(b[r]));
-        #pragma GCC unroll 8
-        for (int q = 0; q < Q; ++q) {
-            const __m256 av = _mm256_mask_i32gather_ps(
-                _mm256_setzero_ps(),
-                base + static_cast<std::size_t>(q) * group + r, lanes,
-                _mm256_castsi256_ps(mask), 4);
-            lo[q] = _mm256_fmadd_pd(
-                _mm256_cvtps_pd(_mm256_castps256_ps128(av)), bv, lo[q]);
-            hi[q] = _mm256_fmadd_pd(
-                _mm256_cvtps_pd(_mm256_extractf128_ps(av, 1)), bv, hi[q]);
-        }
-    }
-    #pragma GCC unroll 8
-    for (int q = 0; q < Q; ++q) {
-        _mm256_maskstore_ps(c + m0 + 8 * static_cast<std::size_t>(q), mask,
-                            _mm256_set_m128(_mm256_cvtpd_ps(hi[q]),
-                                            _mm256_cvtpd_ps(lo[q])));
-    }
-}
-
-// n == 1: 32 rows (four gathers of eight, eight ymm accumulators of four
-// doubles) in flight, then the remaining full groups of eight in one
-// pass and the last m % 8 rows in a pass of their own -- the only one
-// whose lane mask is not all-ones. Gather indices are 32-bit lane
-// offsets (up to 7 * k < 2^31 under the driver's k bound).
-DVAFS_VEC_FMA
-inline void f32_gemv(const float* a, const float* b, const float* bias,
-                     float* c, std::size_t m, std::size_t k)
-{
-    const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    const __m256i lanes =
-        _mm256_mullo_epi32(iota, _mm256_set1_epi32(static_cast<int>(k)));
-    const __m256i full = _mm256_set1_epi32(-1);
-    std::size_t m0 = 0;
-    for (; m - m0 >= 32; m0 += 32) {
-        f32_gemv_rows<4>(a, b, bias, c, k, m0, lanes, full);
-    }
-    switch ((m - m0) / 8) {
-    case 3: f32_gemv_rows<3>(a, b, bias, c, k, m0, lanes, full); break;
-    case 2: f32_gemv_rows<2>(a, b, bias, c, k, m0, lanes, full); break;
-    case 1: f32_gemv_rows<1>(a, b, bias, c, k, m0, lanes, full); break;
-    default: break;
-    }
-    m0 += (m - m0) / 8 * 8;
-    if (m0 < m) {
-        const __m256i tail = _mm256_cmpgt_epi32(
-            _mm256_set1_epi32(static_cast<int>(m - m0)), iota);
-        f32_gemv_rows<1>(a, b, bias, c, k, m0, lanes, tail);
-    }
-}
-#endif
-
-#ifndef DVAFS_VEC_HAVE_QUANTIZE
-#define DVAFS_VEC_HAVE_QUANTIZE 1
-// Four elements per step: vdivpd, vroundpd toward -inf / +inf picked by
-// the sign of the quotient, vmaxpd/vminpd clamp and + 0.0 -- each the
-// exactly rounded double op of the scalar kernel. A non-finite x is
-// caught with |x| !< inf (unordered-true, so NaN counts) and reported
-// after the loop; its lane's output is unspecified.
-inline bool quantize_f32(const float* x, std::size_t n, double step,
-                         double lo, double hi, float* fake,
-                         std::int32_t* codes)
-{
-    const __m256d vstep = _mm256_set1_pd(step);
-    const __m256d half = _mm256_set1_pd(0.5);
-    const __m256d vlo = _mm256_set1_pd(lo);
-    const __m256d vhi = _mm256_set1_pd(hi);
-    const __m256d zero = _mm256_setzero_pd();
-    const __m128 inf = _mm_set1_ps(__builtin_inff());
-    const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-    __m128 bad = _mm_setzero_ps();
-    for (std::size_t i = 0; i < n; i += 4) {
-        const __m128i mk = f32_lane_mask(n - i);
-        const __m128 xf = _mm_maskload_ps(x + i, mk);
-        bad = _mm_or_ps(bad, _mm_cmp_ps(_mm_and_ps(xf, abs_mask), inf,
-                                        _CMP_NLT_UQ));
-        const __m256d q = _mm256_div_pd(_mm256_cvtps_pd(xf), vstep);
-        const __m256d up = _mm256_round_pd(
-            _mm256_add_pd(q, half), _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
-        const __m256d down = _mm256_round_pd(
-            _mm256_sub_pd(q, half), _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
-        __m256d r = _mm256_blendv_pd(down, up,
-                                     _mm256_cmp_pd(q, zero, _CMP_GE_OQ));
-        r = _mm256_add_pd(_mm256_min_pd(_mm256_max_pd(r, vlo), vhi), zero);
-        if (fake != nullptr) {
-            _mm_maskstore_ps(fake + i, mk,
-                             _mm256_cvtpd_ps(_mm256_mul_pd(r, vstep)));
-        } else {
-            _mm_maskstore_epi32(codes + i, mk, _mm256_cvttpd_epi32(r));
-        }
-    }
-    return _mm_movemask_ps(bad) == 0;
-}
-#endif
-
-#ifndef DVAFS_VEC_HAVE_S8_DOT
-#define DVAFS_VEC_HAVE_S8_DOT 1
-// Widen to int16 and vpmaddwd: 16 MACs per step, exact (int8 products fit
-// int16 pairs in int32 with no saturation corner -- the 0x8000*0x8000
-// pmaddwd case is unreachable from int8 inputs). Per-lane accumulation
-// stays below 2^31 under the k <= 66571 contract.
-inline std::int32_t s8_dot(const std::int8_t* x, const std::int8_t* y,
-                           std::size_t k)
-{
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t r = 0;
-    for (; r + 16 <= k; r += 16) {
-        const __m256i xv = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(x + r)));
-        const __m256i yv = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(y + r)));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xv, yv));
-    }
-    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                              _mm256_extracti128_si256(acc, 1));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4E));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xB1));
-    std::int32_t total = _mm_cvtsi128_si32(s);
-    for (; r < k; ++r) {
-        total += static_cast<std::int32_t>(x[r])
-                 * static_cast<std::int32_t>(y[r]);
-    }
-    return total;
 }
 #endif
 

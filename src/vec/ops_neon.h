@@ -1,30 +1,10 @@
-// NEON (aarch64) overlay. Included inside the neon backend namespace; no
-// #includes here -- intrinsics come from vec/backend_prelude.h. Ops this
-// overlay does not define (transpose64, the float GEMM kernels, s8_ctile,
-// s16_dot, the quantizer) fall through to the scalar fallback underneath,
-// which this TU's NEON baseline may autovectorize.
-
-#ifndef DVAFS_VEC_HAVE_MASKED_POPCOUNT
-#define DVAFS_VEC_HAVE_MASKED_POPCOUNT 1
-inline std::uint64_t masked_popcount(const std::uint64_t* x,
-                                     const std::uint64_t* m, int n)
-{
-    uint64x2_t acc = vdupq_n_u64(0);
-    int k = 0;
-    for (; k + 2 <= n; k += 2) {
-        const uint64x2_t v = vandq_u64(vld1q_u64(x + k), vld1q_u64(m + k));
-        acc = vaddq_u64(
-            acc, vpaddlq_u32(vpaddlq_u16(
-                     vpaddlq_u8(vcntq_u8(vreinterpretq_u8_u64(v))))));
-    }
-    std::uint64_t total = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-    for (; k < n; ++k) {
-        total += static_cast<std::uint64_t>(
-            __builtin_popcountll(x[k] & m[k]));
-    }
-    return total;
-}
-#endif
+// NEON (aarch64) overlay: direct definitions of the toggle kernel and the
+// int8 dot, not a vocabulary -- this is the only code that runs on ARM
+// and no aarch64 toolchain builds it in CI. Included inside the neon
+// backend namespace; no #includes here -- intrinsics come from
+// vec/backend_prelude.h. Every other kernel (transpose64, the float GEMM
+// kernels, s16_dot, the quantizer) is the scalar reference, which this
+// TU's NEON baseline may autovectorize.
 
 #ifndef DVAFS_VEC_HAVE_SHIFT_TRANSITIONS
 #define DVAFS_VEC_HAVE_SHIFT_TRANSITIONS 1

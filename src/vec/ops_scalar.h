@@ -1,12 +1,11 @@
-// Scalar fallback overlay: the complete op vocabulary, pure C++.
+// Scalar reference and fallback: every kernel as a plain loop, pure C++.
 //
-// This header is textually included *inside a backend namespace* by the
-// backend TUs (see kernels_body.h), always last in the overlay stack, so
-// it must not #include anything -- every external name it uses comes from
-// vec/backend_prelude.h. Each op is guarded by its DVAFS_VEC_HAVE_* macro:
-// an ISA overlay that already defined the op sets the guard and this
-// fallback stays out. The fallback definitions ARE the reference the
-// bit-identity contract in vec/vec.h is stated against.
+// Included by kernels_body.h *inside a backend namespace*, after the
+// vector bodies and any overlay, so it must not #include anything --
+// every external name it uses comes from vec/backend_prelude.h. Each
+// kernel is guarded by its DVAFS_VEC_HAVE_* macro: whatever a vector body
+// or an overlay already defined stays out. These definitions ARE the
+// reference the bit-identity contract in vec/vec.h is stated against.
 //
 // Deliberately uses __builtin_popcountll instead of std::popcount and a
 // local copy of the transpose network instead of fixedpoint/bitops.h:
@@ -14,20 +13,6 @@
 // flags would emit a weak symbol carrying ISA-specific code that the
 // linker may then pick for the whole program (and crash baseline hosts).
 // Everything a backend TU instantiates must be local to its namespace.
-
-#ifndef DVAFS_VEC_HAVE_MASKED_POPCOUNT
-#define DVAFS_VEC_HAVE_MASKED_POPCOUNT 1
-inline std::uint64_t masked_popcount(const std::uint64_t* x,
-                                     const std::uint64_t* m, int n)
-{
-    std::uint64_t total = 0;
-    for (int k = 0; k < n; ++k) {
-        total += static_cast<std::uint64_t>(
-            __builtin_popcountll(x[k] & m[k]));
-    }
-    return total;
-}
-#endif
 
 #ifndef DVAFS_VEC_HAVE_SHIFT_TRANSITIONS
 #define DVAFS_VEC_HAVE_SHIFT_TRANSITIONS 1
@@ -72,9 +57,9 @@ inline void transpose64(std::uint64_t x[64])
 // the tile's first column of B and of its first C row; both have row
 // stride n. Only the first mb rows are stored. Per element: start value,
 // then acc += a * b in double with k ascending, separate mul and add --
-// the accumulation contract every overlay must match bit for bit (the
+// the accumulation contract every backend must match bit for bit (the
 // build disables FP contraction globally, so this stays two ops; the
-// vector overlays fuse them with an explicit FMA, exact per cnn/gemm.h).
+// vector body fuses them with an explicit FMA, exact per cnn/gemm.h).
 inline void f32_tile(const double* panel, const float* b, float* c,
                      std::size_t k, std::size_t n, std::size_t mb,
                      std::size_t nb)
@@ -180,40 +165,6 @@ inline std::int32_t s8_dot(const std::int8_t* x, const std::int8_t* y,
                  * static_cast<std::int32_t>(y[r]);
     }
     return total;
-}
-#endif
-
-#ifndef DVAFS_VEC_HAVE_S8_CTILE
-#define DVAFS_VEC_HAVE_S8_CTILE 1
-// Full 4x16 int8 tile with int32 accumulators (conv layers after im2col).
-inline void s8_ctile(const std::int8_t* a, const std::int8_t* b,
-                     const std::int32_t* bias, std::int32_t* c,
-                     std::size_t k, std::size_t n, std::size_t m0,
-                     std::size_t n0)
-{
-    std::int32_t acc[4][16];
-    for (std::size_t i = 0; i < 4; ++i) {
-        const std::int32_t init = bias != nullptr ? bias[m0 + i] : 0;
-        for (std::size_t j = 0; j < 16; ++j) {
-            acc[i][j] = init;
-        }
-    }
-    for (std::size_t r = 0; r < k; ++r) {
-        const std::int8_t* brow = b + r * n + n0;
-        for (std::size_t i = 0; i < 4; ++i) {
-            const std::int32_t av =
-                static_cast<std::int32_t>(a[(m0 + i) * k + r]);
-            for (std::size_t j = 0; j < 16; ++j) {
-                acc[i][j] += av * static_cast<std::int32_t>(brow[j]);
-            }
-        }
-    }
-    for (std::size_t i = 0; i < 4; ++i) {
-        std::int32_t* crow = c + (m0 + i) * n + n0;
-        for (std::size_t j = 0; j < 16; ++j) {
-            crow[j] = acc[i][j];
-        }
-    }
 }
 #endif
 

@@ -1,37 +1,39 @@
-// Host SIMD shim: one scalar source, per-ISA overlays, runtime dispatch.
+// Host SIMD shim: per-ISA vocabularies, each kernel written once, runtime
+// dispatch.
 //
 // NOT the paper's SIMD. src/simd/ models the *hardware* SIMD processor the
 // paper evaluates (subword-parallel MACs at scaled precision); src/vec/ is
 // purely about making this simulator fast on the machine it runs on. The
 // two never meet: vec changes wall-clock, never results.
 //
-// The layout follows the simdops/cardioid "null.hpp" pattern: one scalar
-// fallback header (ops_scalar.h) defines the complete op vocabulary --
-// masked popcount, the fused shift/xor/mask/popcount toggle kernel, the
-// 64x64 bit transpose, the float GEMM register tile and row-vectorized
-// matrix-vector kernel, the int8/int16 widening multiply-accumulate
-// kernels and the quantizer -- each op guarded by a
-// DVAFS_VEC_HAVE_* macro. Per-ISA overlay headers (ops_avx2.h, ops_avx512.h,
-// ops_neon.h) define some of those ops first and set the guards, so a
-// backend translation unit stacks overlays over the scalar fallback and
-// always ends up with the full vocabulary. The generic kernels in
-// kernels_body.h (gate-run executor, GEMM blocking drivers) are written
-// once against the vocabulary and compiled once per backend TU, each under
-// its own namespace and its own -m<isa> compile flags (per-source CMake
-// options -- the ISA-specific code never leaks into baseline TUs, so the
-// binary stays runnable on a baseline host).
+// The layout follows the simdops/cardioid "null.hpp" pattern. Each x86
+// overlay header (ops_avx512.h, ops_avx2.h) defines only a vocabulary --
+// the native double vector and its lane count W, a tile row budget, lane
+// masks, widening float loads and narrowing stores, fma and the other
+// arithmetic, a float gather, the u64 ops of the toggle kernel and the
+// int8 widening multiply-add -- plus, in ops_avx2.h, the three bodies no
+// other ISA has (64x64 bit transpose, int8 4x16 tile, int16 dot).
+// kernels_body.h writes the vector kernels once against that vocabulary
+// (the toggle kernel, the f32 8 x 24 tile and row-vectorized matrix-vector
+// kernel, the quantizer, the int8 dot); ops_scalar.h's plain loops are the
+// reference and complete whatever an overlay leaves undefined; ops_neon.h
+// keeps direct NEON definitions of the toggle kernel and int8 dot. Each
+// backend translation unit compiles this stack under its own namespace
+// and its own -m<isa> flags (per-source CMake options -- the ISA-specific
+// code never leaks into baseline TUs, so the binary stays runnable on a
+// baseline host; scripts/check_vec_symbols.py checks the x86 objects).
 //
-// Contract: every backend is bit-identical to the scalar overlay. Integer
-// ops are exact, so any evaluation order is fine; the float kernels must
-// reproduce the scalar overlay's rounding sequence per output element
+// Contract: every backend is bit-identical to the scalar reference.
+// Integer kernels are exact, so any evaluation order is fine; the float
+// kernels reproduce the reference's rounding sequence per output element
 // (double accumulation, k ascending, one rounding per multiply-add step:
-// the scalar overlay multiplies and adds, the vector overlays use one
-// explicit FMA, which cnn/gemm.h shows is exact for float products; the
-// build sets -ffp-contract=off so the compiler never fuses on its own --
-// and for the quantizer one IEEE divide, floor/ceil, clamp and multiply
-// in double, all exactly rounded in every ISA). tests/test_vec.cpp
-// enforces this differentially; the throughput benches re-check it on
-// their own workloads before timing.
+// the reference multiplies and adds, the vector body issues one explicit
+// FMA, which cnn/gemm.h shows is exact for float products; the build sets
+// -ffp-contract=off so the compiler never fuses on its own -- and for the
+// quantizer one IEEE divide, floor/ceil, clamp and multiply in double, all
+// exactly rounded in every ISA). tests/test_vec.cpp enforces this
+// differentially; the throughput benches re-check it on their own
+// workloads before timing.
 //
 // Dispatch: active() returns the best table whose ISA the running CPU
 // supports, overridable via the DVAFS_FORCE_ISA environment variable
@@ -82,9 +84,6 @@ struct kernel_table {
     const char* name = nullptr; // "scalar" / "neon" / "avx2" / "avx512"
     int level = 0;              // static_cast<int>(isa)
 
-    // popcount(x[i] & m[i]) summed over n words.
-    std::uint64_t (*masked_popcount)(const std::uint64_t* x,
-                                     const std::uint64_t* m, int n);
     // The toggle kernel: popcount((cur ^ ((cur << 1) | carry)) & mask)
     // across n words with the bit-63 carry chained word to word;
     // carry_in (0/1) enters bit 0 of word 0.

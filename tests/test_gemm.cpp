@@ -123,7 +123,8 @@ std::vector<float> naive_gemm(const std::vector<float>& a,
 // bit (signed zeros and infinities included; NaN for NaN), on Gaussian,
 // IEEE-corner and cancelling operands, over the tile edges:
 // m around the 8-row panel, n around the 24-column tile and the n == 1
-// matrix-vector path, k from the bias-only 0 up to a deep 433.
+// matrix-vector path (m up to 65 for its 32-row passes), k from the
+// bias-only 0 up to a deep 433.
 TEST(gemm, matches_naive_triple_loop)
 {
     std::vector<std::array<std::size_t, 3>> shapes = {
@@ -134,6 +135,12 @@ TEST(gemm, matches_naive_triple_loop)
             for (const std::size_t k : {0, 1, 27, 433}) {
                 shapes.push_back({m, k, n});
             }
+        }
+    }
+    // n == 1 passes of one to four groups of eight rows, plus tails.
+    for (const std::size_t m : {24, 31, 32, 33, 65}) {
+        for (const std::size_t k : {0, 1, 27, 433}) {
+            shapes.push_back({m, k, 1});
         }
     }
     pcg32 rng(11);

@@ -1,9 +1,9 @@
 // Differential suite for the host-SIMD layer (src/vec/): every backend
 // available on this host must be bit-identical to the scalar overlay on
-// every vocabulary op -- masked popcount, the fused toggle kernel, the
-// 64x64 bit transpose, the float GEMM, the quantizer and the int8/int16
-// widening MAC kernels -- over random inputs, ragged sizes, signed
-// extremes and IEEE corner values.
+// every kernel -- the fused toggle kernel, the 64x64 bit transpose, the
+// float GEMM, the quantizer and the int8/int16 widening MAC kernels --
+// over random inputs, ragged sizes, signed extremes and IEEE corner
+// values.
 // Plus the dispatch contracts: DVAFS_FORCE_ISA round-trip via
 // refresh_from_env, graceful fallback when a forced ISA is unavailable,
 // and an end-to-end compiled_sim run per forced backend.
@@ -77,29 +77,6 @@ TEST_F(vec_test, scalar_always_available)
     }
 }
 
-TEST_F(vec_test, masked_popcount_matches_scalar)
-{
-    pcg32 rng(101);
-    for (const vec::isa level : other_backends()) {
-        const vec::kernel_table& kt = *vec::table_for(level);
-        for (int n = 0; n <= 21; ++n) {
-            for (int rep = 0; rep < 16; ++rep) {
-                std::vector<std::uint64_t> x(std::max(n, 1));
-                std::vector<std::uint64_t> m(std::max(n, 1));
-                for (int i = 0; i < n; ++i) {
-                    x[static_cast<std::size_t>(i)] = rng.next_u64();
-                    m[static_cast<std::size_t>(i)] =
-                        rep % 4 == 0 ? ~0ULL : rng.next_u64();
-                }
-                ASSERT_EQ(kt.masked_popcount(x.data(), m.data(), n),
-                          scalar_table().masked_popcount(x.data(),
-                                                         m.data(), n))
-                    << vec::isa_name(level) << " n=" << n;
-            }
-        }
-    }
-}
-
 TEST_F(vec_test, shift_transitions_matches_scalar)
 {
     pcg32 rng(202);
@@ -147,6 +124,8 @@ TEST_F(vec_test, transpose64_matches_reference_network)
 
 // GEMM shapes covering the fc n == 1 fast path, full 4x16 int8 and 4x8
 // int16 tiles, ragged m/n edges, k == 0 (bias copy) and single elements.
+// The n == 1 rows with k = 17, 33, 47 give every integer dot width (8,
+// 16, 32) a full vector step plus a scalar tail.
 struct gemm_shape {
     std::size_t m, k, n;
 };
@@ -154,6 +133,7 @@ struct gemm_shape {
 const gemm_shape kGemmShapes[] = {
     {8, 576, 1}, {4, 64, 16}, {4, 8, 8},  {5, 33, 19}, {1, 7, 1},
     {3, 66, 40}, {4, 0, 8},   {2, 5, 3},  {1, 1, 1},   {9, 31, 17},
+    {3, 17, 1},  {3, 33, 1},  {3, 47, 1},
 };
 
 // Bit equality, except that any NaN matches any NaN: which of two NaN
@@ -207,7 +187,8 @@ void fill_cancelling(std::vector<float>& v, pcg32& rng)
 TEST_F(vec_test, gemm_f32_bit_identical)
 {
     // kGemmShapes plus the edges of the 8-row panel, the 24-column tile
-    // (and its 8-column groups) and the n == 1 matrix-vector path.
+    // (and its 8-column groups) and the n == 1 matrix-vector path, whose
+    // passes of one to four groups of eight rows the m >= 24 rows reach.
     std::vector<gemm_shape> shapes(std::begin(kGemmShapes),
                                    std::end(kGemmShapes));
     for (const std::size_t m : {1, 6, 7, 9, 15, 17}) {
@@ -215,6 +196,11 @@ TEST_F(vec_test, gemm_f32_bit_identical)
             for (const std::size_t k : {0, 1, 27, 433}) {
                 shapes.push_back({m, k, n});
             }
+        }
+    }
+    for (const std::size_t m : {24, 31, 32, 33, 65}) {
+        for (const std::size_t k : {0, 1, 27, 433}) {
+            shapes.push_back({m, k, 1});
         }
     }
     pcg32 rng(404);
@@ -349,27 +335,32 @@ TEST_F(vec_test, gemm_s8_exact_including_extremes)
         for (std::int32_t& v : bias) {
             v = static_cast<std::int32_t>(rng.next_u64());
         }
-        std::vector<std::int32_t> ref(sh.m * sh.n);
-        scalar_table().gemm_s8(a.data(), b.data(), bias.data(), ref.data(),
-                               sh.m, sh.k, sh.n);
-        // The scalar overlay itself must match the textbook loop.
-        for (std::size_t i = 0; i < sh.m; ++i) {
-            for (std::size_t j = 0; j < sh.n; ++j) {
-                std::int32_t acc = bias[i];
-                for (std::size_t r = 0; r < sh.k; ++r) {
-                    acc += static_cast<std::int32_t>(a[i * sh.k + r])
-                           * static_cast<std::int32_t>(b[r * sh.n + j]);
+        const std::int32_t* const biases[] = {bias.data(), nullptr};
+        for (const std::int32_t* bp : biases) {
+            std::vector<std::int32_t> ref(sh.m * sh.n);
+            scalar_table().gemm_s8(a.data(), b.data(), bp, ref.data(), sh.m,
+                                   sh.k, sh.n);
+            // The scalar overlay itself must match the textbook loop.
+            for (std::size_t i = 0; i < sh.m; ++i) {
+                for (std::size_t j = 0; j < sh.n; ++j) {
+                    std::int32_t acc = bp != nullptr ? bp[i] : 0;
+                    for (std::size_t r = 0; r < sh.k; ++r) {
+                        acc += static_cast<std::int32_t>(a[i * sh.k + r])
+                               * static_cast<std::int32_t>(b[r * sh.n + j]);
+                    }
+                    ASSERT_EQ(ref[i * sh.n + j], acc)
+                        << "scalar kernel vs reference at " << i << ","
+                        << j;
                 }
-                ASSERT_EQ(ref[i * sh.n + j], acc)
-                    << "scalar kernel vs reference at " << i << "," << j;
             }
-        }
-        for (const vec::isa level : other_backends()) {
-            std::vector<std::int32_t> c(sh.m * sh.n);
-            vec::table_for(level)->gemm_s8(a.data(), b.data(), bias.data(),
-                                           c.data(), sh.m, sh.k, sh.n);
-            ASSERT_EQ(c, ref) << vec::isa_name(level) << " " << sh.m << "x"
-                              << sh.k << "x" << sh.n;
+            for (const vec::isa level : other_backends()) {
+                std::vector<std::int32_t> c(sh.m * sh.n);
+                vec::table_for(level)->gemm_s8(a.data(), b.data(), bp,
+                                               c.data(), sh.m, sh.k, sh.n);
+                ASSERT_EQ(c, ref)
+                    << vec::isa_name(level) << " " << sh.m << "x" << sh.k
+                    << "x" << sh.n << (bp == nullptr ? " no bias" : "");
+            }
         }
     }
 }
@@ -394,16 +385,32 @@ TEST_F(vec_test, gemm_s16_exact_including_extremes)
         for (std::int64_t& v : bias) {
             v = static_cast<std::int64_t>(rng.next_u64() >> 16);
         }
-        std::vector<std::int64_t> ref(sh.m * sh.n);
-        scalar_table().gemm_s16(a.data(), b.data(), bias.data(),
-                                ref.data(), sh.m, sh.k, sh.n);
-        for (const vec::isa level : other_backends()) {
-            std::vector<std::int64_t> c(sh.m * sh.n);
-            vec::table_for(level)->gemm_s16(a.data(), b.data(),
-                                            bias.data(), c.data(), sh.m,
-                                            sh.k, sh.n);
-            ASSERT_EQ(c, ref) << vec::isa_name(level) << " " << sh.m << "x"
-                              << sh.k << "x" << sh.n;
+        const std::int64_t* const biases[] = {bias.data(), nullptr};
+        for (const std::int64_t* bp : biases) {
+            std::vector<std::int64_t> ref(sh.m * sh.n);
+            scalar_table().gemm_s16(a.data(), b.data(), bp, ref.data(),
+                                    sh.m, sh.k, sh.n);
+            // The scalar overlay itself must match the textbook loop.
+            for (std::size_t i = 0; i < sh.m; ++i) {
+                for (std::size_t j = 0; j < sh.n; ++j) {
+                    std::int64_t acc = bp != nullptr ? bp[i] : 0;
+                    for (std::size_t r = 0; r < sh.k; ++r) {
+                        acc += static_cast<std::int64_t>(a[i * sh.k + r])
+                               * static_cast<std::int64_t>(b[r * sh.n + j]);
+                    }
+                    ASSERT_EQ(ref[i * sh.n + j], acc)
+                        << "scalar kernel vs reference at " << i << ","
+                        << j;
+                }
+            }
+            for (const vec::isa level : other_backends()) {
+                std::vector<std::int64_t> c(sh.m * sh.n);
+                vec::table_for(level)->gemm_s16(a.data(), b.data(), bp,
+                                                c.data(), sh.m, sh.k, sh.n);
+                ASSERT_EQ(c, ref)
+                    << vec::isa_name(level) << " " << sh.m << "x" << sh.k
+                    << "x" << sh.n << (bp == nullptr ? " no bias" : "");
+            }
         }
     }
 }
