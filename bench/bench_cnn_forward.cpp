@@ -384,7 +384,8 @@ double bench_sweep(const network& net, const quant_sweep_config& cfg,
 
 int main(int argc, char** argv)
 {
-    bench_reporter report("cnn_forward", argc, argv);
+    bench_reporter report("cnn_forward", argc, argv,
+                          {"min-speedup", "min-int8-speedup", "isa"});
     const double min_speedup =
         bench_flag_double(argc, argv, "min-speedup", 0.0);
     const double min_int8_speedup =

@@ -149,7 +149,9 @@ double p99_frame_ms(const stream_result& res)
 
 int main(int argc, char** argv)
 {
-    bench_reporter report("runtime_soak", argc, argv);
+    bench_reporter report("runtime_soak", argc, argv,
+                          {"min-fps", "max-p99-ms", "max-recovery-frames",
+                           "frames", "threads"});
     const double min_fps = bench_flag_double(argc, argv, "min-fps", 50.0);
     const double max_p99_ms =
         bench_flag_double(argc, argv, "max-p99-ms", 5.0);

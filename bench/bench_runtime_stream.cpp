@@ -23,7 +23,7 @@ using namespace dvafs;
 
 int main(int argc, char** argv)
 {
-    bench_reporter report("runtime_stream", argc, argv);
+    bench_reporter report("runtime_stream", argc, argv, {"max-overhead"});
     const double max_overhead =
         bench_flag_double(argc, argv, "max-overhead", 0.05);
 

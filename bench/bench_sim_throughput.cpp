@@ -251,7 +251,8 @@ bool time_threaded_sweep(const dvafs_multiplier& mult,
 
 int main(int argc, char** argv)
 {
-    bench_reporter report("sim_throughput", argc, argv);
+    bench_reporter report("sim_throughput", argc, argv,
+                          {"isa", "min-speedup", "vectors", "reps"});
     const std::string isa_flag =
         bench_flag_string(argc, argv, "isa", "");
     if (!isa_flag.empty() && !vec::force_isa(isa_flag)) {

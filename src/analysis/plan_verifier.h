@@ -19,10 +19,9 @@
 //    a deadline-feasible selection spends no more than the accuracy
 //    budget.
 //
-// stream_engine runs this (behind stream_config::verify_replans) on every
-// re-plan and escalation before activating the plan; heuristic boot plans
-// are verified without frontiers (their points are closed-form, not
-// frontier members).
+// stream_engine runs this on every re-plan and escalation before
+// activating the plan; heuristic boot plans are verified without
+// frontiers (their points are closed-form, not frontier members).
 
 #pragma once
 

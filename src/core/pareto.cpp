@@ -622,34 +622,6 @@ frontier_cache::get(const frontier_config& cfg, const tech_model& tech,
     return shared;
 }
 
-std::shared_ptr<const mode_frontier>
-frontier_cache::refresh(const frontier_config& cfg, const tech_model& tech,
-                        const envision_calibration& cal)
-{
-    const std::string full_key = cfg.key(tech, cal);
-    const std::string base = cfg.base_key(tech, cal);
-    // Serialize with any in-flight get() on the same configuration;
-    // publication replaces whatever entry (and prefix state) the key held.
-    const std::shared_ptr<flight> latch = flight_for(base);
-    const std::lock_guard<std::mutex> flight_lock(latch->m);
-
-    frontier_measurement st;
-    auto measured = std::make_shared<const mode_frontier>(
-        measure_mode_frontier_with_state(cfg, tech, cal, st));
-    measured_.fetch_add(1, std::memory_order_relaxed);
-    {
-        const std::lock_guard<std::mutex> lock(mu_);
-        entries_[full_key] = measured;
-        states_[base] = st;
-    }
-    const disk_store store = disk_store::from_env();
-    if (store.enabled()) {
-        store.store("frontier", full_key, serialize_frontier(*measured));
-        store.store("frontier_state", base, serialize_frontier_state(st));
-    }
-    return measured;
-}
-
 // -- layer frontier -----------------------------------------------------------
 
 bool layer_frontier::contains(const operating_point_spec& spec) const

@@ -154,14 +154,6 @@ public:
     get(const frontier_config& cfg, const tech_model& tech,
         const envision_calibration& cal);
 
-    // Re-measures a configuration through sim_engine and replaces the
-    // cached entry (the streaming governor's frontier-refresh hook, e.g.
-    // after a calibration update). Readers holding the old shared_ptr are
-    // unaffected; new get() calls see the fresh measurement.
-    std::shared_ptr<const mode_frontier>
-    refresh(const frontier_config& cfg, const tech_model& tech,
-            const envision_calibration& cal);
-
     struct cache_stats {
         std::uint64_t hits = 0;       // served from the in-memory map
         std::uint64_t disk_hits = 0;  // deserialized from DVAFS_CACHE_DIR

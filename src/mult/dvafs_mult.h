@@ -55,7 +55,6 @@ public:
     // granularity: keep_bits in {W/4, W/2, 3W/4, W}). Only meaningful in
     // 1xW mode; other modes require full precision.
     void set_das_precision(int keep_bits);
-    int das_precision() const noexcept { return das_keep_; }
 
     // Lane-wise multiply through the gate-level netlist; operands and result
     // are packed per subword.h (for width 16 these are the real types; for

@@ -59,7 +59,6 @@ public:
     {
         batch_threads_ = threads;
     }
-    unsigned batch_threads() const noexcept { return batch_threads_; }
 
     // Pure-arithmetic result this design is *supposed* to produce (for the
     // exact designs this is the true product; approximate designs override).

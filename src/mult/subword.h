@@ -66,7 +66,4 @@ std::uint16_t subword_truncate(std::uint16_t a, sw_mode m, int keep_bits);
 std::uint32_t subword_mac(std::uint32_t acc, std::uint16_t a, std::uint16_t b,
                           sw_mode m);
 
-// Number of *useful* operations (multiplies) one subword multiply performs.
-constexpr int ops_per_word(sw_mode m) noexcept { return lane_count(m); }
-
 } // namespace dvafs

@@ -228,7 +228,6 @@ const char* to_string(replan_reason r) noexcept
     case replan_reason::startup: return "startup";
     case replan_reason::phase_change: return "phase-change";
     case replan_reason::drift: return "drift";
-    case replan_reason::refresh: return "refresh";
     case replan_reason::shed: return "shed";
     case replan_reason::recover: return "recover";
     }
@@ -428,22 +427,6 @@ replan_event adaptive_governor::escalate(const network& net,
     replan_event ev = replan(net, ph, replan_reason::drift, frame);
     ev.rebuilt_frontiers = rebuilt;
     ev.plan_stale = stale;
-    ev.planning_ms = elapsed_ms_since(t0);
-    return ev;
-}
-
-replan_event adaptive_governor::refresh_frontier(const network& net,
-                                                 const scenario_phase& ph,
-                                                 std::uint64_t frame)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    network_state& st = prepare_mutable(net);
-    frontier_cache::global().refresh(planner_.config().frontier,
-                                     tech_28nm_fdsoi(),
-                                     model_.calibration());
-    rebuild_frontiers(st);
-    replan_event ev = replan(net, ph, replan_reason::refresh, frame);
-    ev.rebuilt_frontiers = true;
     ev.planning_ms = elapsed_ms_since(t0);
     return ev;
 }

@@ -4,12 +4,11 @@
 // (teacher-dataset sweep, joint refinement, sparsity, accuracy-priced
 // time-aware layer frontiers -- all cached, with the gate-level mode
 // frontier shared process-wide through frontier_cache; its sweeps run on
-// the compiled mode-specialized gate engine of circuit/compiled_sim.h,
-// which also keeps the drift path's frontier_cache::refresh re-measures
-// cheap) and a fast *re-plan* (precision_planner::plan_from_frontiers: a
-// DP over the cached frontiers under the phase's accuracy and latency
-// budgets; e2ebench `replan` measures p50 ~0.02 ms and p99 ~0.3 ms per
-// decision on a 4-vCPU AVX-512 host).
+// the compiled mode-specialized gate engine of circuit/compiled_sim.h)
+// and a fast *re-plan* (precision_planner::plan_from_frontiers: a DP over
+// the cached frontiers under the phase's accuracy and latency budgets;
+// e2ebench `replan` measures p50 ~0.02 ms and p99 ~0.3 ms per decision on
+// a 4-vCPU AVX-512 host).
 // That split is what lets the stream engine swap operating points at phase
 // boundaries and on drift without stalling the stream: re-planning costs a
 // fraction of one frame period.
@@ -53,7 +52,6 @@ enum class replan_reason {
     startup,
     phase_change,
     drift,
-    refresh,
     shed,    // overload valve: spend accuracy to fit the live deadline
     recover, // overload valve: pressure cleared, restore one level
 };
@@ -143,13 +141,6 @@ public:
                               replan_reason reason, std::uint64_t frame,
                               int level, double budget_step,
                               double latency_budget_ms);
-
-    // Re-measures the shared gate-level mode frontier
-    // (frontier_cache::refresh) and rebuilds `net`'s cached layer
-    // frontiers against it.
-    replan_event refresh_frontier(const network& net,
-                                  const scenario_phase& ph,
-                                  std::uint64_t frame);
 
     int versions_issued() const noexcept { return version_; }
     const governor_config& config() const noexcept { return cfg_; }

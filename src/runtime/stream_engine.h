@@ -17,19 +17,20 @@
 //    storm), service overruns scale the modeled service time. Admission
 //    batches are cut at fault-window boundaries, so injection cannot
 //    change any batching-dependent outcome.
-//  * A phase boundary (or a drift detection) *issues* a re-plan; the new
-//    plan activates `replan_latency_frames` frames later. Interim frames
-//    keep streaming on the previous plan -- or, when the phase switched
-//    networks, on the incoming network's heuristic boot plan -- so the
-//    stream never stalls. The governor's measured planning_ms is reported
-//    (bench_runtime_stream gates it against the frame period) but never
-//    consulted.
-//  * Every probe_interval frames the engine scores the last probe_window
-//    frames' predictions against their float-teacher argmaxes; when that
-//    window accuracy drops more than drift_margin below the phase's
-//    planned accuracy floor, the governor escalates. A stale escalation
-//    (no lever left) stops further escalation for the phase.
-//  * The overload valve watches a pressure signal -- the max of latency
+//  * Every re-plan -- phase boundary, valve shed/recover, drift
+//    escalation -- takes one issue path: the re-plan gate
+//    (analysis/plan_verifier.h) checks it against the network's cached
+//    frontiers (a bad plan throws verification_error), and it activates
+//    `replan_latency_frames` frames later. Interim frames keep streaming
+//    on the previous plan -- or, when the phase switched networks, on the
+//    incoming network's heuristic boot plan -- so the stream never
+//    stalls.
+//  * Every probe_interval frames the drift_probe scores the last
+//    probe_window frames' predictions against their float-teacher
+//    argmaxes; when that window accuracy drops more than drift_margin
+//    below the phase's planned accuracy floor, the governor escalates. A
+//    stale escalation (no lever left) stops escalation for the phase.
+//  * The overload_valve watches a pressure signal -- the max of latency
 //    utilization (modeled service time over the effective period) and
 //    energy utilization (frame energy over valve.energy_budget_mj) --
 //    with hysteresis: sustained over-pressure sheds *accuracy* (a
@@ -37,8 +38,7 @@
 //    L * budget_step extra accuracy allowance and the live effective
 //    deadline), never frames; sustained calm restores one level at a
 //    time once the stacked pre-shed plan would comfortably fit again.
-//    Level 0 re-plans are input-identical to the phase-boundary plan, so
-//    full recovery restores the original plan exactly. State machine and
+//    Full recovery restores the original plan exactly. State machine and
 //    parameters: docs/robustness.md.
 //
 // Energy is ledger-attributed per power domain (AS / NAS / MEM) for every
@@ -53,17 +53,18 @@
 #include "runtime/scenario.h"
 #include "runtime/stream_scheduler.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace dvafs {
 
-// The overload valve: shed accuracy before frames. Disabled (enabled =
-// false) the engine behaves exactly as before -- over-pressure frames
+// The overload valve: shed accuracy before frames. max_level = 0 turns it
+// off -- nothing can shed, so nothing recovers, and over-pressure frames
 // simply miss their deadlines.
 struct valve_config {
-    bool enabled = true;
     // Consecutive over-pressure frames (pressure > 1) before shedding one
     // level. Small: a storm should be answered within a frame batch.
     int shed_after = 3;
@@ -92,12 +93,6 @@ struct stream_config {
     int replan_latency_frames = 2; // frames served on the old plan while a
                                    // re-plan is in flight
     int max_escalations_per_phase = 3;
-    // Statically verify every re-plan/escalation against the governor's
-    // cached layer frontiers (analysis/plan_verifier.h) before it is
-    // accepted; a bad plan throws verification_error instead of silently
-    // streaming frames on inconsistent bookkeeping. Costs O(layers x
-    // frontier points) per governor decision, so it stays on by default.
-    bool verify_replans = true;
     valve_config valve;
 };
 
@@ -113,7 +108,7 @@ struct stream_stats {
     int stale_escalations = 0;         // escalations with no lever left
     int shed_events = 0;               // valve: levels shed
     int recover_events = 0;            // valve: levels restored
-    int verify_failures = 0;           // plans rejected by the re-plan gate
+    int verify_failures = 0;           // always 0: a rejected plan throws
     int deadline_misses = 0;           // frames with deadline_met == false
     int max_valve_level = 0;           // deepest shed this run
     std::uint64_t faulted_frames = 0;  // frames with any active fault
@@ -150,6 +145,80 @@ struct stream_result {
     double planning_ms = 0.0;           // measured re-plan cost, summed
 };
 
+// One valve decision: shed to level L+1 or recover to L-1.
+struct valve_decision {
+    replan_reason reason = replan_reason::shed;
+    int level = 0; // the level the re-plan serves at
+    double latency_budget_ms = 0.0;
+};
+
+// The overload valve's hysteresis state machine for one phase (pressure
+// history does not cross a phase boundary). Pure: no governor, no network.
+class overload_valve {
+public:
+    explicit overload_valve(const valve_config& cfg) : cfg_(cfg) {}
+
+    // Latency utilization, or energy utilization when an energy budget is
+    // set, whichever is larger.
+    double pressure(double frame_ms, double frame_mj,
+                    double eff_period_ms) const noexcept;
+    // Advances the streaks per frame over [first, end), so hysteresis does
+    // not depend on batch sizes.
+    void observe(double pressure, std::uint64_t first, std::uint64_t end);
+    // At most one decision per batch (docs/robustness.md). A shed stacks
+    // `active`'s totals; recovery to level 0 runs under the nominal
+    // period_ms, so it restores the phase-boundary plan exactly.
+    std::optional<valve_decision> decide(const network_plan& active,
+                                         double eff_period_ms,
+                                         double period_ms);
+
+    int level() const noexcept { return level_; }
+    std::uint64_t last_over_frame() const noexcept { return last_over_; }
+
+private:
+    valve_config cfg_;
+    int level_ = 0;
+    int over_streak_ = 0;
+    int under_streak_ = 0;
+    std::uint64_t last_over_ = 0;
+    // Totals of the plan each shed level replaced.
+    std::vector<double> level_time_stack_;
+    std::vector<double> level_energy_stack_;
+};
+
+// The drift probe for one phase: its schedule, its window score and the
+// escalate predicate. Pure: it reads the frame log, never a network.
+class drift_probe {
+public:
+    drift_probe(const stream_config& cfg, std::uint64_t first,
+                std::uint64_t end);
+
+    // Caps a batch at the next probe point.
+    std::uint64_t cut(std::uint64_t batch_end) const noexcept
+    {
+        return std::min(batch_end, next_);
+    }
+    // Whether a batch ending at g ends on a probe point; advances.
+    bool due(std::uint64_t g);
+    // Accuracy of the newest probe_window frames of `log` from index
+    // `first` on, all served by `version` (a swap inside the window would
+    // blame the new plan for the old plan's misses); nullopt when fewer.
+    std::optional<double> score(const std::vector<frame_result>& log,
+                                std::size_t first, int version) const;
+    // Nothing pending, no stale escalation this phase, the per-phase cap
+    // not reached, and accuracy more than drift_margin below `floor`.
+    bool should_escalate(double accuracy, double floor,
+                         bool pending) const noexcept;
+    void escalated(bool stale) noexcept;
+
+private:
+    stream_config cfg_;
+    std::uint64_t end_;
+    std::uint64_t next_;
+    int escalations_ = 0;
+    bool stale_ = false;
+};
+
 class stream_engine {
 public:
     stream_engine(const envision_model& model, governor_config gcfg = {},
@@ -173,7 +242,6 @@ public:
                       const fault_injector* faults = nullptr);
 
     adaptive_governor& governor() noexcept { return governor_; }
-    const stream_config& config() const noexcept { return cfg_; }
 
 private:
     adaptive_governor governor_;

@@ -53,10 +53,6 @@ public:
     {
         params_ = p;
     }
-    const memory_energy_params& energy_params() const noexcept
-    {
-        return params_;
-    }
     void reset_stats() noexcept
     {
         accesses_ = 0;

@@ -86,7 +86,6 @@ public:
 
     // Architectural state access for tests.
     std::int32_t reg(int idx) const { return regs_.at(idx); }
-    void set_reg(int idx, std::int32_t v) { regs_.at(idx) = v; }
     const std::vector<std::uint16_t>& vreg(int idx) const
     {
         return vregs_.at(idx);

@@ -1,5 +1,6 @@
 #include "util/bench_json.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -54,10 +55,30 @@ std::string json_number(double v)
 
 } // namespace
 
-bench_reporter::bench_reporter(std::string bench, int argc, char** argv)
-    : bench_(std::move(bench)),
-      path_(find_flag_value(argc, argv, "--json"))
+bench_reporter::bench_reporter(std::string bench, int argc, char** argv,
+                               const std::vector<std::string>& flags)
+    : bench_(std::move(bench))
 {
+    std::vector<std::string> accepted = {"json", "bench-suffix"};
+    accepted.insert(accepted.end(), flags.begin(), flags.end());
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--help") {
+            std::cout << "usage: " << argv[0];
+            for (const std::string& f : accepted) {
+                std::cout << " [--" << f << " <value>]";
+            }
+            std::cout << "\n";
+            std::exit(0);
+        }
+        if (arg.rfind("--", 0) != 0
+            || std::ranges::find(accepted, arg.substr(2)) == accepted.end()) {
+            throw std::invalid_argument(bench_ + ": unknown argument " + arg
+                                        + " (see --help)");
+        }
+        ++i; // every flag takes a value
+    }
+    path_ = find_flag_value(argc, argv, "--json");
     const std::string suffix =
         find_flag_value(argc, argv, "--bench-suffix");
     if (!suffix.empty()) {

@@ -32,7 +32,14 @@ public:
     // collect_bench.py accepts as distinct instead of rejecting as
     // duplicates. Throws std::invalid_argument when either flag is
     // present without a value.
-    bench_reporter(std::string bench, int argc, char** argv);
+    //
+    // `flags` names the bench's own value flags (without the leading
+    // "--"; read with bench_flag_double / bench_flag_string). Any other
+    // argument throws std::invalid_argument naming it, so a misspelt gate
+    // flag fails the run instead of silently turning its gate off.
+    // `--help` prints the accepted flags and exits 0 without running.
+    bench_reporter(std::string bench, int argc, char** argv,
+                   const std::vector<std::string>& flags = {});
 
     // Records a metric (kept even without --json; benches may assert on
     // their own records).

@@ -127,11 +127,6 @@ disk_fault_hook* set_disk_fault_hook(disk_fault_hook* hook) noexcept
     return g_fault_hook.exchange(hook, std::memory_order_acq_rel);
 }
 
-disk_fault_hook* get_disk_fault_hook() noexcept
-{
-    return g_fault_hook.load(std::memory_order_acquire);
-}
-
 disk_store_stats disk_store::stats() noexcept
 {
     const stats_cells& c = cells();

@@ -93,7 +93,6 @@ public:
 
 // Process-wide hook (nullptr = no faults). Returns the previous hook.
 disk_fault_hook* set_disk_fault_hook(disk_fault_hook* hook) noexcept;
-disk_fault_hook* get_disk_fault_hook() noexcept;
 
 // RAII installer for tests/benches: installs on construction, restores
 // the previous hook on destruction.

@@ -220,8 +220,8 @@ void expect_invariants(const stream_result& res, const scenario& sc,
         EXPECT_GT(res.frames[i].time_ms, 0.0);
         EXPECT_GT(res.frames[i].energy_mj, 0.0);
     }
-    // Every plan passed the static re-plan gate (verify_replans is on by
-    // default; a rejected plan would have thrown out of run()).
+    // Every plan passed the static re-plan gate (it always runs; a
+    // rejected plan would have thrown out of run()).
     EXPECT_EQ(res.stats.verify_failures, 0);
 
     // Ledger energy conservation: per-domain attribution sums back to the

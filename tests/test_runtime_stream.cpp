@@ -1,7 +1,8 @@
 // Tests of the streaming runtime (src/runtime/): scenario plumbing,
 // scheduler overlays and ledger attribution, phase-transition determinism
-// across thread counts, latency-budget monotonicity and the governor's
-// infeasible-deadline fallback.
+// across thread counts, latency-budget monotonicity, the governor's
+// infeasible-deadline fallback, and the overload valve and drift probe as
+// pure state machines (no network) and inside the engine.
 
 #include "core/dvafs.h"
 
@@ -305,32 +306,6 @@ TEST_F(latency_budget_test, tighter_deadline_never_lowers_fps)
     ASSERT_GE(prev_energy, 0.0) << "no deadline was feasible";
 }
 
-// A frontier refresh re-measures the shared mode frontier and rebuilds
-// the cached layer frontiers; measurement is seeded-deterministic, so the
-// refreshed plan equals a plain re-plan point for point.
-TEST_F(latency_budget_test, frontier_refresh_is_deterministic)
-{
-    scenario_phase ph;
-    ph.name = "steady";
-    ph.frames = 4;
-    ph.target_fps = 25.0;
-    const replan_event before =
-        governor_->replan(*net_, ph, replan_reason::phase_change, 0);
-    const replan_event refreshed =
-        governor_->refresh_frontier(*net_, ph, 4);
-    EXPECT_EQ(refreshed.reason, replan_reason::refresh);
-    EXPECT_TRUE(refreshed.rebuilt_frontiers);
-    EXPECT_GT(refreshed.plan_version, before.plan_version);
-    EXPECT_EQ(refreshed.plan.total_energy_mj,
-              before.plan.total_energy_mj);
-    EXPECT_EQ(refreshed.plan.total_time_ms, before.plan.total_time_ms);
-    ASSERT_EQ(refreshed.plan.layers.size(), before.plan.layers.size());
-    for (std::size_t k = 0; k < before.plan.layers.size(); ++k) {
-        EXPECT_EQ(refreshed.plan.layers[k].point,
-                  before.plan.layers[k].point);
-    }
-}
-
 // The governor's cache is keyed by network name: a rebuilt same-seed
 // network re-binds (second run works after the first scenario died), but
 // a *different* network stealing the name is rejected.
@@ -464,6 +439,263 @@ TEST(adaptive_governor, escalation_converges_to_plan_stale)
     EXPECT_GE(stale_events, 2);
 }
 
+// -- overload_valve / drift_probe (no network) --------------------------------
+
+namespace {
+
+network_plan plan_with(double time_ms, double energy_mj)
+{
+    network_plan p;
+    p.total_time_ms = time_ms;
+    p.total_energy_mj = energy_mj;
+    return p;
+}
+
+valve_config unit_valve()
+{
+    valve_config vc;
+    vc.shed_after = 3;
+    vc.recover_after = 4;
+    vc.recover_below = 0.8;
+    vc.max_level = 2;
+    return vc;
+}
+
+// Sheds one level from `active` under over-pressure in one batch.
+void shed_once(overload_valve& v, std::uint64_t& f,
+               const network_plan& active, double eff_period)
+{
+    v.observe(2.0, f, f + 3);
+    f += 3;
+    const auto d = v.decide(active, eff_period, 10.0);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(d->reason, replan_reason::shed);
+}
+
+} // namespace
+
+TEST(overload_valve, sheds_after_shed_after_frames_whatever_the_batches)
+{
+    const network_plan active = plan_with(12.0, 1.0);
+    // One batch of three, batches of one, and a two-then-one split all
+    // shed on the third over-pressure frame and not before.
+    for (const std::vector<int>& batches :
+         {std::vector<int>{3}, std::vector<int>{1, 1, 1},
+          std::vector<int>{2, 1}}) {
+        overload_valve v(unit_valve());
+        std::uint64_t f = 0;
+        for (std::size_t i = 0; i < batches.size(); ++i) {
+            v.observe(1.5, f, f + static_cast<std::uint64_t>(batches[i]));
+            f += static_cast<std::uint64_t>(batches[i]);
+            const auto d = v.decide(active, 8.0, 10.0);
+            if (i + 1 < batches.size()) {
+                EXPECT_FALSE(d.has_value());
+                continue;
+            }
+            ASSERT_TRUE(d.has_value());
+            EXPECT_EQ(d->reason, replan_reason::shed);
+            EXPECT_EQ(d->level, 1);
+            EXPECT_EQ(d->latency_budget_ms, 8.0);
+        }
+        EXPECT_EQ(v.level(), 1);
+        EXPECT_EQ(v.last_over_frame(), 2U);
+    }
+}
+
+TEST(overload_valve, dead_band_resets_both_streaks)
+{
+    const network_plan active = plan_with(12.0, 1.0);
+    overload_valve v(unit_valve());
+    // Two over frames, one dead-band frame (0.8 < 0.9 <= 1), then two
+    // more over frames: the streak restarted, so no shed.
+    v.observe(1.5, 0, 2);
+    v.observe(0.9, 2, 3);
+    v.observe(1.5, 3, 5);
+    EXPECT_FALSE(v.decide(active, 8.0, 10.0).has_value());
+    v.observe(1.5, 5, 6);
+    ASSERT_TRUE(v.decide(active, 8.0, 10.0).has_value());
+    // Calm streak: three calm frames, a dead-band frame, three calm: no
+    // recovery (recover_after = 4) until one more calm frame.
+    v.observe(0.5, 6, 9);
+    v.observe(0.9, 9, 10);
+    v.observe(0.5, 10, 13);
+    EXPECT_FALSE(v.decide(active, 100.0, 10.0).has_value());
+    v.observe(0.5, 13, 14);
+    const auto d = v.decide(active, 100.0, 10.0);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(d->reason, replan_reason::recover);
+}
+
+TEST(overload_valve, recovery_waits_for_calm_and_a_stacked_plan_that_fits)
+{
+    overload_valve v(unit_valve());
+    std::uint64_t f = 0;
+    shed_once(v, f, plan_with(12.0, 1.0), 8.0);
+    const network_plan shed = plan_with(7.0, 0.5);
+    // recover_after - 1 calm frames: not yet.
+    v.observe(0.5, f, f + 3);
+    f += 3;
+    EXPECT_FALSE(v.decide(shed, 20.0, 10.0).has_value());
+    v.observe(0.5, f, f + 1);
+    ++f;
+    // The stacked plan (12 ms) does not fit 0.8 x 14 ms = 11.2 ms...
+    EXPECT_FALSE(v.decide(shed, 14.0, 10.0).has_value());
+    // ...but fits 0.8 x 15 ms = 12 ms exactly.
+    const auto d = v.decide(shed, 15.0, 10.0);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(d->reason, replan_reason::recover);
+    EXPECT_EQ(d->level, 0);
+    EXPECT_EQ(v.level(), 0);
+
+    // With an energy budget the stacked plan's energy must fit too.
+    valve_config vc = unit_valve();
+    vc.energy_budget_mj = 1.0;
+    overload_valve e(vc);
+    f = 0;
+    shed_once(e, f, plan_with(1.0, 0.9), 8.0);
+    e.observe(0.5, f, f + 8);
+    f += 8;
+    EXPECT_FALSE(e.decide(shed, 100.0, 10.0).has_value())
+        << "0.9 mJ stacked does not fit 0.8 x 1 mJ";
+    overload_valve e2(vc);
+    f = 0;
+    shed_once(e2, f, plan_with(1.0, 0.8), 8.0);
+    e2.observe(0.5, f, f + 8);
+    EXPECT_TRUE(e2.decide(shed, 100.0, 10.0).has_value());
+}
+
+TEST(overload_valve, recovery_to_level_zero_uses_the_nominal_period)
+{
+    overload_valve v(unit_valve());
+    std::uint64_t f = 0;
+    shed_once(v, f, plan_with(6.0, 1.0), 8.0);
+    shed_once(v, f, plan_with(5.0, 1.0), 7.0);
+    ASSERT_EQ(v.level(), 2);
+    v.observe(0.5, f, f + 4);
+    f += 4;
+    const auto to1 = v.decide(plan_with(4.0, 1.0), 9.0, 10.0);
+    ASSERT_TRUE(to1.has_value());
+    EXPECT_EQ(to1->level, 1);
+    EXPECT_EQ(to1->latency_budget_ms, 9.0); // still the effective period
+    v.observe(0.5, f, f + 4);
+    const auto to0 = v.decide(plan_with(5.0, 1.0), 9.0, 10.0);
+    ASSERT_TRUE(to0.has_value());
+    EXPECT_EQ(to0->level, 0);
+    EXPECT_EQ(to0->latency_budget_ms, 10.0); // the nominal period
+}
+
+TEST(overload_valve, max_level_caps_shedding)
+{
+    overload_valve v(unit_valve());
+    std::uint64_t f = 0;
+    shed_once(v, f, plan_with(12.0, 1.0), 8.0);
+    shed_once(v, f, plan_with(11.0, 1.0), 8.0);
+    v.observe(2.0, f, f + 10);
+    EXPECT_FALSE(v.decide(plan_with(10.0, 1.0), 8.0, 10.0).has_value());
+    EXPECT_EQ(v.level(), 2);
+
+    // max_level = 0 turns the valve off: nothing sheds, so nothing
+    // recovers either.
+    valve_config off = unit_valve();
+    off.max_level = 0;
+    overload_valve o(off);
+    o.observe(5.0, 0, 50);
+    EXPECT_FALSE(o.decide(plan_with(12.0, 1.0), 8.0, 10.0).has_value());
+    o.observe(0.1, 50, 100);
+    EXPECT_FALSE(o.decide(plan_with(12.0, 1.0), 100.0, 10.0).has_value());
+    EXPECT_EQ(o.level(), 0);
+}
+
+TEST(overload_valve, pressure_is_the_larger_utilization)
+{
+    valve_config vc = unit_valve();
+    const overload_valve latency_only(vc);
+    EXPECT_EQ(latency_only.pressure(5.0, 100.0, 10.0), 0.5);
+    vc.energy_budget_mj = 2.0;
+    const overload_valve both(vc);
+    EXPECT_EQ(both.pressure(5.0, 3.0, 10.0), 1.5);
+    EXPECT_EQ(both.pressure(5.0, 0.5, 10.0), 0.5);
+}
+
+namespace {
+
+frame_result logged(std::uint64_t frame, int version, bool hit)
+{
+    frame_result fr;
+    fr.frame = frame;
+    fr.plan_version = version;
+    fr.teacher = 3;
+    fr.predicted = hit ? 3 : 1;
+    return fr;
+}
+
+stream_config probe_config()
+{
+    stream_config s;
+    s.probe_interval = 4;
+    s.probe_window = 3;
+    s.drift_margin = 0.1;
+    s.max_escalations_per_phase = 2;
+    return s;
+}
+
+} // namespace
+
+TEST(drift_probe, schedule_cuts_batches_at_probe_points)
+{
+    drift_probe p(probe_config(), 10, 20);
+    EXPECT_EQ(p.cut(30), 14U);
+    EXPECT_EQ(p.cut(12), 12U);
+    EXPECT_FALSE(p.due(12));
+    EXPECT_TRUE(p.due(14));
+    EXPECT_EQ(p.cut(30), 18U);
+    EXPECT_TRUE(p.due(18));
+    // The next point (22) lies past the phase end.
+    EXPECT_FALSE(p.due(20));
+
+    stream_config off = probe_config();
+    off.probe_interval = 0;
+    drift_probe none(off, 10, 20);
+    EXPECT_EQ(none.cut(30), 20U);
+    EXPECT_FALSE(none.due(20));
+}
+
+TEST(drift_probe, window_stops_at_a_version_change_and_short_ones_skip)
+{
+    const drift_probe p(probe_config(), 0, 100);
+    std::vector<frame_result> log = {
+        logged(0, 1, true), logged(1, 1, true), logged(2, 2, false),
+        logged(3, 2, true)};
+    // Only two frames of version 2: the window is short.
+    EXPECT_FALSE(p.score(log, 0, 2).has_value());
+    log.push_back(logged(4, 2, false));
+    const auto w = p.score(log, 0, 2);
+    ASSERT_TRUE(w.has_value());
+    EXPECT_EQ(*w, 1.0 / 3.0);
+    // The window never reaches back before the phase's first frame.
+    EXPECT_FALSE(p.score(log, 3, 2).has_value());
+    // A window of the newest frames only: (miss, hit) + hit.
+    log.push_back(logged(5, 2, true));
+    EXPECT_EQ(p.score(log, 0, 2), 2.0 / 3.0);
+}
+
+TEST(drift_probe, cap_stale_and_pending_stop_escalation)
+{
+    drift_probe p(probe_config(), 0, 100);
+    // Floor 0.9, margin 0.1: escalate strictly below 0.8.
+    EXPECT_TRUE(p.should_escalate(0.7, 0.9, false));
+    EXPECT_FALSE(p.should_escalate(0.85, 0.9, false));
+    EXPECT_FALSE(p.should_escalate(0.7, 0.9, true));
+    p.escalated(false);
+    EXPECT_TRUE(p.should_escalate(0.7, 0.9, false));
+    p.escalated(false);
+    EXPECT_FALSE(p.should_escalate(0.0, 0.9, false)) << "per-phase cap";
+
+    drift_probe q(probe_config(), 0, 100);
+    q.escalated(true);
+    EXPECT_FALSE(q.should_escalate(0.0, 0.9, false)) << "stale";
+}
+
 // -- overload valve -----------------------------------------------------------
 
 namespace {
@@ -586,14 +818,14 @@ TEST(stream_engine, valve_sheds_in_a_deadline_storm_and_recovers_exactly)
     EXPECT_EQ(res.frames.back().time_ms, original.total_time_ms);
 }
 
-// The same storm with the valve disabled: the stream still serves every
+// The same storm with the valve turned off (max_level = 0): the stream still serves every
 // frame (no drops -- that contract does not depend on the valve), but the
 // storm frames simply miss their deadlines and no accuracy is shed.
 TEST(stream_engine, valve_disabled_misses_deadlines_without_shedding)
 {
     const envision_model model;
     stream_config scfg = valve_test_config();
-    scfg.valve.enabled = false;
+    scfg.valve.max_level = 0;
     stream_engine engine(model, small_governor(), scfg);
     const scenario sc = storm_scenario(80);
     const auto& st = engine.governor().prepare(sc.networks[0]);

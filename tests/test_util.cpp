@@ -1,3 +1,4 @@
+#include "util/bench_json.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -5,9 +6,63 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace dvafs {
 namespace {
+
+// argv as a bench's main receives it.
+struct fake_argv {
+    explicit fake_argv(std::vector<std::string> args) : words(std::move(args))
+    {
+        for (std::string& w : words) {
+            ptrs.push_back(w.data());
+        }
+    }
+    int argc() const { return static_cast<int>(ptrs.size()); }
+    char** argv() { return ptrs.data(); }
+
+    std::vector<std::string> words;
+    std::vector<char*> ptrs;
+};
+
+TEST(bench_reporter, accepts_the_flags_the_bench_reads)
+{
+    fake_argv a({"bench_x", "--json", "out.json", "--min-speedup", "10",
+                 "--bench-suffix", "warm"});
+    const bench_reporter r("x", a.argc(), a.argv(), {"min-speedup"});
+    EXPECT_TRUE(r.enabled());
+    EXPECT_EQ(bench_flag_double(a.argc(), a.argv(), "min-speedup", 0.0),
+              10.0);
+}
+
+TEST(bench_reporter, rejects_a_flag_the_bench_does_not_read)
+{
+    fake_argv a({"bench_x", "--min-speedp", "10"});
+    try {
+        const bench_reporter r("x", a.argc(), a.argv(), {"min-speedup"});
+        ADD_FAILURE() << "a misspelt flag was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("--min-speedp"),
+                  std::string::npos)
+            << e.what();
+    }
+    fake_argv stray({"bench_x", "extra"});
+    EXPECT_THROW(bench_reporter("x", stray.argc(), stray.argv()),
+                 std::invalid_argument);
+    fake_argv missing({"bench_x", "--json"});
+    EXPECT_THROW(bench_reporter("x", missing.argc(), missing.argv()),
+                 std::invalid_argument);
+}
+
+TEST(bench_reporter, help_prints_usage_and_exits_without_running)
+{
+    fake_argv a({"bench_x", "--help"});
+    EXPECT_EXIT(bench_reporter("x", a.argc(), a.argv(), {"min-speedup"}),
+                ::testing::ExitedWithCode(0), "");
+}
 
 TEST(rng, deterministic_for_same_seed)
 {
