@@ -1,7 +1,14 @@
-// CNN inference hot-path benchmark: single-layer im2col+GEMM forward vs
-// the naive reference loops, and the end-to-end quantization-sweep speedup
+// CNN inference hot-path benchmark: single-layer GEMM forward vs the
+// naive reference loops, and the end-to-end quantization-sweep speedup
 // of the memoized, threaded batch_evaluator over the pre-PR path (serial
 // full reference forwards with per-call weight quantization).
+//
+// The layer probes are VGG16-S block1_1 (C = 3 first layer), block1_2
+// (the costliest conv of the serve cascade: a 16-channel 56x56 plane),
+// block4_1 (deep, 7x7) and AlexNet-S conv1 (stride 4) and fc6. Stride-1
+// convs run the shifted-plane lowering of cnn/gemm.h (no im2col matrix)
+// in f32 and im2col in int8, so their `int8_speedup` also carries
+// im2col's cost; alex_s.conv1 packs with im2col on both engines.
 //
 // The sweep comparison runs the *identical* probe sequence on both paths
 // and cross-checks the resulting requirements; a mismatch exits 1 (the
@@ -175,7 +182,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0)
 double bench_layers(bench_reporter& report)
 {
     print_banner(std::cout,
-                 "single-layer forward: im2col+GEMM vs reference loops");
+                 "single-layer forward: GEMM vs reference loops");
     const network vgg = make_vgg16_scaled({.seed = 2017});
     const network alex = make_alexnet_scaled({.seed = 2017});
 
@@ -184,10 +191,11 @@ double bench_layers(bench_reporter& report)
         std::size_t layer;
         const char* label;
     };
-    // First conv (large spatial extent), a deep conv (many channels) and
-    // the big fc of each topology family.
+    // First conv (large spatial extent), the widest full-size conv, a
+    // deep conv (many channels) and the big fc of each topology family.
     const std::vector<probe> probes = {
         {&vgg, 0, "vgg_s.block1_1"},
+        {&vgg, 2, "vgg_s.block1_2"},
         {&vgg, 17, "vgg_s.block4_1"},
         {&alex, 0, "alex_s.conv1"},
         {&alex, 12, "alex_s.fc6"},

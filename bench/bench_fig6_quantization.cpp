@@ -7,7 +7,7 @@
 // runs in its reduced-resolution variant for the execution-based sweep.
 // The paper's published per-layer bits are printed alongside.
 //
-// The sweep runs on the memoized batch_evaluator (im2col+GEMM forwards,
+// The sweep runs on the memoized batch_evaluator (blocked-GEMM forwards,
 // cached quantized weights, prefix-activation reuse, threaded dataset);
 // tests/test_batch_evaluator.cpp pins it probe-for-probe identical to the
 // naive full-forward sweep.

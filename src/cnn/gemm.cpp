@@ -9,14 +9,15 @@
 namespace dvafs {
 
 void gemm_blocked(const float* a, const float* b, const float* bias,
-                  float* c, std::size_t m, std::size_t k, std::size_t n)
+                  float* c, std::size_t m, std::size_t k, std::size_t n,
+                  const std::size_t* boff)
 {
     // The packed-panel 8 x 24 tile and the n == 1 row-vectorized kernel
     // live in the host-SIMD layer (src/vec/kernels_body.h) so each ISA
     // backend compiles them with real vector flags; every backend is
     // bit-identical to the scalar overlay (k-ascending double
     // accumulation; the vector tiles' FMA is exact, see gemm.h).
-    vec::active().gemm_f32(a, b, bias, c, m, k, n);
+    vec::active().gemm_f32(a, b, bias, c, m, k, n, boff);
 }
 
 template <typename T>

@@ -1,5 +1,6 @@
 // Integer blocked GEMM: the true fixed-point CNN inference path. Conv
-// inputs are packed by the same im2col as the float path (cnn/gemm.h).
+// inputs are integer codes packed by im2col (cnn/gemm.h) at every stride;
+// only the float path's stride-1 convs skip that matrix.
 //
 // The float GEMM (gemm.h) computes with fake-quantized weights in double --
 // the planner prices subword integer arithmetic that path never executes.

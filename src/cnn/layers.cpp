@@ -45,14 +45,14 @@ std::vector<float> quantized_weights(const std::vector<float>& w, int bits)
     return out;
 }
 
-// Per-thread im2col scratch, one per operand type: capacity persists
-// across forward calls, so steady-state sweeps stop allocating on the hot
-// path.
+// Per-thread scratch, one per element type: capacity persists across
+// forward calls, so steady-state sweeps stop allocating on the hot path.
+// A forward uses at most one buffer of each type.
 template <typename T>
-std::vector<T>& im2col_scratch()
+std::vector<T>& scratch()
 {
-    thread_local std::vector<T> cols;
-    return cols;
+    thread_local std::vector<T> buf;
+    return buf;
 }
 
 // Effective code precision under integer compute: the requested bits
@@ -126,8 +126,9 @@ tensor requantized_output(const std::vector<Acc>& acc,
 
 // One weighted layer's forward as a GEMM, C[m x n] = bias + W[m x k] *
 // B[k x n]. W is the layer's weight matrix, read through its cache; B is
-// the input, packed by im2col when `kernel` > 0 (conv) or the flattened
-// input column itself (fc: n = 1, no packing).
+// the input: shifted views of a padded input plane for a stride-1 f32
+// conv (plane_forward), packed by im2col for the other convs (`kernel`
+// > 0), or the flattened input column itself (fc: n = 1, no packing).
 struct lowered_gemm {
     const std::vector<float>& w;
     const std::vector<float>& b;
@@ -148,7 +149,7 @@ struct lowered_gemm {
         if (kernel == 0) {
             return x;
         }
-        std::vector<T>& cols = im2col_scratch<T>();
+        std::vector<T>& cols = scratch<T>();
         im2col(x, is, kernel, stride, pad, os, cols);
         return cols.data();
     }
@@ -180,6 +181,77 @@ tensor integer_forward(const lowered_gemm& g, const tensor& in,
     return requantized_output(acc, os, acc_step, lane);
 }
 
+// The f32 forward of a stride-1 conv without an im2col matrix (the
+// shifted-plane lowering of cnn/gemm.h). The input is copied once into a
+// zero-padded plane, fake-quantized on the way in when input_bits > 0 on
+// the grid choose_quant picks over the whole input (as maybe_quantized
+// would); an unquantized pad-0 conv reads its input in place. The GEMM
+// computes the wide grid of (OH - 1) * Wp + OW columns, and the first OW
+// of every Wp are an output row.
+tensor plane_forward(const lowered_gemm& g, const tensor& in,
+                     const layer_quant& q, const tensor_shape& os)
+{
+    const tensor_shape is = in.shape();
+    const std::size_t pad = static_cast<std::size_t>(g.pad);
+    const std::size_t ch = static_cast<std::size_t>(is.c);
+    const std::size_t h = static_cast<std::size_t>(is.h);
+    const std::size_t w = static_cast<std::size_t>(is.w);
+    const std::size_t oh = static_cast<std::size_t>(os.h);
+    const std::size_t ow = static_cast<std::size_t>(os.w);
+    const std::size_t wp = w + 2 * pad;
+    const std::size_t plane = (h + 2 * pad) * wp;
+    const std::size_t n = (oh - 1) * wp + ow;
+    const bool copy = pad > 0 || q.input_bits > 0;
+    const bool compact = wp != ow; // else the wide grid is the output
+    const std::size_t plane_floats = copy ? ch * plane : 0;
+    std::vector<float>& buf = scratch<float>();
+    buf.resize(plane_floats + (compact ? g.m * n : 0));
+
+    const float* x = in.flat().data();
+    if (copy) {
+        const quant_params qx = q.input_bits > 0
+                                    ? choose_quant(in.flat(), q.input_bits)
+                                    : quant_params{};
+        float* dst = buf.data();
+        for (std::size_t c = 0; c < ch; ++c) {
+            dst = std::fill_n(dst, pad * wp, 0.0F); // top pad rows
+            for (std::size_t y = 0; y < h; ++y) {
+                const float* src = x + (c * h + y) * w;
+                dst = std::fill_n(dst, pad, 0.0F);
+                if (q.input_bits > 0) {
+                    fake_quantize({src, w}, qx, dst);
+                } else {
+                    std::copy(src, src + w, dst);
+                }
+                dst = std::fill_n(dst + w, pad, 0.0F);
+            }
+            dst = std::fill_n(dst, pad * wp, 0.0F); // bottom pad rows
+        }
+        x = buf.data();
+    }
+
+    // Row (c, ky, kx) of the im2col matrix, the conv weight order.
+    std::vector<std::size_t>& boff = scratch<std::size_t>();
+    boff.resize(g.k);
+    const std::size_t kk = static_cast<std::size_t>(g.kernel);
+    for (std::size_t r = 0; r < g.k; ++r) {
+        boff[r] = r / (kk * kk) * plane + r / kk % kk * wp + r % kk;
+    }
+
+    const std::vector<float>& wq = g.cache.floats(g.w, q.weight_bits);
+    tensor out(os);
+    float* const of = out.flat().data();
+    float* const wide = compact ? buf.data() + plane_floats : of;
+    gemm_blocked(wq.data(), x, g.b.data(), wide, g.m, g.k, n, boff.data());
+    if (compact) {
+        for (std::size_t row = 0; row < g.m * oh; ++row) {
+            const float* src = wide + row / oh * n + row % oh * wp;
+            std::copy(src, src + ow, of + row * ow);
+        }
+    }
+    return out;
+}
+
 // The forward of every weighted layer, on the engine `q.compute` selects.
 tensor lowered_forward(const lowered_gemm& g, const tensor& in,
                        const layer_quant& q, const tensor_shape& os)
@@ -191,6 +263,9 @@ tensor lowered_forward(const lowered_gemm& g, const tensor& in,
         return integer_forward<std::int16_t, std::int64_t>(g, in, q, os);
     case compute_mode::f32:
         break;
+    }
+    if (g.kernel > 0 && g.stride == 1) {
+        return plane_forward(g, in, q, os);
     }
     tensor xq;
     const tensor& x = maybe_quantized(in, q.input_bits, xq);
@@ -284,7 +359,7 @@ tensor conv_layer::forward(const tensor& in, const layer_quant& q) const
 {
     const tensor_shape os = out_shape(in.shape());
     // Weights are stored [F][C][K][K]: already the M x K row-major GEMM
-    // operand with K indexed in (c, ky, kx) order, matching im2col rows.
+    // operand with K indexed in (c, ky, kx) order, matching B's rows.
     const lowered_gemm g{.w = w_,
                          .b = b_,
                          .cache = cache_,

@@ -2,8 +2,10 @@
 // fully-connected. Every forward takes its precision per call as a
 // layer_quant; nothing about precision is stored in a layer or a network.
 //
-// conv and fc lower their forward passes onto one GEMM (cnn/gemm.h): conv
-// packs its input with im2col, fc is the n = 1 case with no packing. Under
+// conv and fc lower their forward passes onto one GEMM (cnn/gemm.h): a
+// stride-1 f32 conv reads B as shifted views of one zero-padded copy of
+// its input (no im2col matrix), other convs pack their input with
+// im2col, fc is the n = 1 case with no packing. Under
 // compute_mode::f32 the weights and the input feature map are
 // fake-quantized with symmetric per-tensor scales (the methodology of the
 // paper's reference [22]): value -> round(value/step) -> clamp -> value.

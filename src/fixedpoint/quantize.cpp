@@ -132,11 +132,16 @@ requant_scale make_requant_scale(double scale)
     return rs;
 }
 
+void fake_quantize(std::span<const float> data, const quant_params& qp,
+                   float* out)
+{
+    run_quantize(data, qp, out, nullptr, "fake_quantize");
+}
+
 void fake_quantize_inplace(std::span<float> data, int bits)
 {
     // choose_quant rejects non-finite data before anything is written.
-    run_quantize(data, choose_quant(data, bits), data.data(), nullptr,
-                 "fake_quantize_inplace");
+    fake_quantize(data, choose_quant(data, bits), data.data());
 }
 
 } // namespace dvafs

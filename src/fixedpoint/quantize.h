@@ -69,6 +69,14 @@ template <typename T>
 std::vector<T> quantize_codes(std::span<const float> data,
                               const quant_params& qp);
 
+// Fake quantization on a given grid: out[i] = code(data[i]) * step on
+// qp's grid (a choose_quant result), so one grid chosen over a whole
+// tensor can be applied to it piece by piece. `out` holds data.size()
+// floats and may alias `data`. Throws std::invalid_argument on
+// non-finite data or a step that is not finite and positive.
+void fake_quantize(std::span<const float> data, const quant_params& qp,
+                   float* out);
+
 // One-shot "fake quantization": each value is replaced by code * step on
 // the choose_quant grid. This is what the Fig. 6 sweeps apply to
 // weights/activations to emulate b-bit hardware. Throws

@@ -29,9 +29,10 @@ unsigned resolve_threads(unsigned threads, std::size_t count) noexcept;
 // discipline sim_engine::run_batch always used): items cost milliseconds
 // here, so spawn overhead is noise and there is no pool state to leak
 // between callers. Note that per-call workers also get fresh
-// thread_local scratch (e.g. the im2col column buffer), so that
-// amortization only applies within one parallel_for; a persistent pool
-// is the upgrade path if item granularity ever drops.
+// thread_local scratch (e.g. a conv's padded input plane or im2col
+// matrix, cnn/layers.cpp), so that amortization only applies within one
+// parallel_for; a persistent pool is the upgrade path if item
+// granularity ever drops.
 void parallel_for(std::size_t count, unsigned threads,
                   const std::function<void(std::size_t)>& fn);
 

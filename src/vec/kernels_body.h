@@ -63,17 +63,18 @@ inline std::uint64_t shift_transitions(const std::uint64_t* cur,
 }
 
 // A tile_rows x G*W block of the 8 x 24 tile (G <= 3): tile_rows x G
-// accumulators of W doubles. Per k step, G widening loads of the B row,
-// then per row one broadcast and one FMA per accumulator -- bit for bit
-// the scalar tile's multiply and add, since a float product is exact in
-// double (cnn/gemm.h). Only the last group of a column tail (Tail) masks
-// its load and store, which keeps full blocks free of masks. Rows past
-// `rows` are computed on the panel's zero padding and dropped.
+// accumulators of W doubles. B's row r starts at b + boff[r] (b + r * n
+// when boff is null, see gemm_f32_impl). Per k step, G widening loads of
+// the B row, then per row one broadcast and one FMA per accumulator --
+// bit for bit the scalar tile's multiply and add, since a float product
+// is exact in double (cnn/gemm.h). Only the last group of a column tail
+// (Tail) masks its load and store, which keeps full blocks free of masks.
+// Rows past `rows` are computed on the panel's zero padding and dropped.
 template <int G, bool Tail>
 DVAFS_VEC_FMA inline void f32_block(const double* panel, std::size_t row0,
-                                    const float* b, float* c, std::size_t k,
-                                    std::size_t n, std::size_t rows,
-                                    std::size_t cols)
+                                    const float* b, const std::size_t* boff,
+                                    float* c, std::size_t k, std::size_t n,
+                                    std::size_t rows, std::size_t cols)
 {
     const lmask tail = lane_mask(cols - W * (G - 1));
     vd acc[tile_rows][G];
@@ -87,7 +88,7 @@ DVAFS_VEC_FMA inline void f32_block(const double* panel, std::size_t row0,
     }
     const double* ap = panel + 8 + row0;
     for (std::size_t r = 0; r < k; ++r, ap += 8) {
-        const float* brow = b + r * n;
+        const float* brow = b + (boff != nullptr ? boff[r] : r * n);
         vd bv[G];
         #pragma GCC unroll 8
         for (int g = 0; g < G; ++g) {
@@ -121,7 +122,8 @@ DVAFS_VEC_FMA inline void f32_block(const double* panel, std::size_t row0,
 
 // The 8 x 24 tile as blocks of tile_rows x 3W.
 DVAFS_VEC_FMA inline void f32_tile(const double* panel, const float* b,
-                                   float* c, std::size_t k, std::size_t n,
+                                   const std::size_t* boff, float* c,
+                                   std::size_t k, std::size_t n,
                                    std::size_t mb, std::size_t nb)
 {
     constexpr std::size_t span = 3 * W;
@@ -132,13 +134,17 @@ DVAFS_VEC_FMA inline void f32_tile(const double* panel, const float* b,
             const float* const bb = b + col0;
             float* const cb = c + row0 * n + col0;
             if (cols == span) {
-                f32_block<3, false>(panel, row0, bb, cb, k, n, rows, cols);
+                f32_block<3, false>(panel, row0, bb, boff, cb, k, n, rows,
+                                    cols);
             } else if (cols > 2 * W) {
-                f32_block<3, true>(panel, row0, bb, cb, k, n, rows, cols);
+                f32_block<3, true>(panel, row0, bb, boff, cb, k, n, rows,
+                                    cols);
             } else if (cols > W) {
-                f32_block<2, true>(panel, row0, bb, cb, k, n, rows, cols);
+                f32_block<2, true>(panel, row0, bb, boff, cb, k, n, rows,
+                                    cols);
             } else {
-                f32_block<1, true>(panel, row0, bb, cb, k, n, rows, cols);
+                f32_block<1, true>(panel, row0, bb, boff, cb, k, n, rows,
+                                    cols);
             }
         }
     }
@@ -362,12 +368,15 @@ inline void exec_gates(const gate_run_args& g)
 // scalar reference's multiply and add, the vector body's FMA) -- the
 // cnn/gemm.h contract -- so only the assignment of outputs to tiles and
 // lanes differs between backends, and no backend changes a bit.
-// n == 1 (every fc layer) is a matrix-vector product vectorized across
-// rows (f32_gemv). Otherwise A is packed into 8-row panels of doubles in
-// per-thread scratch -- the bias row first, then k groups of eight (rows
-// past m are zero and never stored) -- and an 8 x 24 register tile walks
-// the 24-column n-tiles in the outer loop, so one n-tile of B stays in
-// cache while the packed panels stream past it.
+// B's row r starts at b + boff[r], or at b + r * n when boff is null (a
+// dense B); conv layers pass shifted views of one padded input plane
+// (cnn/gemm.h). A dense n == 1 (every fc layer) is a matrix-vector
+// product vectorized across rows (f32_gemv). Otherwise A is packed into
+// 8-row panels of doubles in per-thread scratch -- the bias row first,
+// then k groups of eight (rows past m are zero and never stored) -- and
+// an 8 x 24 register tile walks the 24-column n-tiles in the outer loop,
+// so one n-tile of B stays in cache while the packed panels stream past
+// it.
 //
 // The panels are packed as many at a time as fit 15360 doubles (120 KiB;
 // at least one): stream workers are short-lived threads that each pack
@@ -419,12 +428,13 @@ inline void pack_panel(const float* a, const float* bias, std::size_t m,
 
 inline void gemm_f32_impl(const float* a, const float* b,
                           const float* bias, float* c, std::size_t m,
-                          std::size_t k, std::size_t n)
+                          std::size_t k, std::size_t n,
+                          const std::size_t* boff)
 {
-    // The vector f32_gemv addresses rows by 32-bit gather offsets (up to
-    // 7 * k); rows too long for that take the panel path, which gives the
-    // same bits.
-    if (n == 1 && k < (std::size_t{1} << 26)) {
+    // The vector f32_gemv reads a dense B and addresses rows by 32-bit
+    // gather offsets (up to 7 * k); a row-offset B or rows too long for
+    // that take the panel path, which gives the same bits.
+    if (n == 1 && boff == nullptr && k < (std::size_t{1} << 26)) {
         f32_gemv(a, b, bias, c, m, k);
         return;
     }
@@ -443,8 +453,8 @@ inline void gemm_f32_impl(const float* a, const float* b,
             for (std::size_t p = 0; p < pn; ++p) {
                 const std::size_t m0 = 8 * (p0 + p);
                 const std::size_t mb = m - m0 < 8 ? m - m0 : 8;
-                f32_tile(packed + p * stride, b + n0, c + m0 * n + n0, k,
-                         n, mb, nb);
+                f32_tile(packed + p * stride, b + n0, boff,
+                         c + m0 * n + n0, k, n, mb, nb);
             }
         }
     }

@@ -54,15 +54,16 @@ inline void transpose64(std::uint64_t x[64])
 // One 8 x nb float tile (nb <= 24) over a packed A panel (kernels_body.h
 // gemm_f32_impl): panel[0..8) holds the eight rows' start values (bias or
 // 0.0), then k groups of eight doubles, one per row. `b` and `c` point at
-// the tile's first column of B and of its first C row; both have row
-// stride n. Only the first mb rows are stored. Per element: start value,
+// the tile's first column of B and of its first C row; B's row r starts
+// boff[r] floats past `b` (r * n when boff is null), C has row stride n.
+// Only the first mb rows are stored. Per element: start value,
 // then acc += a * b in double with k ascending, separate mul and add --
 // the accumulation contract every backend must match bit for bit (the
 // build disables FP contraction globally, so this stays two ops; the
 // vector body fuses them with an explicit FMA, exact per cnn/gemm.h).
-inline void f32_tile(const double* panel, const float* b, float* c,
-                     std::size_t k, std::size_t n, std::size_t mb,
-                     std::size_t nb)
+inline void f32_tile(const double* panel, const float* b,
+                     const std::size_t* boff, float* c, std::size_t k,
+                     std::size_t n, std::size_t mb, std::size_t nb)
 {
     double acc[8][24];
     for (std::size_t i = 0; i < mb; ++i) {
@@ -71,7 +72,7 @@ inline void f32_tile(const double* panel, const float* b, float* c,
         }
     }
     for (std::size_t r = 0; r < k; ++r) {
-        const float* brow = b + r * n;
+        const float* brow = b + (boff != nullptr ? boff[r] : r * n);
         const double* arow = panel + 8 + 8 * r;
         for (std::size_t i = 0; i < mb; ++i) {
             const double av = arow[i];

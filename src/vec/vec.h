@@ -95,10 +95,13 @@ struct kernel_table {
     // Gate-run executor for the compiled sim (gate_words per net).
     void (*exec_gates)(const gate_run_args& run);
     // Blocked GEMMs, C = bias + A(m x k) * B(k x n). Float keeps the
-    // cnn/gemm.h accumulation contract; integer kernels are exact (int8
-    // under the k <= 66571 int32 overflow contract of cnn/gemm_int.h).
+    // cnn/gemm.h accumulation contract and reads B(r, j) at
+    // b[boff[r] + j], or at b[r * n + j] when boff is null; integer
+    // kernels read a dense B and are exact (int8 under the k <= 66571
+    // int32 overflow contract of cnn/gemm_int.h).
     void (*gemm_f32)(const float* a, const float* b, const float* bias,
-                     float* c, std::size_t m, std::size_t k, std::size_t n);
+                     float* c, std::size_t m, std::size_t k, std::size_t n,
+                     const std::size_t* boff);
     void (*gemm_s8)(const std::int8_t* a, const std::int8_t* b,
                     const std::int32_t* bias, std::int32_t* c,
                     std::size_t m, std::size_t k, std::size_t n);

@@ -1,6 +1,7 @@
-// Differential suite for the im2col + blocked-GEMM forward path: pins the
-// GEMM forward float-equal to reference_forward (the pre-GEMM naive loops)
-// across random shapes, strides and paddings, quantized and not.
+// Differential suite for the blocked-GEMM forward path: pins the GEMM
+// forward float-equal to reference_forward (the pre-GEMM naive loops)
+// across random shapes, strides and paddings, quantized and not, and the
+// stride-1 shifted-plane lowering bit-identical to im2col + a dense GEMM.
 //
 // Equality is exact (==, not near): both paths accumulate in double in
 // ascending k per output (the contract in gemm.h). Signed zeros may differ
@@ -11,6 +12,7 @@
 #include "cnn/layers.h"
 #include "cnn/network.h"
 #include "cnn/zoo.h"
+#include "fixedpoint/quantize.h"
 
 #include "util/rng.h"
 #include "vec/vec.h"
@@ -24,6 +26,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace dvafs {
@@ -169,7 +172,8 @@ TEST(gemm, matches_naive_triple_loop)
                     constexpr float guard = 12345.0F;
                     std::vector<float> c(m * n + 32, guard);
                     vec::table_for(level)->gemm_f32(a.data(), b.data(), bp,
-                                                    c.data(), m, k, n);
+                                                    c.data(), m, k, n,
+                                                    nullptr);
                     for (std::size_t e = m * n; e < c.size(); ++e) {
                         ASSERT_EQ(c[e], guard)
                             << vec::isa_name(level) << " " << m << "x" << k
@@ -348,6 +352,102 @@ TEST(gemm_forward, conv_matches_reference_when_kernel_exceeds_input)
     }
 }
 
+// Pins the dispatched backend for one scope and restores the previous
+// one on exit, so a failing assertion cannot leak a forced ISA.
+class isa_scope {
+public:
+    isa_scope() : restore_(vec::active_isa()) {}
+    isa_scope(const isa_scope&) = delete;
+    isa_scope& operator=(const isa_scope&) = delete;
+    ~isa_scope() { vec::force_isa(restore_); }
+
+private:
+    vec::isa restore_;
+};
+
+// A stride-1 conv's forward reads B as shifted views of a padded input
+// plane (cnn/gemm.h) instead of an im2col matrix. It must give the bits
+// of what it replaces -- the input fake-quantized as one tensor, packed
+// by im2col, then a dense GEMM -- on every output, signed zeros included
+// (biases of either zero sign meet +0.0 padded taps and inputs that
+// quantize to zero), under every available ISA: K in {1, 3, 5} with
+// every padding 0..K-1, planes from K x K up with H != W, C in {1, 3, 7},
+// float, 8-bit and 2-bit inputs, Gaussian and cancelling operands.
+TEST(gemm_forward, stride1_conv_matches_im2col_gemm_bitwise_property)
+{
+    const isa_scope scope;
+    pcg32 rng(4096);
+    for (const int k : {1, 3, 5}) {
+        for (int p = 0; p < k; ++p) {
+            for (const int c : {1, 3, 7}) {
+                for (const auto& [h, w] : {std::pair{k, k},
+                                          std::pair{k, k + 3},
+                                          std::pair{k + 6, k + 1}}) {
+                    const int f = 1 + static_cast<int>(rng.bounded(10));
+                    const bool cancel = rng.bounded(2) == 0;
+                    conv_layer conv("c", f, c, k, 1, p);
+                    tensor in({c, h, w});
+                    for (const std::span<float> v :
+                         {std::span<float>(*conv.weights()), in.flat()}) {
+                        if (cancel) {
+                            fill_cancelling(v, rng);
+                        } else {
+                            fill_gaussian(v, rng);
+                        }
+                    }
+                    for (float& b : conv.biases()) {
+                        const std::uint32_t r = rng.bounded(4);
+                        b = r == 0   ? -0.0F
+                            : r == 1 ? 0.0F
+                                     : static_cast<float>(
+                                         rng.gaussian(0.0, 0.5));
+                    }
+                    const tensor_shape os = conv.out_shape(in.shape());
+                    for (const int bits : {0, 8, 2}) {
+                        const layer_quant q{.weight_bits = bits,
+                                            .input_bits = bits};
+                        tensor x = in;
+                        std::vector<float> wq = *std::as_const(conv).weights();
+                        if (bits > 0) {
+                            fake_quantize_inplace(x.flat(), bits);
+                            fake_quantize_inplace(wq, bits);
+                        }
+                        std::vector<float> cols;
+                        im2col(x.flat().data(), x.shape(), k, 1, p, os, cols);
+                        const std::size_t n = static_cast<std::size_t>(os.h)
+                                              * static_cast<std::size_t>(os.w);
+                        std::vector<float> want(static_cast<std::size_t>(f)
+                                                * n);
+                        ASSERT_TRUE(vec::force_isa(vec::isa::scalar));
+                        gemm_blocked(wq.data(), cols.data(),
+                                     conv.biases().data(), want.data(),
+                                     static_cast<std::size_t>(f),
+                                     cols.size() / n, n);
+                        for (const vec::isa level : vec::available()) {
+                            ASSERT_TRUE(vec::force_isa(level));
+                            const tensor got = conv.forward(in, q);
+                            ASSERT_EQ(got.shape(), os);
+                            for (std::size_t e = 0; e < want.size(); ++e) {
+                                ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                                              got.flat()[e]),
+                                          std::bit_cast<std::uint32_t>(
+                                              want[e]))
+                                    << vec::isa_name(level) << " k=" << k
+                                    << " p=" << p << " c=" << c << " "
+                                    << h << "x" << w << " f=" << f
+                                    << " bits=" << bits
+                                    << (cancel ? " cancelling" : "")
+                                    << " element " << e << ": "
+                                    << got.flat()[e] << " vs " << want[e];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(gemm_forward, fc_matches_reference_across_random_shapes)
 {
     pcg32 rng(77);
@@ -369,19 +469,6 @@ TEST(gemm_forward, fc_matches_reference_across_random_shapes)
         }
     }
 }
-
-// Pins the dispatched backend for one scope and restores the previous
-// one on exit, so a failing assertion cannot leak a forced ISA.
-class isa_scope {
-public:
-    isa_scope() : restore_(vec::active_isa()) {}
-    isa_scope(const isa_scope&) = delete;
-    isa_scope& operator=(const isa_scope&) = delete;
-    ~isa_scope() { vec::force_isa(restore_); }
-
-private:
-    vec::isa restore_;
-};
 
 // Whole networks, GEMM forward vs the naive reference loops, float-equal
 // on every output under every available ISA: the float network and a

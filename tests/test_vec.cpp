@@ -224,12 +224,12 @@ TEST_F(vec_test, gemm_f32_bit_identical)
             for (const float* bp : biases) {
                 std::vector<float> ref(sh.m * sh.n);
                 scalar_table().gemm_f32(a.data(), b.data(), bp, ref.data(),
-                                        sh.m, sh.k, sh.n);
+                                        sh.m, sh.k, sh.n, nullptr);
                 for (const vec::isa level : other_backends()) {
                     std::vector<float> c(sh.m * sh.n);
                     vec::table_for(level)->gemm_f32(a.data(), b.data(), bp,
                                                     c.data(), sh.m, sh.k,
-                                                    sh.n);
+                                                    sh.n, nullptr);
                     for (std::size_t e = 0; e < c.size(); ++e) {
                         ASSERT_TRUE(same_bits(c[e], ref[e]))
                             << vec::isa_name(level) << " " << sh.m << "x"
@@ -238,6 +238,66 @@ TEST_F(vec_test, gemm_f32_bit_identical)
                             << (bp == nullptr ? " no bias" : "")
                             << " element " << e << ": " << c[e] << " vs "
                             << ref[e];
+                    }
+                }
+            }
+        }
+    }
+}
+
+// The row-offset form of gemm_f32, B(r, j) = b[boff[r] + j], on rows
+// that are overlapping shifted views of one buffer, as the stride-1 conv
+// lowering makes them (cnn/gemm.h). The scalar table must give the bits
+// of a dense GEMM over the same rows gathered into a k x n matrix, and
+// every backend those of the scalar table -- n == 1 included, which a
+// row-offset B sends down the panel path instead of the dense gemv.
+TEST_F(vec_test, gemm_f32_row_offsets_bit_identical)
+{
+    pcg32 rng(505);
+    const char* const mode_names[] = {"", " specials", " cancelling"};
+    for (const std::size_t m : {1, 7, 9, 17}) {
+        for (const std::size_t n : {1, 9, 23, 24, 25, 49}) {
+            for (const std::size_t k : {0, 1, 27, 150}) {
+                for (int mode = 0; mode < 3; ++mode) {
+                    std::vector<float> a(m * k);
+                    std::vector<float> plane(2 * n + 37);
+                    std::vector<float> bias(m);
+                    if (mode == 2) {
+                        fill_cancelling(a, rng);
+                        fill_cancelling(plane, rng);
+                        fill_cancelling(bias, rng);
+                    } else {
+                        fill_float_operands(a, rng, 2.0, mode == 1);
+                        fill_float_operands(plane, rng, 2.0, mode == 1);
+                        fill_float_operands(bias, rng, 1.0, mode == 1);
+                    }
+                    std::vector<std::size_t> boff(k);
+                    std::vector<float> dense(k * n);
+                    for (std::size_t r = 0; r < k; ++r) {
+                        boff[r] = rng.bounded(
+                            static_cast<std::uint32_t>(plane.size() - n + 1));
+                        for (std::size_t j = 0; j < n; ++j) {
+                            dense[r * n + j] = plane[boff[r] + j];
+                        }
+                    }
+                    const std::string what =
+                        std::to_string(m) + "x" + std::to_string(k) + "x"
+                        + std::to_string(n) + mode_names[mode];
+                    std::vector<float> want(m * n);
+                    scalar_table().gemm_f32(a.data(), dense.data(),
+                                            bias.data(), want.data(), m, k,
+                                            n, nullptr);
+                    for (const vec::isa level : vec::available()) {
+                        std::vector<float> c(m * n);
+                        vec::table_for(level)->gemm_f32(
+                            a.data(), plane.data(), bias.data(), c.data(), m,
+                            k, n, boff.data());
+                        for (std::size_t e = 0; e < c.size(); ++e) {
+                            ASSERT_TRUE(same_bits(c[e], want[e]))
+                                << vec::isa_name(level) << " " << what
+                                << " element " << e << ": " << c[e]
+                                << " vs " << want[e];
+                        }
                     }
                 }
             }
