@@ -507,117 +507,46 @@ namespace {
 // (old entries then silently recompile).
 constexpr std::uint32_t schedule_blob_version = 1;
 
-constexpr std::uint8_t max_gate_kind =
-    static_cast<std::uint8_t>(gate_kind::maj_g);
+constexpr auto walk_schedule = [](auto& ar, auto& s) {
+    ar.u64(s.net_count);
+    ar.u64(s.input_count);
+    ar.vec_u32(s.dense_of);
+    ar.seq(s.kinds, [](auto& a, auto& k) { a.enum8(k, gate_kind::maj_g); });
+    ar.seq(s.live_inputs, [](auto& a, auto& li) {
+        a.u32(li.dense);
+        a.u32(li.pos);
+    });
+    ar.seq(s.runs, [](auto& a, auto& r) {
+        a.enum8(r.kind, gate_kind::maj_g);
+        a.u32(r.begin);
+        a.u32(r.end);
+    });
+    ar.vec_u32(s.in0);
+    ar.vec_u32(s.in1);
+    ar.vec_u32(s.in2);
+    ar.seq(s.tied_checks, [](auto& a, auto& tc) {
+        a.u32(tc.pos);
+        a.flag(tc.value);
+        a.u32(tc.net);
+        a.str(tc.name);
+    });
+    ar.vec_u32(s.const_dense);
+    ar.bytes_u8(s.const_vals);
+    ar.u64(s.pruned_gates);
+};
 
 } // namespace
 
 std::vector<std::uint8_t> serialize_schedule(const compiled_schedule& s)
 {
-    byte_writer w;
-    w.u32(schedule_blob_version);
-    w.u64(s.net_count);
-    w.u64(s.input_count);
-    w.vec_u32(s.dense_of);
-    w.u64(s.kinds.size());
-    for (const gate_kind k : s.kinds) {
-        w.u8(static_cast<std::uint8_t>(k));
-    }
-    w.u64(s.live_inputs.size());
-    for (const compiled_schedule::live_input& li : s.live_inputs) {
-        w.u32(li.dense);
-        w.u32(li.pos);
-    }
-    w.u64(s.runs.size());
-    for (const compiled_run& r : s.runs) {
-        w.u8(static_cast<std::uint8_t>(r.kind));
-        w.u32(r.begin);
-        w.u32(r.end);
-    }
-    w.vec_u32(s.in0);
-    w.vec_u32(s.in1);
-    w.vec_u32(s.in2);
-    w.u64(s.tied_checks.size());
-    for (const compiled_schedule::tied_check& tc : s.tied_checks) {
-        w.u32(tc.pos);
-        w.u8(tc.value ? 1 : 0);
-        w.u32(tc.net);
-        w.str(tc.name);
-    }
-    w.vec_u32(s.const_dense);
-    w.bytes_u8(s.const_vals);
-    w.u64(s.pruned_gates);
-    return w.take();
+    return encode_blob(schedule_blob_version, s, walk_schedule);
 }
 
 std::optional<compiled_schedule>
 deserialize_schedule(const std::vector<std::uint8_t>& bytes)
 {
     compiled_schedule s;
-    try {
-        byte_reader r(bytes);
-        if (r.u32() != schedule_blob_version) {
-            return std::nullopt;
-        }
-        s.net_count = r.u64();
-        s.input_count = r.u64();
-        s.dense_of = r.vec_u32();
-        const std::size_t n_kinds = r.u64();
-        if (n_kinds > r.remaining()) {
-            return std::nullopt;
-        }
-        s.kinds.resize(n_kinds);
-        for (std::size_t i = 0; i < n_kinds; ++i) {
-            const std::uint8_t k = r.u8();
-            if (k > max_gate_kind) {
-                return std::nullopt;
-            }
-            s.kinds[i] = static_cast<gate_kind>(k);
-        }
-        const std::size_t n_live = r.u64();
-        if (n_live > r.remaining() / 8) {
-            return std::nullopt;
-        }
-        s.live_inputs.resize(n_live);
-        for (auto& li : s.live_inputs) {
-            li.dense = r.u32();
-            li.pos = r.u32();
-        }
-        const std::size_t n_runs = r.u64();
-        if (n_runs > r.remaining() / 9) {
-            return std::nullopt;
-        }
-        s.runs.resize(n_runs);
-        for (compiled_run& run : s.runs) {
-            const std::uint8_t k = r.u8();
-            if (k > max_gate_kind) {
-                return std::nullopt;
-            }
-            run.kind = static_cast<gate_kind>(k);
-            run.begin = r.u32();
-            run.end = r.u32();
-        }
-        s.in0 = r.vec_u32();
-        s.in1 = r.vec_u32();
-        s.in2 = r.vec_u32();
-        const std::size_t n_tied = r.u64();
-        if (n_tied > r.remaining() / 9) {
-            return std::nullopt;
-        }
-        s.tied_checks.resize(n_tied);
-        for (auto& tc : s.tied_checks) {
-            tc.pos = r.u32();
-            tc.value = r.u8() != 0;
-            tc.net = r.u32();
-            tc.name = r.str();
-        }
-        s.const_dense = r.vec_u32();
-        s.const_vals = r.bytes_u8();
-        s.pruned_gates = r.u64();
-        if (!r.done()) {
-            return std::nullopt;
-        }
-    } catch (const serial_error&) {
+    if (!decode_blob(bytes, schedule_blob_version, s, walk_schedule)) {
         return std::nullopt;
     }
 

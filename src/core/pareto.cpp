@@ -308,177 +308,98 @@ namespace {
 
 constexpr std::uint32_t frontier_blob_version = 1;
 constexpr std::uint32_t frontier_state_blob_version = 1;
-constexpr std::uint8_t max_sw_mode = static_cast<std::uint8_t>(sw_mode::w4x4);
 
-void put_spec(byte_writer& w, const operating_point_spec& s)
-{
-    w.u8(static_cast<std::uint8_t>(s.mode));
-    w.i64(s.keep_bits);
-    w.f64(s.vdd);
-    w.f64(s.f_mhz);
-}
-
-operating_point_spec get_spec(byte_reader& r)
-{
-    const std::uint8_t m = r.u8();
-    if (m > max_sw_mode) {
-        throw serial_error("bad sw_mode");
-    }
-    operating_point_spec s;
-    s.mode = static_cast<sw_mode>(m);
-    s.keep_bits = static_cast<int>(r.i64());
-    s.vdd = r.f64();
-    s.f_mhz = r.f64();
-    return s;
-}
-
-std::vector<std::uint8_t> serialize_frontier(const mode_frontier& mf)
-{
-    byte_writer w;
-    w.u32(frontier_blob_version);
+constexpr auto walk_frontier = [](auto& ar, auto& mf) {
     // Config echo: the embedded disk-store key already identifies the
     // measurement, but tech/cal travel only by name there -- echoing the
     // numeric config makes a mismatched blob detectable on its own.
-    w.u32(static_cast<std::uint32_t>(mf.config.width));
-    w.u64(mf.config.vectors);
-    w.u64(mf.config.seed);
-    w.vec_f64(mf.config.f_grid_mhz);
-    w.vec_f64(mf.config.vdd_grid);
-    w.u64(mf.points.size());
-    for (const frontier_point& p : mf.points) {
-        put_spec(w, p.spec);
-        w.f64(p.vdd);
-        w.f64(p.f_mhz);
-        w.i64(p.lanes);
-        w.i64(p.precision_bits);
-        w.f64(p.mean_cap_ff);
-        w.f64(p.crit_path_ps);
-        w.f64(p.activity_divisor);
-    }
-    std::vector<std::uint64_t> pareto(mf.pareto.size());
-    for (std::size_t i = 0; i < mf.pareto.size(); ++i) {
-        pareto[i] = mf.pareto[i];
-    }
-    w.vec_u64(pareto);
-    w.u64(mf.nominal);
-    return w.take();
+    ar.u32(mf.config.width);
+    ar.u64(mf.config.vectors);
+    ar.u64(mf.config.seed);
+    ar.vec_f64(mf.config.f_grid_mhz);
+    ar.vec_f64(mf.config.vdd_grid);
+    ar.seq(mf.points, [](auto& a, auto& p) {
+        walk_spec(a, p.spec);
+        a.f64(p.vdd);
+        a.f64(p.f_mhz);
+        a.i64(p.lanes);
+        a.i64(p.precision_bits);
+        a.f64(p.mean_cap_ff);
+        a.f64(p.crit_path_ps);
+        a.f64(p.activity_divisor);
+    });
+    ar.seq(mf.pareto, u64_field);
+    ar.u64(mf.nominal);
+};
+
+constexpr auto walk_frontier_state = [](auto& ar, auto& st) {
+    ar.u64(st.vectors);
+    ar.seq(st.points, [](auto& a, auto& p) {
+        walk_spec(a, p.spec);
+        a.u64(p.done);
+        a.u64(p.rng.state);
+        a.u64(p.rng.inc);
+        a.flag(p.timed);
+        a.f64(p.crit_path_ps);
+        a.flag(p.sim.initialized);
+        a.u64(p.sim.transitions);
+        a.bytes_u8(p.sim.last);
+        a.vec_u64(p.sim.toggles);
+    });
+};
+
+} // namespace
+
+std::vector<std::uint8_t> serialize_frontier(const mode_frontier& mf)
+{
+    return encode_blob(frontier_blob_version, mf, walk_frontier);
 }
 
 std::optional<mode_frontier>
 deserialize_frontier(const std::vector<std::uint8_t>& blob,
                      const frontier_config& cfg)
 {
-    try {
-        byte_reader r(blob);
-        if (r.u32() != frontier_blob_version) {
-            return std::nullopt;
-        }
-        if (r.u32() != static_cast<std::uint32_t>(cfg.width)
-            || r.u64() != cfg.vectors || r.u64() != cfg.seed
-            || r.vec_f64() != cfg.f_grid_mhz
-            || r.vec_f64() != cfg.vdd_grid) {
-            return std::nullopt;
-        }
-        mode_frontier mf;
-        mf.config = cfg;
-        const std::uint64_t n = r.u64();
-        // Bounded by the bytes left (57 per point), so a corrupt count
-        // throws on overrun instead of allocating.
-        if (n > r.remaining() / 57) {
-            return std::nullopt;
-        }
-        mf.points.resize(static_cast<std::size_t>(n));
-        for (frontier_point& p : mf.points) {
-            p.spec = get_spec(r);
-            p.vdd = r.f64();
-            p.f_mhz = r.f64();
-            p.lanes = static_cast<int>(r.i64());
-            p.precision_bits = static_cast<int>(r.i64());
-            p.mean_cap_ff = r.f64();
-            p.crit_path_ps = r.f64();
-            p.activity_divisor = r.f64();
-        }
-        for (const std::uint64_t idx : r.vec_u64()) {
-            if (idx >= mf.points.size()) {
-                return std::nullopt;
-            }
-            mf.pareto.push_back(static_cast<std::size_t>(idx));
-        }
-        mf.nominal = static_cast<std::size_t>(r.u64());
-        if (mf.nominal >= mf.points.size() || !r.done()
-            || mf.points.empty()) {
-            return std::nullopt;
-        }
-        return mf;
-    } catch (const serial_error&) {
+    mode_frontier mf;
+    if (!decode_blob(blob, frontier_blob_version, mf, walk_frontier)
+        || mf.config.width != cfg.width || mf.config.vectors != cfg.vectors
+        || mf.config.seed != cfg.seed
+        || mf.config.f_grid_mhz != cfg.f_grid_mhz
+        || mf.config.vdd_grid != cfg.vdd_grid || mf.points.empty()
+        || mf.nominal >= mf.points.size()) {
         return std::nullopt;
     }
+    for (const std::size_t idx : mf.pareto) {
+        if (idx >= mf.points.size()) {
+            return std::nullopt;
+        }
+    }
+    mf.config = cfg;
+    return mf;
 }
 
 std::vector<std::uint8_t>
 serialize_frontier_state(const frontier_measurement& st)
 {
-    byte_writer w;
-    w.u32(frontier_state_blob_version);
-    w.u64(st.vectors);
-    w.u64(st.points.size());
-    for (const point_measure_state& p : st.points) {
-        put_spec(w, p.spec);
-        w.u64(p.done);
-        w.u64(p.rng.state);
-        w.u64(p.rng.inc);
-        w.u8(p.timed ? 1 : 0);
-        w.f64(p.crit_path_ps);
-        w.u8(p.sim.initialized ? 1 : 0);
-        w.u64(p.sim.transitions);
-        w.bytes_u8(p.sim.last);
-        w.vec_u64(p.sim.toggles);
-    }
-    return w.take();
+    return encode_blob(frontier_state_blob_version, st, walk_frontier_state);
 }
 
 std::optional<frontier_measurement>
 deserialize_frontier_state(const std::vector<std::uint8_t>& blob)
 {
-    try {
-        byte_reader r(blob);
-        if (r.u32() != frontier_state_blob_version) {
-            return std::nullopt;
-        }
-        frontier_measurement st;
-        st.vectors = r.u64();
-        const std::uint64_t n = r.u64();
-        if (n > r.remaining() / 60) {
-            return std::nullopt;
-        }
-        st.points.resize(static_cast<std::size_t>(n));
-        for (point_measure_state& p : st.points) {
-            p.spec = get_spec(r);
-            p.done = r.u64();
-            p.rng.state = r.u64();
-            p.rng.inc = r.u64();
-            p.timed = r.u8() != 0;
-            p.crit_path_ps = r.f64();
-            p.sim.initialized = r.u8() != 0;
-            p.sim.transitions = r.u64();
-            p.sim.last = r.bytes_u8();
-            p.sim.toggles = r.vec_u64();
-            // Deeper shape checks (net counts) happen against the live
-            // schedule in load_activity; here only the stream invariant.
-            if (p.done != st.vectors) {
-                return std::nullopt;
-            }
-        }
-        if (!r.done()) {
-            return std::nullopt;
-        }
-        return st;
-    } catch (const serial_error&) {
+    frontier_measurement st;
+    if (!decode_blob(blob, frontier_state_blob_version, st,
+                     walk_frontier_state)) {
         return std::nullopt;
     }
+    // Deeper shape checks (net counts) happen against the live schedule in
+    // load_activity; here only the stream invariant.
+    for (const point_measure_state& p : st.points) {
+        if (p.done != st.vectors) {
+            return std::nullopt;
+        }
+    }
+    return st;
 }
-
-} // namespace
 
 // -- frontier cache -----------------------------------------------------------
 

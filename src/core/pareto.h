@@ -36,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -182,6 +183,31 @@ private:
     std::atomic<std::uint64_t> disk_hits_{0};
     std::atomic<std::uint64_t> extended_{0};
     std::atomic<std::uint64_t> measured_{0};
+};
+
+// -- frontier persistence -----------------------------------------------------
+
+// Codecs of the "frontier" and "frontier_state" blobs frontier_cache keeps
+// in the disk store. The decoders return nullopt on a malformed blob or a
+// failed semantic check -- another config echoed (frontier), an empty
+// point list or an out-of-range index (frontier), a point not at the
+// state's vector count (state) -- so a corrupt entry costs a re-measure.
+std::vector<std::uint8_t> serialize_frontier(const mode_frontier& mf);
+std::optional<mode_frontier>
+deserialize_frontier(const std::vector<std::uint8_t>& blob,
+                     const frontier_config& cfg);
+std::vector<std::uint8_t>
+serialize_frontier_state(const frontier_measurement& st);
+std::optional<frontier_measurement>
+deserialize_frontier_state(const std::vector<std::uint8_t>& blob);
+
+// The wire form of an operating_point_spec inside the frontier, state and
+// teacher blobs (a util/serial.h walk).
+inline constexpr auto walk_spec = [](auto& ar, auto& s) {
+    ar.enum8(s.mode, sw_mode::w4x4);
+    ar.i64(s.keep_bits);
+    ar.f64(s.vdd);
+    ar.f64(s.f_mhz);
 };
 
 // -- per-layer frontier -------------------------------------------------------

@@ -64,30 +64,24 @@ layer_plan assemble_frontier_layer(const layer_runner& runner,
 network_plan precision_planner::plan(const network& net,
                                      const quant_sweep_config& cfg) const
 {
-    // Either knob selects the integer engine: a non-f32 sweep config wins,
-    // else the planner's own setting applies to sweep and probes alike.
-    quant_sweep_config scfg = cfg;
-    if (scfg.compute == compute_mode::f32) {
-        scfg.compute = cfg_.compute;
-    }
-    const teacher_dataset data = make_teacher_dataset(net, scfg);
+    const teacher_dataset data = make_teacher_dataset(net, cfg);
     // One evaluator serves the sweep, the joint refinement and the
     // sparsity statistics: its float-activation cache is shared across all
     // three (sweeps only recompute the perturbed suffix; see
     // cnn/quant_analysis.h).
-    const batch_evaluator eval(net, data, scfg.threads);
+    const batch_evaluator eval(net, data, cfg.threads);
     const std::vector<layer_quant_requirement> reqs =
-        eval.refine(eval.sweep(scfg), scfg);
+        eval.refine(eval.sweep(cfg), cfg);
     const std::vector<layer_sparsity> sparsity = eval.sparsity();
-    return plan_internal(net, reqs, sparsity, &data, scfg.threads,
-                         scfg.compute);
+    return plan_internal(net, reqs, sparsity, &data, cfg.threads,
+                         cfg.compute);
 }
 
 network_plan precision_planner::plan_with_requirements(
     const network& net, const std::vector<layer_quant_requirement>& reqs,
     const std::vector<layer_sparsity>& sparsity) const
 {
-    return plan_internal(net, reqs, sparsity, nullptr, 0, cfg_.compute);
+    return plan_internal(net, reqs, sparsity, nullptr);
 }
 
 network_plan precision_planner::plan_from_frontiers(
@@ -143,7 +137,7 @@ std::shared_ptr<const mode_frontier> precision_planner::frontier() const
 
 std::vector<layer_workload> precision_planner::build_workloads(
     const network& net, const std::vector<layer_quant_requirement>& reqs,
-    const std::vector<layer_sparsity>& sparsity) const
+    const std::vector<layer_sparsity>& sparsity, compute_mode compute) const
 {
     std::vector<layer_workload> workloads = extract_workloads(net);
     if (workloads.size() != reqs.size()) {
@@ -153,7 +147,7 @@ std::vector<layer_workload> precision_planner::build_workloads(
     for (std::size_t i = 0; i < workloads.size(); ++i) {
         workloads[i].weight_bits = reqs[i].min_weight_bits;
         workloads[i].input_bits = reqs[i].min_input_bits;
-        workloads[i].compute = cfg_.compute;
+        workloads[i].compute = compute;
         if (i < sparsity.size()) {
             workloads[i].weight_sparsity = sparsity[i].weight_sparsity;
             workloads[i].input_sparsity = sparsity[i].input_sparsity;
@@ -169,7 +163,7 @@ std::vector<layer_frontier> precision_planner::layer_frontiers(
 {
     return layer_frontiers_from_workloads(
         net, reqs, build_workloads(net, reqs, sparsity), data, nullptr,
-        threads, cfg_.compute);
+        threads);
 }
 
 std::vector<layer_frontier>
@@ -321,7 +315,7 @@ network_plan precision_planner::plan_internal(
     compute_mode compute) const
 {
     const std::vector<layer_workload> workloads =
-        build_workloads(net, reqs, sparsity);
+        build_workloads(net, reqs, sparsity, compute);
     // Joint accuracy at the requirements, when a frontier pass measures it
     // anyway (NaN = not measured).
     double acc_ref = std::numeric_limits<double>::quiet_NaN();

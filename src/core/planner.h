@@ -64,13 +64,6 @@ struct planner_config {
     bool time_pareto = false;
     // Gate-level sweep behind the measured frontier (cached process-wide).
     frontier_config frontier;
-    // Arithmetic engine the planner's accuracy probes execute
-    // (cnn/layers.h compute_mode): f32 prices the legacy fake-quantized
-    // float path; i16/i8 price the true integer inference engine
-    // (cnn/gemm_int.h) -- the arithmetic the scheduled datapath actually
-    // runs. plan(net, sweep_cfg) lets a non-f32 sweep config override
-    // this, so either knob selects the integer engine end to end.
-    compute_mode compute = compute_mode::f32;
 };
 
 struct layer_plan {
@@ -132,8 +125,11 @@ public:
     // against a synthetic teacher dataset, attach measured sparsity, pick
     // every layer's operating point per the configured policy, and report
     // network-level energy/fps/efficiency plus the 16 b baseline. The
-    // network is only read; one immutable instance may serve concurrent
-    // planners (the sim_engine const-read contract).
+    // sweep's compute_mode is the engine of every accuracy probe and of
+    // every planned layer (an i8 layer is never placed on a 1x16 lane);
+    // the other entry points plan for f32. The network is only read; one
+    // immutable instance may serve concurrent planners (the sim_engine
+    // const-read contract).
     network_plan plan(const network& net,
                       const quant_sweep_config& cfg) const;
 
@@ -180,7 +176,7 @@ public:
 private:
     // `threads` is the dataset-level worker count for accuracy probes
     // (quant_sweep_config::threads; 0 = hardware default); `compute` the
-    // engine those probes execute (the resolved planner/sweep knob).
+    // engine those probes and the planned layers execute.
     network_plan plan_internal(const network& net,
                                const std::vector<layer_quant_requirement>&
                                    reqs,
@@ -193,7 +189,8 @@ private:
     std::vector<layer_workload> build_workloads(
         const network& net,
         const std::vector<layer_quant_requirement>& reqs,
-        const std::vector<layer_sparsity>& sparsity) const;
+        const std::vector<layer_sparsity>& sparsity,
+        compute_mode compute = compute_mode::f32) const;
 
     // Shared implementation behind layer_frontiers/plan_internal; when
     // accuracy is priced, `acc_ref_out` (if non-null) receives the joint

@@ -77,8 +77,6 @@ std::uint64_t weight_digest_of(const network& net)
 // requirements are a per-process response, not the network's baseline.
 
 constexpr std::uint32_t teacher_blob_version = 1;
-constexpr std::uint8_t max_sw_mode_u8 = static_cast<std::uint8_t>(
-    sw_mode::w4x4);
 
 std::string teacher_key(const network& net, std::size_t depth,
                         std::uint64_t macs, std::uint64_t digest,
@@ -96,131 +94,63 @@ std::string teacher_key(const network& net, std::size_t depth,
     return os.str();
 }
 
+constexpr auto walk_teacher = [](auto& ar, auto& st) {
+    ar.f64(st.reference_accuracy);
+    ar.seq(st.reqs, [](auto& a, auto& r) {
+        a.str(r.layer_name);
+        a.u64(r.layer_index);
+        a.i64(r.min_weight_bits);
+        a.i64(r.min_input_bits);
+    });
+    ar.seq(st.sparsity, [](auto& a, auto& s) {
+        a.str(s.layer_name);
+        a.f64(s.weight_sparsity);
+        a.f64(s.input_sparsity);
+    });
+    ar.seq(st.frontiers, [](auto& a, auto& f) {
+        a.str(f.layer_name);
+        a.u64(f.layer_index);
+        a.i64(f.required_bits);
+        a.seq(f.points, [](auto& b, auto& p) {
+            b.u64(p.mode_point);
+            walk_spec(b, p.spec);
+            b.f64(p.activity_divisor);
+            b.enum8(p.mode.mode, sw_mode::w4x4);
+            b.i64(p.mode.weight_bits);
+            b.i64(p.mode.input_bits);
+            b.f64(p.mode.f_mhz);
+            b.f64(p.mode.vdd);
+            b.f64(p.mode.weight_sparsity);
+            b.f64(p.mode.input_sparsity);
+            b.f64(p.energy_mj);
+            b.f64(p.time_ms);
+            b.f64(p.accuracy_loss);
+        });
+    });
+};
+
+} // namespace
+
 std::vector<std::uint8_t>
 serialize_teacher(const adaptive_governor::network_state& st)
 {
-    byte_writer w;
-    w.u32(teacher_blob_version);
-    w.f64(st.reference_accuracy);
-    w.u64(st.reqs.size());
-    for (const layer_quant_requirement& r : st.reqs) {
-        w.str(r.layer_name);
-        w.u64(r.layer_index);
-        w.i64(r.min_weight_bits);
-        w.i64(r.min_input_bits);
-    }
-    w.u64(st.sparsity.size());
-    for (const layer_sparsity& s : st.sparsity) {
-        w.str(s.layer_name);
-        w.f64(s.weight_sparsity);
-        w.f64(s.input_sparsity);
-    }
-    w.u64(st.frontiers.size());
-    for (const layer_frontier& f : st.frontiers) {
-        w.str(f.layer_name);
-        w.u64(f.layer_index);
-        w.i64(f.required_bits);
-        w.u64(f.points.size());
-        for (const layer_frontier_point& p : f.points) {
-            w.u64(p.mode_point);
-            w.u8(static_cast<std::uint8_t>(p.spec.mode));
-            w.i64(p.spec.keep_bits);
-            w.f64(p.spec.vdd);
-            w.f64(p.spec.f_mhz);
-            w.f64(p.activity_divisor);
-            w.u8(static_cast<std::uint8_t>(p.mode.mode));
-            w.i64(p.mode.weight_bits);
-            w.i64(p.mode.input_bits);
-            w.f64(p.mode.f_mhz);
-            w.f64(p.mode.vdd);
-            w.f64(p.mode.weight_sparsity);
-            w.f64(p.mode.input_sparsity);
-            w.f64(p.energy_mj);
-            w.f64(p.time_ms);
-            w.f64(p.accuracy_loss);
-        }
-    }
-    return w.take();
+    return encode_blob(teacher_blob_version, st, walk_teacher);
 }
 
 bool deserialize_teacher(const std::vector<std::uint8_t>& blob,
                          std::size_t expected_layers,
                          adaptive_governor::network_state& st)
 {
-    try {
-        byte_reader r(blob);
-        if (r.u32() != teacher_blob_version) {
-            return false;
-        }
-        st.reference_accuracy = r.f64();
-        const auto read_mode = [&r]() {
-            const std::uint8_t m = r.u8();
-            if (m > max_sw_mode_u8) {
-                throw serial_error("bad sw_mode");
-            }
-            return static_cast<sw_mode>(m);
-        };
-        const std::uint64_t nr = r.u64();
-        if (nr != expected_layers) {
-            return false;
-        }
-        st.reqs.resize(static_cast<std::size_t>(nr));
-        for (layer_quant_requirement& q : st.reqs) {
-            q.layer_name = r.str();
-            q.layer_index = static_cast<std::size_t>(r.u64());
-            q.min_weight_bits = static_cast<int>(r.i64());
-            q.min_input_bits = static_cast<int>(r.i64());
-        }
-        const std::uint64_t ns = r.u64();
-        if (ns != expected_layers) {
-            return false;
-        }
-        st.sparsity.resize(static_cast<std::size_t>(ns));
-        for (layer_sparsity& s : st.sparsity) {
-            s.layer_name = r.str();
-            s.weight_sparsity = r.f64();
-            s.input_sparsity = r.f64();
-        }
-        const std::uint64_t nf = r.u64();
-        if (nf != expected_layers) {
-            return false;
-        }
-        st.frontiers.resize(static_cast<std::size_t>(nf));
-        for (layer_frontier& f : st.frontiers) {
-            f.layer_name = r.str();
-            f.layer_index = static_cast<std::size_t>(r.u64());
-            f.required_bits = static_cast<int>(r.i64());
-            const std::uint64_t np = r.u64();
-            if (np > r.remaining() / 114 || np == 0) {
-                return false;
-            }
-            f.points.resize(static_cast<std::size_t>(np));
-            for (layer_frontier_point& p : f.points) {
-                p.mode_point = static_cast<std::size_t>(r.u64());
-                p.spec.mode = read_mode();
-                p.spec.keep_bits = static_cast<int>(r.i64());
-                p.spec.vdd = r.f64();
-                p.spec.f_mhz = r.f64();
-                p.activity_divisor = r.f64();
-                p.mode.mode = read_mode();
-                p.mode.weight_bits = static_cast<int>(r.i64());
-                p.mode.input_bits = static_cast<int>(r.i64());
-                p.mode.f_mhz = r.f64();
-                p.mode.vdd = r.f64();
-                p.mode.weight_sparsity = r.f64();
-                p.mode.input_sparsity = r.f64();
-                p.energy_mj = r.f64();
-                p.time_ms = r.f64();
-                p.accuracy_loss = r.f64();
-            }
-        }
-        return r.done();
-    } catch (const serial_error&) {
+    if (!decode_blob(blob, teacher_blob_version, st, walk_teacher)
+        || st.reqs.size() != expected_layers
+        || st.sparsity.size() != expected_layers
+        || st.frontiers.size() != expected_layers) {
         return false;
     }
+    return std::none_of(
+        st.frontiers.begin(), st.frontiers.end(),
+        [](const layer_frontier& f) { return f.points.empty(); });
 }
-
-} // namespace
 
 const char* to_string(replan_reason r) noexcept
 {

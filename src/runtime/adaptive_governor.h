@@ -164,4 +164,15 @@ private:
     int version_ = 0;
 };
 
+// Codec of the "teacher" blob prepare() keeps in the disk store: the
+// reference accuracy, requirements, sparsity and priced layer frontiers.
+// The decoder returns false unless each list holds exactly
+// `expected_layers` entries and no layer frontier is empty; `st` may then
+// be partly overwritten.
+std::vector<std::uint8_t>
+serialize_teacher(const adaptive_governor::network_state& st);
+bool deserialize_teacher(const std::vector<std::uint8_t>& blob,
+                         std::size_t expected_layers,
+                         adaptive_governor::network_state& st);
+
 } // namespace dvafs

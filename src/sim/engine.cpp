@@ -157,27 +157,23 @@ sim_point_result sim_engine::measure_to(const dvafs_multiplier& mult,
     r.f_mhz = spec.f_mhz > 0.0
                   ? spec.f_mhz
                   : cfg_.throughput_mops / static_cast<double>(r.lanes);
-    if (cfg_.with_timing) {
-        // The STA pass depends only on the spec, never on the stream, so
-        // a resumed measurement reuses the cached result.
-        if (!st.timed) {
-            st.crit_path_ps = mult.mode_critical_path_ps(
-                tech, tech.vdd_nom, spec.mode, spec.keep_bits);
-            st.timed = true;
-        }
-        r.crit_path_ps = st.crit_path_ps;
-        if (spec.vdd > 0.0) {
-            r.vdd = spec.vdd;
-        } else {
-            // DVAFS rule: scale the supply into the slack left by the
-            // active cone at this point's clock period.
-            const double period_ps = 1e6 / r.f_mhz;
-            r.vdd = r.crit_path_ps > 0.0
-                        ? tech.solve_voltage(period_ps / r.crit_path_ps)
-                        : tech.vdd_nom;
-        }
+    // The STA pass depends only on the spec, never on the stream, so a
+    // resumed measurement reuses the cached result.
+    if (!st.timed) {
+        st.crit_path_ps = mult.mode_critical_path_ps(
+            tech, tech.vdd_nom, spec.mode, spec.keep_bits);
+        st.timed = true;
+    }
+    r.crit_path_ps = st.crit_path_ps;
+    if (spec.vdd > 0.0) {
+        r.vdd = spec.vdd;
     } else {
-        r.vdd = spec.vdd > 0.0 ? spec.vdd : tech.vdd_nom;
+        // DVAFS rule: scale the supply into the slack left by the active
+        // cone at this point's clock period.
+        const double period_ps = 1e6 / r.f_mhz;
+        r.vdd = r.crit_path_ps > 0.0
+                    ? tech.solve_voltage(period_ps / r.crit_path_ps)
+                    : tech.vdd_nom;
     }
     return r;
 }

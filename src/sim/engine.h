@@ -40,7 +40,6 @@ struct sim_engine_config {
     std::uint64_t vectors = 2000;    // input transitions per point
     std::uint64_t seed = 42;         // operand stream seed (shared by points)
     double throughput_mops = 500.0;  // constant-throughput rule for f
-    bool with_timing = true;         // run the active-cone STA per point
 };
 
 // A suspended per-point measurement: everything needed to extend the

@@ -1,13 +1,17 @@
 // Minimal byte-level (de)serialization for the on-disk cache blobs.
 //
-// Fixed little-endian layouts, no framing, no reflection: each cache kind
+// Fixed little-endian layouts, no framing, no reflection. byte_writer and
+// byte_reader share one field vocabulary -- the writer's calls take values,
+// the reader's same-named calls fill references -- so each cache kind
 // (compiled schedules, mode frontiers, measurement states, teacher sweeps)
-// hand-writes its fields through byte_writer and hand-reads them back
-// through byte_reader. Doubles travel as raw IEEE-754 bit patterns, so a
-// round trip is bit-exact -- the property every "warm result equals cold
-// result" check in tests/test_disk_store.cpp leans on. byte_reader throws
-// serial_error on any overrun or malformed length, which the disk-store
-// loaders catch and convert into "entry absent, re-measure".
+// states its layout once, as a walk `[](auto& ar, auto& x) { ... }` that
+// encode_blob runs over a byte_writer and decode_blob over a byte_reader.
+// A blob is a u32 payload version followed by that walk. Doubles travel as
+// raw IEEE-754 bit patterns, so a round trip is bit-exact -- the property
+// every "warm result equals cold result" check in tests/test_disk_store.cpp
+// leans on. byte_reader throws serial_error on any overrun, malformed
+// length or out-of-range enum byte; decode_blob turns that, a version
+// mismatch or trailing bytes into "entry absent, re-measure".
 
 #pragma once
 
@@ -26,6 +30,11 @@ public:
     {
     }
 };
+
+// Element walks shared by both directions (the vec_* fields).
+inline constexpr auto u32_field = [](auto& ar, auto& x) { ar.u32(x); };
+inline constexpr auto u64_field = [](auto& ar, auto& x) { ar.u64(x); };
+inline constexpr auto f64_field = [](auto& ar, auto& x) { ar.f64(x); };
 
 class byte_writer {
 public:
@@ -49,6 +58,15 @@ public:
 
     void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
+    void flag(bool v) { u8(v ? 1 : 0); }
+
+    // One byte; `max` only matters to the reader.
+    template <class E>
+    void enum8(E e, E /*max*/)
+    {
+        u8(static_cast<std::uint8_t>(e));
+    }
+
     void str(const std::string& s)
     {
         u64(s.size());
@@ -61,29 +79,19 @@ public:
         buf_.insert(buf_.end(), v.begin(), v.end());
     }
 
-    void vec_u32(const std::vector<std::uint32_t>& v)
+    // A u64 count, then walk(*this, element) for each element.
+    template <class T, class Walk>
+    void seq(const std::vector<T>& v, Walk walk)
     {
         u64(v.size());
-        for (const std::uint32_t x : v) {
-            u32(x);
+        for (const T& x : v) {
+            walk(*this, x);
         }
     }
 
-    void vec_u64(const std::vector<std::uint64_t>& v)
-    {
-        u64(v.size());
-        for (const std::uint64_t x : v) {
-            u64(x);
-        }
-    }
-
-    void vec_f64(const std::vector<double>& v)
-    {
-        u64(v.size());
-        for (const double x : v) {
-            f64(x);
-        }
-    }
+    void vec_u32(const std::vector<std::uint32_t>& v) { seq(v, u32_field); }
+    void vec_u64(const std::vector<std::uint64_t>& v) { seq(v, u64_field); }
+    void vec_f64(const std::vector<double>& v) { seq(v, f64_field); }
 
     const std::vector<std::uint8_t>& data() const noexcept { return buf_; }
     std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -142,47 +150,63 @@ public:
     std::vector<std::uint8_t> bytes_u8()
     {
         const std::size_t n = len();
-        std::vector<std::uint8_t> v(buf_.begin()
-                                        + static_cast<std::ptrdiff_t>(pos_),
-                                    buf_.begin()
-                                        + static_cast<std::ptrdiff_t>(pos_
-                                                                      + n));
+        const auto at = buf_.begin() + static_cast<std::ptrdiff_t>(pos_);
+        std::vector<std::uint8_t> v(at, at + static_cast<std::ptrdiff_t>(n));
         pos_ += n;
         return v;
     }
 
-    std::vector<std::uint32_t> vec_u32()
+    // The walk vocabulary: same names as byte_writer, filling references.
+    template <class T>
+    void u32(T& v)
     {
-        const std::size_t n = len_of(4);
-        std::vector<std::uint32_t> v(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            v[i] = u32();
-        }
-        return v;
+        v = static_cast<T>(u32());
     }
 
-    std::vector<std::uint64_t> vec_u64()
+    template <class T>
+    void u64(T& v)
     {
-        const std::size_t n = len_of(8);
-        std::vector<std::uint64_t> v(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            v[i] = u64();
-        }
-        return v;
+        v = static_cast<T>(u64());
     }
 
-    std::vector<double> vec_f64()
+    template <class T>
+    void i64(T& v)
     {
-        const std::size_t n = len_of(8);
-        std::vector<double> v(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            v[i] = f64();
-        }
-        return v;
+        v = static_cast<T>(i64());
     }
+
+    void f64(double& v) { v = f64(); }
+    void flag(bool& v) { v = u8() != 0; }
+    void str(std::string& s) { s = str(); }
+    void bytes_u8(std::vector<std::uint8_t>& v) { v = bytes_u8(); }
+
+    template <class E>
+    void enum8(E& e, E max)
+    {
+        const std::uint8_t b = u8();
+        if (b > static_cast<std::uint8_t>(max)) {
+            throw serial_error("enum byte out of range");
+        }
+        e = static_cast<E>(b);
+    }
+
+    // Elements are appended as they are read, so a corrupt count overruns
+    // and throws before it allocates more than the bytes actually present.
+    template <class T, class Walk>
+    void seq(std::vector<T>& v, Walk walk)
+    {
+        const std::uint64_t n = u64();
+        v.clear();
+        for (std::uint64_t i = 0; i < n; ++i) {
+            walk(*this, v.emplace_back());
+        }
+    }
+
+    void vec_u32(std::vector<std::uint32_t>& v) { seq(v, u32_field); }
+    void vec_u64(std::vector<std::uint64_t>& v) { seq(v, u64_field); }
+    void vec_f64(std::vector<double>& v) { seq(v, f64_field); }
 
     bool done() const noexcept { return pos_ == buf_.size(); }
-    std::size_t remaining() const noexcept { return buf_.size() - pos_; }
 
 private:
     void need(std::size_t n) const
@@ -192,21 +216,12 @@ private:
         }
     }
 
-    // A length prefix, bounded by the bytes actually left so a corrupt
-    // length cannot drive a multi-GB allocation before the overrun throws.
+    // A byte-length prefix, bounded by the bytes actually left so a
+    // corrupt length cannot drive a multi-GB allocation.
     std::size_t len()
     {
         const std::uint64_t n = u64();
-        if (n > remaining()) {
-            throw serial_error("length exceeds buffer");
-        }
-        return static_cast<std::size_t>(n);
-    }
-
-    std::size_t len_of(std::size_t elem_size)
-    {
-        const std::uint64_t n = u64();
-        if (n > remaining() / elem_size) {
+        if (n > buf_.size() - pos_) {
             throw serial_error("length exceeds buffer");
         }
         return static_cast<std::size_t>(n);
@@ -215,5 +230,35 @@ private:
     const std::vector<std::uint8_t>& buf_;
     std::size_t pos_ = 0;
 };
+
+// A payload: `version`, then walk(writer, x).
+template <class T, class Walk>
+std::vector<std::uint8_t> encode_blob(std::uint32_t version, const T& x,
+                                      Walk walk)
+{
+    byte_writer w;
+    w.u32(version);
+    walk(w, x);
+    return w.take();
+}
+
+// The inverse of encode_blob, filling `x`. False on another version, a
+// malformed or truncated field, or trailing bytes; `x` may then be partly
+// filled. Semantic checks of the decoded record stay with the caller.
+template <class T, class Walk>
+bool decode_blob(const std::vector<std::uint8_t>& blob, std::uint32_t version,
+                 T& x, Walk walk)
+{
+    try {
+        byte_reader r(blob);
+        if (r.u32() != version) {
+            return false;
+        }
+        walk(r, x);
+        return r.done();
+    } catch (const serial_error&) {
+        return false;
+    }
+}
 
 } // namespace dvafs

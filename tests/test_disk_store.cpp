@@ -4,7 +4,9 @@
 // crash), atomic publication under concurrent writers, and the warm-start
 // paths of the three cached kinds -- compiled schedules, mode frontiers
 // (including prefix extension across cache instances) and the governor's
-// teacher sweep -- each bit-identical to a cold measurement.
+// teacher sweep -- each bit-identical to a cold measurement, every blob
+// codec turning corrupt input into a miss, and the pinned bytes a cold
+// admission writes.
 
 #include "core/dvafs.h"
 
@@ -17,6 +19,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -112,10 +116,48 @@ TEST(serial, round_trips_every_field_type)
     EXPECT_EQ(r.f64(), 0.1);
     EXPECT_EQ(r.str(), "frontier|key");
     EXPECT_EQ(r.bytes_u8(), (std::vector<std::uint8_t>{1, 2, 3}));
-    EXPECT_EQ(r.vec_u32(), (std::vector<std::uint32_t>{7, 8}));
-    EXPECT_EQ(r.vec_u64(), (std::vector<std::uint64_t>{9}));
-    EXPECT_EQ(r.vec_f64(), (std::vector<double>{-0.25, 1e300}));
+    std::vector<std::uint32_t> v32;
+    std::vector<std::uint64_t> v64;
+    std::vector<double> vf;
+    r.vec_u32(v32);
+    r.vec_u64(v64);
+    r.vec_f64(vf);
+    EXPECT_EQ(v32, (std::vector<std::uint32_t>{7, 8}));
+    EXPECT_EQ(v64, (std::vector<std::uint64_t>{9}));
+    EXPECT_EQ(vf, (std::vector<double>{-0.25, 1e300}));
     EXPECT_TRUE(r.done());
+}
+
+// One walk serves both directions: the record written through it comes
+// back equal, and an enum byte above its maximum is malformed.
+TEST(serial, one_walk_round_trips_a_record)
+{
+    struct record {
+        bool on = false;
+        sw_mode mode = sw_mode::w1x16;
+        int bits = 0;
+        std::vector<std::string> names;
+    };
+    const auto walk = [](auto& ar, auto& x) {
+        ar.flag(x.on);
+        ar.enum8(x.mode, sw_mode::w4x4);
+        ar.i64(x.bits);
+        ar.seq(x.names, [](auto& a, auto& n) { a.str(n); });
+    };
+    const record in{true, sw_mode::w4x4, -3, {"conv1", "", "fc5"}};
+    const std::vector<std::uint8_t> blob = encode_blob(5, in, walk);
+
+    record out;
+    ASSERT_TRUE(decode_blob(blob, 5, out, walk));
+    EXPECT_EQ(out.on, in.on);
+    EXPECT_EQ(out.mode, in.mode);
+    EXPECT_EQ(out.bits, in.bits);
+    EXPECT_EQ(out.names, in.names);
+
+    EXPECT_FALSE(decode_blob(blob, 6, out, walk)); // another version
+    std::vector<std::uint8_t> bad = blob;
+    bad[5] = static_cast<std::uint8_t>(sw_mode::w4x4) + 1; // the enum byte
+    EXPECT_FALSE(decode_blob(bad, 5, out, walk));
 }
 
 TEST(serial, overruns_and_bad_lengths_throw)
@@ -131,7 +173,8 @@ TEST(serial, overruns_and_bad_lengths_throw)
     byte_reader r2(w.data());
     EXPECT_THROW((void)r2.str(), serial_error);
     byte_reader r3(w.data());
-    EXPECT_THROW((void)r3.vec_u64(), serial_error);
+    std::vector<std::uint64_t> v;
+    EXPECT_THROW(r3.vec_u64(v), serial_error);
 }
 
 TEST(fnv1a, known_vector_and_content_sensitivity)
@@ -455,22 +498,6 @@ TEST(schedule_persistence, round_trip_preserves_the_schedule)
     EXPECT_EQ(serialize_schedule(*back), bytes);
 }
 
-TEST(schedule_persistence, rejects_truncated_blobs)
-{
-    const dvafs_multiplier m(8);
-    const auto sched = compiled_netlist_cache::global().get(m.net());
-    const std::vector<std::uint8_t> bytes = serialize_schedule(*sched);
-    for (const std::size_t keep :
-         {std::size_t{0}, std::size_t{8}, bytes.size() / 2,
-          bytes.size() - 1}) {
-        const std::vector<std::uint8_t> cut(
-            bytes.begin(),
-            bytes.begin() + static_cast<std::ptrdiff_t>(keep));
-        EXPECT_EQ(deserialize_schedule(cut), std::nullopt)
-            << "kept " << keep << " bytes";
-    }
-}
-
 TEST(schedule_persistence, cache_warm_starts_from_disk)
 {
     // Built before the store exists: finalize() compiles through the
@@ -637,6 +664,206 @@ TEST(teacher_persistence, sweep_compute_mode_is_part_of_the_key)
     // ...while a second f32 governor does.
     (void)governor_at(compute_mode::f32).prepare(net);
     EXPECT_EQ(disk_store::stats().hits, hits + 1);
+}
+
+// -- corrupt blobs and the pinned wire layout ---------------------------------
+
+// One cache kind's codec under corruption. `enum_changed` and
+// `seq_shortened` re-encode the record behind `blob` with one enum field
+// changed and with one sequence an element shorter: their first byte of
+// difference from `blob` is that enum byte and that sequence's count.
+struct codec_case {
+    std::string kind;
+    std::function<bool(const std::vector<std::uint8_t>&)> decodes;
+    std::vector<std::uint8_t> blob;
+    std::vector<std::uint8_t> enum_changed;
+    std::uint8_t enum_max = 0;
+    std::vector<std::uint8_t> seq_shortened;
+};
+
+std::size_t first_difference(const std::vector<std::uint8_t>& a,
+                             const std::vector<std::uint8_t>& b)
+{
+    std::size_t i = 0;
+    while (i < a.size() && i < b.size() && a[i] == b[i]) {
+        ++i;
+    }
+    return i;
+}
+
+sw_mode other_mode(sw_mode m)
+{
+    return m == sw_mode::w4x4 ? sw_mode::w1x16 : sw_mode::w4x4;
+}
+
+std::vector<codec_case> codec_cases()
+{
+    std::vector<codec_case> cases;
+    constexpr auto max_mode = static_cast<std::uint8_t>(sw_mode::w4x4);
+
+    const dvafs_multiplier m(8);
+    const auto sched = compiled_netlist_cache::global().get(m.net());
+    compiled_schedule kind_changed = *sched;
+    kind_changed.kinds[0] = kind_changed.kinds[0] == gate_kind::maj_g
+                                ? gate_kind::buf
+                                : gate_kind::maj_g;
+    compiled_schedule fewer_runs = *sched;
+    fewer_runs.runs.pop_back();
+    cases.push_back(
+        {"schedule",
+         [](const std::vector<std::uint8_t>& b) {
+             return deserialize_schedule(b).has_value();
+         },
+         serialize_schedule(*sched), serialize_schedule(kind_changed),
+         static_cast<std::uint8_t>(gate_kind::maj_g),
+         serialize_schedule(fewer_runs)});
+
+    frontier_config cfg;
+    cfg.width = 8;
+    cfg.vectors = 16;
+    frontier_measurement st;
+    const mode_frontier mf = measure_mode_frontier_with_state(
+        cfg, tech_28nm_fdsoi(), default_envision_calibration(), st);
+    mode_frontier mf_enum = mf;
+    mf_enum.points[0].spec.mode = other_mode(mf.points[0].spec.mode);
+    mode_frontier mf_seq = mf;
+    mf_seq.points.pop_back();
+    cases.push_back({"frontier",
+                     [cfg](const std::vector<std::uint8_t>& b) {
+                         return deserialize_frontier(b, cfg).has_value();
+                     },
+                     serialize_frontier(mf), serialize_frontier(mf_enum),
+                     max_mode, serialize_frontier(mf_seq)});
+
+    frontier_measurement st_enum = st;
+    st_enum.points[0].spec.mode = other_mode(st.points[0].spec.mode);
+    frontier_measurement st_seq = st;
+    st_seq.points.pop_back();
+    cases.push_back({"frontier_state",
+                     [](const std::vector<std::uint8_t>& b) {
+                         return deserialize_frontier_state(b).has_value();
+                     },
+                     serialize_frontier_state(st),
+                     serialize_frontier_state(st_enum), max_mode,
+                     serialize_frontier_state(st_seq)});
+
+    const network net = make_lenet5({.seed = 7});
+    const envision_model model;
+    governor_config g;
+    g.sweep.images = 8;
+    g.frontier.vectors = 200;
+    adaptive_governor gov(model, g);
+    const adaptive_governor::network_state& ts = gov.prepare(net);
+    adaptive_governor::network_state ts_enum = ts;
+    layer_frontier_point& p0 = ts_enum.frontiers[0].points[0];
+    p0.spec.mode = other_mode(p0.spec.mode);
+    adaptive_governor::network_state ts_seq = ts;
+    ts_seq.frontiers[0].points.pop_back();
+    const std::size_t layers = net.weighted_layers().size();
+    cases.push_back({"teacher",
+                     [layers](const std::vector<std::uint8_t>& b) {
+                         adaptive_governor::network_state out;
+                         return deserialize_teacher(b, layers, out);
+                     },
+                     serialize_teacher(ts), serialize_teacher(ts_enum),
+                     max_mode, serialize_teacher(ts_seq)});
+    return cases;
+}
+
+TEST(blob_codecs, corrupt_blobs_of_every_kind_decode_as_misses)
+{
+    // No store involved: a DVAFS_CACHE_DIR from the environment must not
+    // serve the teacher sweep below.
+    const scoped_cache_dir env("");
+    for (const codec_case& c : codec_cases()) {
+        SCOPED_TRACE(c.kind);
+        ASSERT_TRUE(c.decodes(c.blob));
+
+        for (std::size_t keep = 0; keep < c.blob.size(); ++keep) {
+            const std::vector<std::uint8_t> cut(
+                c.blob.begin(),
+                c.blob.begin() + static_cast<std::ptrdiff_t>(keep));
+            ASSERT_FALSE(c.decodes(cut)) << "kept " << keep << " bytes";
+        }
+
+        std::vector<std::uint8_t> longer = c.blob;
+        longer.push_back(0);
+        EXPECT_FALSE(c.decodes(longer)) << "one trailing byte";
+
+        std::vector<std::uint8_t> bad_enum = c.blob;
+        const std::size_t at = first_difference(c.blob, c.enum_changed);
+        ASSERT_LT(at, c.blob.size());
+        bad_enum[at] = static_cast<std::uint8_t>(c.enum_max + 1);
+        EXPECT_FALSE(c.decodes(bad_enum)) << "enum byte at " << at;
+
+        // A 2^62 count: the decoder must overrun and miss, not reserve
+        // (which would throw std::length_error or bad_alloc out of it).
+        std::vector<std::uint8_t> huge = c.blob;
+        const std::size_t count_at = first_difference(c.blob,
+                                                      c.seq_shortened);
+        ASSERT_LE(count_at + 8, c.blob.size());
+        for (int i = 0; i < 8; ++i) {
+            huge[count_at + static_cast<std::size_t>(i)] =
+                static_cast<std::uint8_t>((1ULL << 62) >> (8 * i));
+        }
+        EXPECT_FALSE(c.decodes(huge)) << "count at " << count_at;
+    }
+}
+
+// Every file a small cold admission writes (LeNet-5, 8 teacher images, a
+// 200-vector frontier), pinned by its FNV-1a: a codec change that moves
+// any byte of any kind, or of the store's frame, fails here instead of
+// silently turning every existing cache into a re-measure.
+TEST(blob_codecs, cold_admission_writes_pinned_bytes)
+{
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"frontier/1a1d213aa21bba5f.bin", 0x1c66add58031b5ddULL},
+        {"frontier_state/af27be14176999c5.bin", 0x6f696d636a14537bULL},
+        {"schedule/275db9a83fbf2b5c.bin", 0x398e9cb68968be6aULL},
+        {"schedule/4eff17c994845d04.bin", 0xda01e06803cbfc17ULL},
+        {"schedule/c32f61377ab30cf2.bin", 0x083d4d560144b630ULL},
+        {"schedule/c4c243b375b46ffe.bin", 0xb0bd1882640937ebULL},
+        {"schedule/d13eaa233b3bed0a.bin", 0x7ffc763f4a62fe3cULL},
+        {"schedule/fd7170e01b2771ee.bin", 0x3124dba5423f6213ULL},
+        {"schedule/ffb9e336df0689f4.bin", 0xc6725793849e5e20ULL},
+        {"teacher/c7641b41e0248eca.bin", 0x07b7bd9459a6d2ddULL},
+    };
+    const std::string dir = fresh_dir("pinned");
+    const scoped_cache_dir env(dir);
+    // Run alone, as ctest runs each test, the process-wide schedule and
+    // frontier caches start empty and the admission writes every pinned
+    // file; after other tests have warmed them, fewer files are written
+    // and only those are checked.
+    const auto sc = compiled_netlist_cache::global().stats();
+    const auto fc = frontier_cache::global().stats();
+    const bool cold = sc.hits + sc.disk_hits + sc.compiles + fc.hits
+                          + fc.disk_hits + fc.extended + fc.measured
+                      == 0;
+
+    const network net = make_lenet5({.seed = 7});
+    const envision_model model;
+    governor_config g;
+    g.sweep.images = 8;
+    g.frontier.vectors = 200;
+    adaptive_governor gov(model, g);
+    (void)gov.prepare(net);
+
+    std::map<std::string, std::uint64_t> written;
+    for (const auto& e : fs::recursive_directory_iterator(dir)) {
+        if (e.is_regular_file()) {
+            written[fs::relative(e.path(), dir).generic_string()] =
+                fnv1a_hash(read_file(e.path().string()));
+        }
+    }
+    EXPECT_EQ(written.count("teacher/c7641b41e0248eca.bin"), 1U);
+    if (cold) {
+        EXPECT_EQ(written.size(), pinned.size());
+    }
+    for (const auto& [path, digest] : written) {
+        const auto it = pinned.find(path);
+        ASSERT_NE(it, pinned.end()) << path;
+        EXPECT_EQ(digest, it->second) << path;
+    }
 }
 
 } // namespace

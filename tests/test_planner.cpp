@@ -53,6 +53,28 @@ TEST_F(planner_test, requirement_count_mismatch_throws)
         std::invalid_argument);
 }
 
+// plan() runs the sweep's engine end to end: an i8 sweep's layers are
+// planned for the 8-bit integer engine, so none lands on a mode wider than
+// 2x8 -- under the default frontier search and the heuristic alike.
+TEST_F(planner_test, i8_sweep_plans_no_layer_wider_than_2x8)
+{
+    const network net = make_lenet5({.seed = 4});
+    quant_sweep_config cfg;
+    cfg.images = 8;
+    cfg.compute = compute_mode::i8;
+    planner_config heuristic;
+    heuristic.policy = plan_policy::heuristic;
+    for (const precision_planner& p :
+         {planner, precision_planner(model, heuristic)}) {
+        const network_plan plan = p.plan(net, cfg);
+        ASSERT_FALSE(plan.layers.empty());
+        for (const layer_plan& lp : plan.layers) {
+            EXPECT_LE(lane_bits(lp.mode.mode), 8)
+                << to_string(p.config().policy) << " " << lp.layer_name;
+        }
+    }
+}
+
 TEST_F(planner_test, end_to_end_plan_on_lenet)
 {
     network net = make_lenet5({.seed = 4});
