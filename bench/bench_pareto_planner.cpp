@@ -15,10 +15,19 @@
 // LeNet-5 runs the full pipeline (teacher dataset + quantization sweep);
 // AlexNet and VGG16 use Table III-style published precision/sparsity
 // profiles on the full topologies, isolating the planning policy.
+//
+// Last, the re-plan DP alone: select_frontier_points_budgeted per call on
+// the governor's priced frontiers of the runtime zoo (LeNet-5, AlexNet-S,
+// VGG16-S) over a fixed budget x deadline grid (records replan_dp.*).
+// Its timings go to stderr, so stdout stays byte-identical across runs.
 
 #include "core/dvafs.h"
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <iostream>
+#include <limits>
 
 using namespace dvafs;
 
@@ -124,6 +133,91 @@ bool compare_policies(const network& net,
     return searched < heur;
 }
 
+// Times select_frontier_points_budgeted alone on the governor's frontiers
+// of the runtime zoo. The grid follows e2ebench `replan`: five accuracy
+// budgets x five deadline stretches above 1.1x the fastest zero-loss
+// selection, each also under the overload valve's four shed levels
+// (+0.02 budget each) x three shrunken deadlines. The grid repeats; every
+// call is timed on its own.
+void time_replan_dp(bench_reporter& report)
+{
+    governor_config gcfg;
+    gcfg.sweep.images = 12;
+    gcfg.sweep.max_bits = 10;
+    const envision_model model;
+    adaptive_governor gov(model, gcfg);
+    std::vector<network> nets;
+    nets.push_back(make_lenet5({.seed = 2017}));
+    nets.push_back(make_alexnet_scaled({.seed = 2017}));
+    nets.push_back(make_vgg16_scaled({.seed = 2017}));
+    struct dp_call {
+        const std::vector<layer_frontier>* frontiers;
+        double budget;
+        double latency_ms;
+    };
+    std::vector<dp_call> calls;
+    for (const network& net : nets) {
+        const std::vector<layer_frontier>& fls = gov.prepare(net).frontiers;
+        double t_fast = 0.0;
+        for (const layer_frontier& lf : fls) {
+            double fastest = std::numeric_limits<double>::infinity();
+            for (const layer_frontier_point& p : lf.points) {
+                if (p.accuracy_loss == 0.0) {
+                    fastest = std::min(fastest, p.time_ms);
+                }
+            }
+            t_fast += fastest;
+        }
+        const double floor_ms = 1.1 * t_fast;
+        for (const double b : {0.0, 0.01, 0.02, 0.05, 0.10}) {
+            const double t_free =
+                select_frontier_points_budgeted(fls, b, 0.0).time_ms;
+            for (const double s : {0.0, 0.25, 0.5, 1.0, 2.0}) {
+                const double latency =
+                    floor_ms + s * std::max(0.0, t_free - t_fast);
+                calls.push_back({&fls, b, latency});
+                for (int level = 1; level <= 4; ++level) {
+                    for (const double shrink : {0.5, 0.75, 0.9}) {
+                        calls.push_back(
+                            {&fls, std::min(1.0, b + 0.02 * level),
+                             std::max(floor_ms, latency * shrink)});
+                    }
+                }
+            }
+        }
+    }
+
+    const double resolution = gcfg.budget_resolution;
+    const int reps = 20;
+    std::vector<double> ms;
+    ms.reserve(calls.size() * reps);
+    int feasible = 0;
+    for (int rep = 0; rep < reps; ++rep) {
+        for (const dp_call& c : calls) {
+            const auto t0 = std::chrono::steady_clock::now();
+            const frontier_selection sel = select_frontier_points_budgeted(
+                *c.frontiers, c.budget, c.latency_ms, resolution);
+            ms.push_back(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
+            feasible += rep == 0 && sel.feasible;
+        }
+    }
+    std::sort(ms.begin(), ms.end());
+    const auto at = [&](double q) {
+        return ms[static_cast<std::size_t>(
+            std::floor(q * static_cast<double>(ms.size() - 1)))];
+    };
+    std::cout << "re-plan DP: " << calls.size() << " grid calls on "
+              << nets.size() << " networks, " << feasible
+              << " feasible, timed " << reps << "x (stderr)\n";
+    std::cerr << "re-plan DP per call: p50 " << fmt_fixed(at(0.5), 4)
+              << " ms, p99 " << fmt_fixed(at(0.99), 4) << " ms over "
+              << ms.size() << " calls\n";
+    report.add("replan_dp.p50_ms", at(0.5), "ms");
+    report.add("replan_dp.p99_ms", at(0.99), "ms");
+}
+
 } // namespace
 
 int main(int argc, char** argv)
@@ -191,8 +285,12 @@ int main(int argc, char** argv)
     }
 
     std::cout << "searched plan wins on " << wins << "/" << networks
-              << " networks at equal accuracy budget\n";
+              << " networks at equal accuracy budget\n\n";
     report.add("searched_wins", wins, "networks");
+
+    print_banner(std::cout, "Re-plan DP alone -- runtime zoo frontiers, "
+                            "e2ebench replan-shaped grid");
+    time_replan_dp(report);
     if (!report.write()) {
         return 4;
     }

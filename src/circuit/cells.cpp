@@ -91,80 +91,6 @@ bus build_kogge_stone_adder(netlist& nl, const bus& a, const bus& b,
     return out;
 }
 
-bus build_segmented_adder(netlist& nl, const bus& a, const bus& b,
-                          const std::vector<std::pair<int, net_id>>& kills,
-                          bool drop_carry)
-{
-    const std::size_t width = std::max(a.size(), b.size());
-    const net_id zero = nl.add_const(false);
-    bus out;
-    out.reserve(width + 1);
-    net_id carry = zero;
-    for (std::size_t i = 0; i < width; ++i) {
-        for (const auto& [pos, keep] : kills) {
-            // `keep` low forces the carry entering bit `pos` to zero.
-            if (static_cast<std::size_t>(pos) == i) {
-                carry = nl.and_g(carry, keep);
-            }
-        }
-        const net_id ai = i < a.size() ? a[i] : zero;
-        const net_id bi = i < b.size() ? b[i] : zero;
-        const adder_bit fa = build_full_adder(nl, ai, bi, carry);
-        out.push_back(fa.sum);
-        carry = fa.carry;
-    }
-    if (!drop_carry) {
-        out.push_back(carry);
-    }
-    return out;
-}
-
-bus build_gated_bus(netlist& nl, const bus& b, net_id enable)
-{
-    bus out;
-    out.reserve(b.size());
-    for (const net_id n : b) {
-        out.push_back(nl.and_g(n, enable));
-    }
-    return out;
-}
-
-bus build_mux_bus(netlist& nl, const bus& when_0, const bus& when_1,
-                  net_id sel)
-{
-    if (when_0.size() != when_1.size()) {
-        throw std::invalid_argument("mux_bus: width mismatch");
-    }
-    bus out;
-    out.reserve(when_0.size());
-    for (std::size_t i = 0; i < when_0.size(); ++i) {
-        out.push_back(nl.mux_g(when_0[i], when_1[i], sel));
-    }
-    return out;
-}
-
-bus extend_signed(const bus& b, int width)
-{
-    if (b.empty()) {
-        throw std::invalid_argument("extend_signed: empty bus");
-    }
-    bus out = b;
-    while (static_cast<int>(out.size()) < width) {
-        out.push_back(b.back());
-    }
-    return out;
-}
-
-bus extend_unsigned(netlist& nl, const bus& b, int width)
-{
-    bus out = b;
-    const net_id zero = nl.add_const(false);
-    while (static_cast<int>(out.size()) < width) {
-        out.push_back(zero);
-    }
-    return out;
-}
-
 compressed_rows
 build_wallace_compressor(netlist& nl, std::vector<std::vector<net_id>> columns,
                          const std::vector<net_id>& carry_kill)
@@ -294,8 +220,9 @@ bus build_carry_select_adder(netlist& nl, const bus& a, const bus& b,
         const net_id c1 = nl.or_g(s1.back(), b_ovf);
         s0.pop_back();
         s1.pop_back();
-        bus sel = build_mux_bus(nl, s0, s1, carry);
-        out.insert(out.end(), sel.begin(), sel.end());
+        for (std::size_t i = 0; i < s0.size(); ++i) {
+            out.push_back(nl.mux_g(s0[i], s1[i], carry));
+        }
         carry = nl.mux_g(c0, c1, carry);
     }
     if (!drop_carry) {

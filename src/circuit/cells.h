@@ -36,25 +36,6 @@ bus build_ripple_adder(netlist& nl, const bus& a, const bus& b,
 bus build_kogge_stone_adder(netlist& nl, const bus& a, const bus& b,
                             bool drop_carry = false);
 
-// Segmented ripple adder with carry-kill controls: `kill_before[i]` (a net,
-// typically a mode signal) forces the carry into bit i to zero when high.
-// This is how subword modes cut carry propagation at word boundaries.
-bus build_segmented_adder(netlist& nl, const bus& a, const bus& b,
-                          const std::vector<std::pair<int, net_id>>& kills,
-                          bool drop_carry = false);
-
-// Bitwise AND of every bus bit with `enable` (input gating for DAS).
-bus build_gated_bus(netlist& nl, const bus& b, net_id enable);
-
-// 2:1 mux across buses (selects `when_1` if sel).
-bus build_mux_bus(netlist& nl, const bus& when_0, const bus& when_1,
-                  net_id sel);
-
-// Sign-extends a bus to `width` by replicating the MSB net (pure wiring).
-bus extend_signed(const bus& b, int width);
-// Zero-extends using the netlist's constant-0.
-bus extend_unsigned(netlist& nl, const bus& b, int width);
-
 // --- Wallace-style column compression --------------------------------------
 //
 // `columns[c]` holds the nets with arithmetic weight 2^c. Compression applies

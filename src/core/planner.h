@@ -158,7 +158,7 @@ public:
     // *precomputed* layer frontiers under an accuracy and a per-frame
     // latency budget -- no sweeps, no dataset probes, no gate-level
     // measurement, so a re-plan against cached frontiers costs about
-    // 0.02 ms at the median and 0.3 ms at p99 (e2ebench `replan`, 4-vCPU
+    // 0.013 ms at the median and 0.07 ms at p99 (e2ebench `replan`, 4-vCPU
     // AVX-512 host; the adaptive governor's hot path). When no selection
     // meets both budgets the per-layer minimum-time fallback is returned
     // with deadline_met = false. Build the frontiers with `time_pareto`

@@ -37,13 +37,14 @@ bool label_less(const label& a, const label& b)
 
 // Appends to `labels` every label of [prev_begin, prev_end) -- sorted by
 // label_less -- plus one point of the layer, keeping those that fit
-// (b_total, t_total), sorted by label_less. A sum that is +inf or NaN
-// never beats the dense DP's +inf initial cell, so it is unreachable there;
-// such labels are dropped.
+// (b_total, t_total) and whose energy plus `rest` (the later layers'
+// minimal energies) does not exceed `cut`, sorted by label_less. A sum
+// that is +inf or NaN never beats the dense DP's +inf initial cell, so it
+// is unreachable there; such labels are dropped.
 void append_extensions(std::vector<label>& labels, std::size_t prev_begin,
                        std::size_t prev_end, const layer_frontier& frontier,
                        const std::vector<int>& lu, const std::vector<int>& tu,
-                       int b_total, int t_total)
+                       int b_total, int t_total, double rest, double cut)
 {
     const double inf = std::numeric_limits<double>::infinity();
     // Each point shifts the sorted previous set into a sorted run (fl(x +
@@ -57,7 +58,8 @@ void append_extensions(std::vector<label>& labels, std::size_t prev_begin,
                 break;
             }
             const double sum = x.energy + e;
-            if (x.time > t_total - tu[pi] || !(sum < inf)) {
+            if (x.time > t_total - tu[pi] || !(sum < inf)
+                || sum + rest > cut) {
                 continue;
             }
             labels.push_back({x.loss + lu[pi], x.time + tu[pi], sum});
@@ -141,16 +143,118 @@ double box_min(const label* first, const label* last, int b, int t)
     return best;
 }
 
+// Upper bound of the label DP: fills rest_e[k] with the summed minimal
+// point energy of layers k..n-1 and returns the layer-order energy sum of
+// one selection that fits (b_total, t_total). Only usable points count: a
+// point whose unit costs exceed its layer's cheapest by more than the
+// budgets' slack over every layer's cheapest fits in no selection. A
+// greedy finds the selection: start at each layer's minimal-energy usable
+// point and, while the summed unit costs exceed the budgets, take the
+// single-layer swap to a usable point with the smallest energy rise per
+// excess unit removed. Returns +inf -- the bound off, whatever rest_e
+// holds -- when a point energy is negative or not finite, or when no swap
+// removes excess or 256 swaps did not remove it all.
+double energy_bound(const std::vector<layer_frontier>& frontiers,
+                    const unit_table& lu, const unit_table& tu, int b_total,
+                    int t_total, std::vector<double>& rest_e)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::size_t n = frontiers.size();
+    std::vector<int> lu_min(n);
+    std::vector<int> tu_min(n);
+    std::int64_t loss_slack = b_total;
+    std::int64_t time_slack = t_total;
+    for (std::size_t li = 0; li < n; ++li) {
+        lu_min[li] = *std::min_element(lu[li].begin(), lu[li].end());
+        tu_min[li] = *std::min_element(tu[li].begin(), tu[li].end());
+        loss_slack -= lu_min[li];
+        time_slack -= tu_min[li];
+    }
+    // The usable points, flat for the swap scans, and each layer's pick.
+    struct point {
+        std::size_t layer;
+        int loss;
+        int time;
+        double energy;
+    };
+    std::vector<point> usable;
+    std::vector<point> pick(n, {0, 0, 0, inf});
+    std::int64_t loss = 0;
+    std::int64_t time = 0;
+    for (std::size_t li = n; li-- > 0;) {
+        for (std::size_t pi = 0; pi < lu[li].size(); ++pi) {
+            const point p = {li, lu[li][pi], tu[li][pi],
+                             frontiers[li].points[pi].energy_mj};
+            if (!(p.energy >= 0.0 && p.energy < inf)) {
+                return inf;
+            }
+            if (p.loss - lu_min[li] <= loss_slack
+                && p.time - tu_min[li] <= time_slack) {
+                usable.push_back(p);
+                if (p.energy < pick[li].energy) {
+                    pick[li] = p;
+                }
+            }
+        }
+        if (pick[li].energy == inf) {
+            return inf;
+        }
+        rest_e[li] = rest_e[li + 1] + pick[li].energy;
+        loss += pick[li].loss;
+        time += pick[li].time;
+    }
+    const auto excess = [&](std::int64_t l, std::int64_t t) {
+        return std::max<std::int64_t>(l - b_total, 0)
+               + std::max<std::int64_t>(t - t_total, 0);
+    };
+    for (int swaps = 0; excess(loss, time) > 0; ++swaps) {
+        const std::int64_t over = excess(loss, time);
+        const point* best = nullptr;
+        double best_rate = inf;
+        for (const point& p : usable) {
+            const point& from = pick[p.layer];
+            const std::int64_t removed =
+                over - excess(loss + p.loss - from.loss,
+                              time + p.time - from.time);
+            if (removed <= 0) {
+                continue;
+            }
+            const double rate =
+                (p.energy - from.energy) / static_cast<double>(removed);
+            if (rate < best_rate) {
+                best_rate = rate;
+                best = &p;
+            }
+        }
+        if (best == nullptr || swaps == 256) {
+            return inf;
+        }
+        loss += best->loss - pick[best->layer].loss;
+        time += best->time - pick[best->layer].time;
+        pick[best->layer] = *best;
+    }
+    double ub = 0.0;
+    for (const point& p : pick) {
+        ub += p.energy;
+    }
+    return rest_e[0] < inf ? ub : inf;
+}
+
 // Minimal-energy choice of one point per layer whose summed unit costs fit
 // (b_total, t_total), or nullopt when none fits.
 //
 // Forward, layer k's label set is every label of the layer before plus one
-// point of layer k, minus the dominated labels. Pruning never changes the
-// minimal energy within a (b, t) box, and fl(x + c) is monotone in x, so
-// each box minimum is bit-identical to the cell of a dense 2-D knapsack
-// over all (b, t) states. Backward, each layer takes the lowest point
-// index with the strictly smallest box minimum plus its energy -- the
-// dense DP's choice rule -- so the picks match it exactly, ties included.
+// point of layer k, minus the dominated labels and minus those whose
+// energy plus rest_e of the later layers exceeds `cut`. Dominance pruning
+// never changes the minimal energy within a (b, t) box, and fl(x + c) is
+// monotone in x, so each box minimum on the dense DP's optimal path is
+// bit-identical to the cell of a dense 2-D knapsack over all (b, t) states
+// and no other falls below its cell. The cut keeps that path: with
+// energies finite and >= 0, a prefix of it plus rest_e rounds to at most
+// (1 + 2n u) times the optimum <= UB (u the unit roundoff), and the cut is
+// UB (1 + (2n + 4) u). Backward, each layer takes the lowest point index
+// with the strictly smallest box minimum plus its energy -- the dense DP's
+// choice rule -- so the picks match it exactly, ties included.
 std::optional<std::vector<std::size_t>>
 label_dp(const std::vector<layer_frontier>& frontiers,
          const unit_table& loss_units, const unit_table& time_units,
@@ -158,6 +262,11 @@ label_dp(const std::vector<layer_frontier>& frontiers,
 {
     const double inf = std::numeric_limits<double>::infinity();
     const std::size_t n = frontiers.size();
+    std::vector<double> rest_e(n + 1, 0.0);
+    const double ub = energy_bound(frontiers, loss_units, time_units,
+                                   b_total, t_total, rest_e);
+    const double cut =
+        ub * (1.0 + (n + 2.0) * std::numeric_limits<double>::epsilon());
     // All label sets back to back: the set before layer k is
     // labels[begin[k], begin[k + 1]). Before layer 0 it is the empty plan.
     std::vector<label> labels(1);
@@ -167,7 +276,8 @@ label_dp(const std::vector<layer_frontier>& frontiers,
     staircase folded;
     for (std::size_t li = 0; li < n; ++li) {
         append_extensions(labels, begin[li], begin[li + 1], frontiers[li],
-                          loss_units[li], time_units[li], b_total, t_total);
+                          loss_units[li], time_units[li], b_total, t_total,
+                          rest_e[li + 1], cut);
         labels.resize(
             prune_dominated(labels, begin[li + 1], stair, folded));
         begin.push_back(labels.size());
@@ -314,9 +424,11 @@ frontier_selection select_frontier_points_budgeted(
     // A non-positive latency budget is one time column with zero time
     // costs. A deadline discretizes at `time_resolution_ms` (0 = budget /
     // 256): up to ~73 loss x 257 time units, of which the label DP keeps
-    // at most a few hundred nondominated pairs per layer. A whole re-plan
-    // against cached frontiers takes about 0.02 ms at the median and
-    // 0.3 ms at p99 (e2ebench `replan`).
+    // at most a few hundred nondominated pairs per layer, fewer under the
+    // energy bound. The DP alone takes about 0.005 ms at the median and
+    // 0.05 ms at p99 on the runtime zoo (bench_pareto_planner
+    // `replan_dp.*`); a whole re-plan plus its verify_plan about 0.013 ms
+    // and 0.07 ms (e2ebench `replan`, one AVX-512 core).
     int t_total = 0;
     if (latency_budget_ms > 0.0) {
         const double tres = time_resolution_ms > 0.0

@@ -44,6 +44,17 @@ struct frontier_selection {
 // (loss, time) unit state, including its tie-break (lowest point index at
 // equal energy); tests/test_pareto.cpp keeps that dense DP as the oracle.
 //
+// The DP is bounded by a feasible plan's energy UB: a greedy selection
+// that fits both budgets, summed in layer order. A label whose energy plus
+// the later layers' minimal point energies (over points that fit with
+// every other layer at its cheapest) exceeds UB (times 1 + (n + 2)
+// epsilon for n layers, covering rounding) is dropped. The bound is on
+// only when every point energy is finite and >= 0; otherwise, or when the
+// greedy finds no fitting selection, UB is +inf and nothing is dropped.
+// The picks stay exact: fl-addition is monotone, so every label on the
+// dense DP's chosen path (or one dominating it) stays within the bound,
+// and dropping labels only raises the box minima of points not picked.
+//
 // *Any* infeasibility -- latency, accuracy, or their combination, under
 // either latency spelling -- returns the fallback instead of throwing.
 // Throws std::invalid_argument on an empty frontier, a non-finite point

@@ -7,8 +7,8 @@
 // the compiled mode-specialized gate engine of circuit/compiled_sim.h)
 // and a fast *re-plan* (precision_planner::plan_from_frontiers: a DP over
 // the cached frontiers under the phase's accuracy and latency budgets;
-// e2ebench `replan` measures p50 ~0.02 ms and p99 ~0.3 ms per decision on
-// a 4-vCPU AVX-512 host).
+// e2ebench `replan` measures p50 ~0.013 ms and p99 ~0.07 ms per decision
+// on a 4-vCPU AVX-512 host).
 // That split is what lets the stream engine swap operating points at phase
 // boundaries and on drift without stalling the stream: re-planning costs a
 // fraction of one frame period.

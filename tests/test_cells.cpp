@@ -104,28 +104,6 @@ TEST(cells, kogge_stone_width_mismatch_throws)
                  std::invalid_argument);
 }
 
-TEST(cells, segmented_adder_kill_cuts_carry)
-{
-    // 4-bit adder split at bit 2: with keep=0, the low-half carry must not
-    // reach the high half.
-    netlist nl;
-    const bus a = make_inputs(nl, "a", 4);
-    const bus b = make_inputs(nl, "b", 4);
-    const net_id keep = nl.add_input("keep");
-    const bus sum = build_segmented_adder(nl, a, b, {{2, keep}},
-                                          /*drop_carry=*/true);
-    logic_sim sim(nl);
-    // 0b0011 + 0b0001 = 0b0100 normally; with the cut, carry into bit 2
-    // disappears: low half = 0b00, high half = 0b00.
-    const auto run = [&](bool keep_v) {
-        sim.apply_packed(0b0011ULL | (0b0001ULL << 4)
-                         | (static_cast<std::uint64_t>(keep_v) << 8));
-        return sim.read_bus(sum);
-    };
-    EXPECT_EQ(run(true), 0b0100ULL);
-    EXPECT_EQ(run(false), 0b0000ULL);
-}
-
 TEST(cells, carry_select_kill_matches_segmented_semantics)
 {
     netlist nl;
@@ -153,38 +131,6 @@ TEST(cells, carry_select_kill_matches_segmented_semantics)
             }
         }
     }
-}
-
-TEST(cells, gated_bus_and_mux_bus)
-{
-    netlist nl;
-    const bus a = make_inputs(nl, "a", 3);
-    const bus b = make_inputs(nl, "b", 3);
-    const net_id en = nl.add_input("en");
-    const bus gated = build_gated_bus(nl, a, en);
-    const bus muxed = build_mux_bus(nl, a, b, en);
-    logic_sim sim(nl);
-    // a = 0b101, b = 0b010, en = 0.
-    sim.apply_packed(0b101ULL | (0b010ULL << 3));
-    EXPECT_EQ(sim.read_bus(gated), 0b000ULL);
-    EXPECT_EQ(sim.read_bus(muxed), 0b101ULL);
-    // en = 1.
-    sim.apply_packed(0b101ULL | (0b010ULL << 3) | (1ULL << 6));
-    EXPECT_EQ(sim.read_bus(gated), 0b101ULL);
-    EXPECT_EQ(sim.read_bus(muxed), 0b010ULL);
-}
-
-TEST(cells, extend_helpers)
-{
-    netlist nl;
-    const bus a = make_inputs(nl, "a", 2);
-    const bus se = extend_signed(a, 4);
-    ASSERT_EQ(se.size(), 4U);
-    EXPECT_EQ(se[2], a[1]);
-    EXPECT_EQ(se[3], a[1]);
-    const bus ze = extend_unsigned(nl, a, 4);
-    EXPECT_EQ(ze[2], nl.const0());
-    EXPECT_THROW((void)extend_signed({}, 4), std::invalid_argument);
 }
 
 TEST(cells, wallace_sum_of_many_terms)

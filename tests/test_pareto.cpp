@@ -623,6 +623,166 @@ TEST(selector_property, label_dp_picks_what_the_dense_dp_picks)
     EXPECT_GT(infeasible_cases, 100);
 }
 
+// Runs the selector and the dense DP on one instance; their indices and
+// `feasible` must match exactly. Returns whether the dense DP found a
+// fitting selection.
+bool picks_match_dense(const std::vector<layer_frontier>& fls,
+                       double acc_budget, double latency,
+                       const std::string& ctx)
+{
+    const double res = 0.0025;
+    const frontier_selection sel =
+        select_frontier_points_budgeted(fls, acc_budget, latency, res);
+    const std::optional<std::vector<std::size_t>> dense =
+        dense_select(fls, acc_budget, latency, res);
+    EXPECT_EQ(sel.feasible, dense.has_value()) << ctx;
+    if (dense && sel.feasible) {
+        EXPECT_EQ(sel.indices, *dense) << ctx;
+    }
+    return dense.has_value();
+}
+
+TEST(selector_property, energy_bound_keeps_every_pick)
+{
+    // The label DP drops every label whose energy plus the later layers'
+    // minimal energies exceeds a greedy feasible plan's energy. These
+    // instances sit where that bound is exact, tied, zero, absent or must
+    // be off; the picks must still be the dense DP's.
+    const double res = 0.0025;
+    pcg32 rng(31);
+    int tight_cases = 0;
+    int greedy_stuck_cases = 0;
+
+    // Budgets exactly at the unit costs of the per-layer minimal-energy
+    // points (lowest index): the greedy takes no swap, so the bound is the
+    // optimum, and every label of an optimal path finishes exactly at it.
+    // Energies on a 0.5 grid tie across paths; some layers cost nothing.
+    for (int trial = 0; trial < 300; ++trial) {
+        const std::size_t layers = 1 + rng.next_u32() % 12;
+        std::vector<layer_frontier> fls(layers);
+        int min_loss_units = 0;
+        double min_time_ms = 0.0;
+        for (layer_frontier& lf : fls) {
+            lf.layer_name = "l";
+            const bool zero_layer = rng.next_u32() % 5 == 0;
+            const std::size_t pts = 1 + rng.next_u32() % 8;
+            std::size_t cheapest = 0;
+            for (std::size_t k = 0; k < pts; ++k) {
+                layer_frontier_point p;
+                p.energy_mj =
+                    zero_layer
+                        ? 0.0
+                        : 0.5 * static_cast<double>(1 + rng.next_u32() % 4);
+                p.accuracy_loss =
+                    rng.next_u32() % 2 == 0
+                        ? static_cast<double>(rng.next_u32() % 4) * res
+                        : rng.uniform(0.0, 0.01);
+                p.time_ms = rng.uniform(0.0, 4.0);
+                lf.points.push_back(p);
+                if (p.energy_mj < lf.points[cheapest].energy_mj) {
+                    cheapest = k;
+                }
+            }
+            min_loss_units +=
+                cost_units(lf.points[cheapest].accuracy_loss, res);
+            min_time_ms += lf.points[cheapest].time_ms;
+        }
+        const double acc_budget = min_loss_units * res;
+        // Each time rounds up by under one unit of latency / 256, so twice
+        // the minimal-energy time fits for up to 128 layers.
+        const double latency = 2.0 * std::max(min_time_ms, 0.5);
+        const std::string ctx = "tight trial " + std::to_string(trial);
+        for (const double l : {0.0, latency}) {
+            tight_cases += picks_match_dense(fls, acc_budget, l, ctx);
+        }
+        // Tighter budgets make the greedy swap before it fits.
+        picks_match_dense(fls, 0.5 * acc_budget, 0.0, ctx + " half budget");
+        picks_match_dense(fls, acc_budget, 0.6 * latency,
+                          ctx + " short deadline");
+    }
+    EXPECT_EQ(tight_cases, 600);
+
+    // A selection fits, but no single swap from the minimal-energy start
+    // removes excess, so the greedy finds none and the bound is off. Unit
+    // costs (loss, time) at 2 loss and 256 time units: x and y each (1, 0)
+    // or (0, 128), z (1, 256) or (1, 128). The start (1, 0) x2 + (1, 256)
+    // is one loss unit over; a faster z or a lossless x or y alone only
+    // moves the excess to time. Every point fits with the other layers at
+    // their cheapest, so none is ruled out up front. Free layers pad it.
+    for (int trial = 0; trial < 50; ++trial) {
+        std::vector<layer_frontier> fls;
+        const auto pad = [&] {
+            const std::size_t count = rng.next_u32() % 4;
+            for (std::size_t i = 0; i < count; ++i) {
+                fls.push_back(make_timed_frontier(
+                    "pad", {{0.5 * static_cast<double>(rng.next_u32() % 3),
+                             0.0, 0.0},
+                            {1.5, 0.0, 0.0}}));
+            }
+        };
+        pad();
+        fls.push_back(
+            make_timed_frontier("x", {{0.0, res, 0.0}, {1.0, 0.0, 2.0}}));
+        pad();
+        fls.push_back(
+            make_timed_frontier("y", {{0.0, res, 0.0}, {1.0, 0.0, 2.0}}));
+        pad();
+        fls.push_back(
+            make_timed_frontier("z", {{0.0, res, 4.0}, {1.0, res, 2.0}}));
+        pad();
+        const std::string ctx = "stuck trial " + std::to_string(trial);
+        greedy_stuck_cases += picks_match_dense(fls, 2 * res, 4.0, ctx);
+    }
+    EXPECT_EQ(greedy_stuck_cases, 50);
+
+    // A negative energy turns the bound off: here the layer-order sum
+    // cancels to 0 (1 + 1e16 rounds to 1e16), while the first label plus
+    // the rest is 1 -- a bound left on would drop the only plan.
+    EXPECT_TRUE(picks_match_dense(
+        {make_timed_frontier("a", {{1.0, 0.0, 0.0}}),
+         make_timed_frontier("b", {{1e16, 0.0, 0.0}}),
+         make_timed_frontier("c", {{-1e16, 0.0, 0.0}})},
+        0.0, 0.0, "cancelling energies"));
+
+    // Random frontiers with negative or +inf point energies mixed in.
+    const double inf = std::numeric_limits<double>::infinity();
+    int off_feasible = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::size_t layers = 1 + rng.next_u32() % 10;
+        std::vector<layer_frontier> fls(layers);
+        for (layer_frontier& lf : fls) {
+            lf.layer_name = "l";
+            const std::size_t pts = 1 + rng.next_u32() % 6;
+            for (std::size_t k = 0; k < pts; ++k) {
+                layer_frontier_point p;
+                const double grid =
+                    0.5 * static_cast<double>(rng.next_u32() % 4);
+                switch (rng.next_u32() % 8) {
+                case 0:
+                    p.energy_mj = -grid;
+                    break;
+                case 1:
+                    p.energy_mj = inf;
+                    break;
+                default:
+                    p.energy_mj = grid;
+                }
+                p.accuracy_loss = rng.uniform(0.0, 0.01);
+                p.time_ms = rng.uniform(0.0, 4.0);
+                lf.points.push_back(p);
+            }
+        }
+        const double acc_budget =
+            static_cast<double>(rng.next_u32() % 17) * res;
+        const double latency =
+            rng.next_u32() % 2 == 0 ? 0.0 : rng.uniform(1.0, 30.0);
+        off_feasible +=
+            picks_match_dense(fls, acc_budget, latency,
+                              "bound off trial " + std::to_string(trial));
+    }
+    EXPECT_GT(off_feasible, 50);
+}
+
 // -- measured mode frontier ---------------------------------------------------
 
 frontier_config small_config(unsigned threads = 0)

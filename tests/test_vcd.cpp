@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 namespace dvafs {
 namespace {
@@ -17,8 +20,18 @@ std::string slurp(const std::string& path)
     return ss.str();
 }
 
+// A file of its own per case and process: ctest runs the cases as
+// concurrent processes, and a shared path let one case read or delete
+// another's dump.
+std::string case_path()
+{
+    return ::testing::TempDir() + "dvafs_vcd_"
+           + ::testing::UnitTest::GetInstance()->current_test_info()->name()
+           + "_" + std::to_string(::getpid()) + ".vcd";
+}
+
 struct vcd_fixture : ::testing::Test {
-    std::string path = ::testing::TempDir() + "dvafs_vcd_test.vcd";
+    std::string path = case_path();
     netlist nl;
     net_id a = nl.add_input("a");
     net_id b = nl.add_input("b");
