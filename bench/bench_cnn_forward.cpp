@@ -8,7 +8,10 @@
 // block4_1 (deep, 7x7) and AlexNet-S conv1 (stride 4) and fc6. Stride-1
 // convs run the shifted-plane lowering of cnn/gemm.h (no im2col matrix)
 // in f32 and im2col in int8, so their `int8_speedup` also carries
-// im2col's cost; alex_s.conv1 packs with im2col on both engines.
+// im2col's cost; alex_s.conv1 packs with im2col on both engines. Each
+// layer's weights are prepared (layer::prepare) before its timed loop, as
+// a bound network prepares them once per plan, so the records time the
+// kernels and not the preparation.
 //
 // The sweep comparison runs the *identical* probe sequence on both paths
 // and cross-checks the resulting requirements; a mismatch exits 1 (the
@@ -20,7 +23,8 @@
 // the machine-readable records (README "Benchmark output"); every record
 // carries the active host-SIMD backend in its "isa" field. `--isa <name>`
 // forces a specific vec backend (exit 1 when unavailable); before any
-// timing, all three GEMM datatypes and the quantize kernel are
+// timing, all three GEMM datatypes (the float one as the panel GEMM and,
+// at n == 1, the gemv) and the quantize kernel are
 // cross-checked under every available backend against the scalar overlay
 // -- exit 1 on any byte of disagreement. The layer table is followed by
 // the `fake_quant.<shape>_ms` record: 8-bit fake quantization of the
@@ -130,9 +134,11 @@ bool vec_backends_identical()
         std::vector<float> fref(sh.m * sh.n);
         std::vector<std::int32_t> ref32(sh.m * sh.n);
         std::vector<std::int64_t> ref64(sh.m * sh.n);
+        const std::vector<double> panels =
+            pack_panels(fa.data(), fbias.data(), sh.m, sh.k);
         vec::force_isa(vec::isa::scalar);
-        gemm_blocked(fa.data(), fb.data(), fbias.data(), fref.data(),
-                     sh.m, sh.k, sh.n);
+        gemm_blocked(panels.data(), fb.data(), fref.data(), sh.m, sh.k,
+                     sh.n);
         gemm_s8(a8.data(), b8.data(), bias32.data(), ref32.data(), sh.m,
                 sh.k, sh.n);
         gemm_s16(a16.data(), b16.data(), bias64.data(), ref64.data(),
@@ -142,8 +148,13 @@ bool vec_backends_identical()
         std::vector<std::int64_t> c64(sh.m * sh.n);
         for (const vec::isa level : vec::available()) {
             vec::force_isa(level);
-            gemm_blocked(fa.data(), fb.data(), fbias.data(), fc.data(),
-                         sh.m, sh.k, sh.n);
+            gemm_blocked(panels.data(), fb.data(), fc.data(), sh.m, sh.k,
+                         sh.n);
+            std::vector<float> fv(sh.m);
+            if (sh.n == 1) {
+                gemv_f32(fa.data(), fb.data(), fbias.data(), fv.data(), sh.m,
+                         sh.k);
+            }
             gemm_s8(a8.data(), b8.data(), bias32.data(), c32.data(),
                     sh.m, sh.k, sh.n);
             gemm_s16(a16.data(), b16.data(), bias64.data(), c64.data(),
@@ -151,6 +162,10 @@ bool vec_backends_identical()
             const std::size_t out = sh.m * sh.n;
             if (std::memcmp(fc.data(), fref.data(), out * sizeof(float))
                     != 0
+                || (sh.n == 1
+                    && std::memcmp(fv.data(), fref.data(),
+                                   out * sizeof(float))
+                           != 0)
                 || c32 != ref32 || c64 != ref64) {
                 std::cerr << "FAIL: vec backend " << vec::isa_name(level)
                           << " GEMM disagrees with the scalar overlay at "
@@ -229,9 +244,12 @@ double bench_layers(bench_reporter& report)
             sink = sink + l.reference_forward(in, q).flat()[0];
         }
         const double ref_ms = seconds_since(t0) * 1e3 / ref_reps;
+        // Weights are prepared once, outside the timed loops, as a bound
+        // network prepares them: the records time the kernels.
+        const auto prepared = l.prepare(q);
         t0 = std::chrono::steady_clock::now();
         for (int r = 0; r < gemm_reps; ++r) {
-            sink = sink + l.forward(in, q).flat()[0];
+            sink = sink + l.run(in, q, prepared.get()).flat()[0];
         }
         const double gemm_ms = seconds_since(t0) * 1e3 / gemm_reps;
 
@@ -239,10 +257,10 @@ double bench_layers(bench_reporter& report)
         // int8 codes, int32 accumulation, one requantization per layer.
         const layer_quant qi{.weight_bits = 8, .input_bits = 8,
                              .compute = compute_mode::i8};
-        sink = sink + l.forward(in, qi).flat()[0]; // warm the code cache
+        const auto prepared_i8 = l.prepare(qi);
         t0 = std::chrono::steady_clock::now();
         for (int r = 0; r < gemm_reps; ++r) {
-            sink = sink + l.forward(in, qi).flat()[0];
+            sink = sink + l.run(in, qi, prepared_i8.get()).flat()[0];
         }
         const double int8_ms = seconds_since(t0) * 1e3 / gemm_reps;
         const double int8_speedup = gemm_ms / int8_ms;

@@ -8,16 +8,39 @@
 
 namespace dvafs {
 
-void gemm_blocked(const float* a, const float* b, const float* bias,
-                  float* c, std::size_t m, std::size_t k, std::size_t n,
+std::vector<double> pack_panels(const float* a, const float* bias,
+                                std::size_t m, std::size_t k)
+{
+    const std::size_t stride = 8 * (k + 1);
+    std::vector<double> panels((m + 7) / 8 * stride, 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+        double* const dst = panels.data() + i / 8 * stride + i % 8;
+        dst[0] = bias != nullptr ? static_cast<double>(bias[i]) : 0.0;
+        for (std::size_t r = 0; r < k; ++r) {
+            dst[8 + 8 * r] = static_cast<double>(a[i * k + r]);
+        }
+    }
+    return panels;
+}
+
+void gemm_blocked(const double* panels, const float* b, float* c,
+                  std::size_t m, std::size_t k, std::size_t n,
                   const std::size_t* boff)
 {
-    // The packed-panel 8 x 24 tile and the n == 1 row-vectorized kernel
-    // live in the host-SIMD layer (src/vec/kernels_body.h) so each ISA
-    // backend compiles them with real vector flags; every backend is
-    // bit-identical to the scalar overlay (k-ascending double
-    // accumulation; the vector tiles' FMA is exact, see gemm.h).
-    vec::active().gemm_f32(a, b, bias, c, m, k, n, boff);
+    // The tiles live in src/vec/kernels_body.h, compiled per ISA backend
+    // and bit-identical to the scalar overlay (see the contract above).
+    vec::active().gemm_f32(panels, b, c, m, k, n, boff);
+}
+
+void gemv_f32(const float* a, const float* b, const float* bias, float* c,
+              std::size_t m, std::size_t k)
+{
+    // Rows too long for the vector gathers' 32-bit offsets (7 * k) take
+    // the scalar overlay: the same bits.
+    const vec::kernel_table& t = k < (std::size_t{1} << 26)
+                                     ? vec::active()
+                                     : *vec::scalar::table();
+    t.gemv_f32(a, b, bias, c, m, k);
 }
 
 template <typename T>

@@ -60,10 +60,11 @@
 // every available ISA.
 //
 // The blocking only reorders *independent* outputs, never the k
-// reduction: A is packed into 8-row panels of doubles, and an 8 x 24
-// register tile walks the 24-column n-tiles of B; the fc case (a
-// dense B with n == 1) is a matrix-vector product vectorized across rows
-// (src/vec/kernels_body.h).
+// reduction: A and its bias are packed into 8-row panels of doubles
+// (pack_panels, once per conv binding: cnn/layers.h prepared_weights),
+// and an 8 x 24 register tile walks the 24-column n-tiles of B
+// (src/vec/kernels_body.h). The fc case (n == 1) is gemv_f32 on A's
+// floats, vectorized across rows.
 
 #pragma once
 
@@ -74,13 +75,24 @@
 
 namespace dvafs {
 
-// C = bias (+) A * B with A [m x k] row-major, C [m x n] row-major and
-// B's row r at b + boff[r] (row-major [k x n] when boff is null). bias
-// may be null (then C starts from 0). Outputs accumulate in double over
-// ascending k (see the contract above).
-void gemm_blocked(const float* a, const float* b, const float* bias,
-                  float* c, std::size_t m, std::size_t k, std::size_t n,
+// A [m x k] row-major and its bias (null: C starts from 0) as the float
+// GEMM's panels: per 8 rows the eight start values, then k groups of
+// eight doubles (rows past m are zero).
+std::vector<double> pack_panels(const float* a, const float* bias,
+                                std::size_t m, std::size_t k);
+
+// C = bias (+) A * B with A and bias packed by pack_panels, C [m x n]
+// row-major and B's row r at b + boff[r] (row-major [k x n] when boff is
+// null). Outputs accumulate in double over ascending k (see the contract
+// above).
+void gemm_blocked(const double* panels, const float* b, float* c,
+                  std::size_t m, std::size_t k, std::size_t n,
                   const std::size_t* boff = nullptr);
+
+// The n == 1 case on a row-major float A and a dense B column:
+// c = bias (+) A * b, bit-identical to gemm_blocked on A's panels.
+void gemv_f32(const float* a, const float* b, const float* bias, float* c,
+              std::size_t m, std::size_t k);
 
 // Packs conv input patches into `cols`, a [C*K*K x OH*OW] row-major
 // matrix: row r = (c, ky, kx) in the conv weight order, column = output

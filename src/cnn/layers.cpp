@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <type_traits>
 
 namespace dvafs {
 
@@ -35,7 +34,7 @@ const tensor& maybe_quantized(const tensor& t, int bits, tensor& scratch)
     return scratch;
 }
 
-// Uncached per-call weight quantization -- the reference path only.
+// A fake-quantized copy of the weights (a plain copy when bits <= 0).
 std::vector<float> quantized_weights(const std::vector<float>& w, int bits)
 {
     std::vector<float> out = w;
@@ -61,20 +60,6 @@ std::vector<T>& scratch()
 int effective_bits(int requested, int lane)
 {
     return requested > 0 ? std::min(requested, lane) : lane;
-}
-
-void gemm_codes(const std::int8_t* a, const std::int8_t* b,
-                const std::int32_t* bias, std::int32_t* c, std::size_t m,
-                std::size_t k, std::size_t n)
-{
-    gemm_s8(a, b, bias, c, m, k, n);
-}
-
-void gemm_codes(const std::int16_t* a, const std::int16_t* b,
-                const std::int64_t* bias, std::int64_t* c, std::size_t m,
-                std::size_t k, std::size_t n)
-{
-    gemm_s16(a, b, bias, c, m, k, n);
 }
 
 // Bias values scaled onto the accumulator grid (weight_step * input_step),
@@ -125,14 +110,12 @@ tensor requantized_output(const std::vector<Acc>& acc,
 }
 
 // One weighted layer's forward as a GEMM, C[m x n] = bias + W[m x k] *
-// B[k x n]. W is the layer's weight matrix, read through its cache; B is
+// B[k x n]. W and the biases come prepared (weighted_layer::prepare); B is
 // the input: shifted views of a padded input plane for a stride-1 f32
 // conv (plane_forward), packed by im2col for the other convs (`kernel`
 // > 0), or the flattened input column itself (fc: n = 1, no packing).
 struct lowered_gemm {
-    const std::vector<float>& w;
-    const std::vector<float>& b;
-    const detail::weight_cache& cache;
+    const prepared_weights& p;
     std::size_t m = 0;
     std::size_t k = 0;
     std::size_t n = 0;
@@ -161,23 +144,23 @@ struct lowered_gemm {
 // exactly, and one requantization maps the accumulators onto the float
 // output. The float reference_forward is the oracle: outputs agree within
 // the analytic quantization error of the two operand grids plus the
-// output grid (pinned by tests/test_gemm_int.cpp).
-template <typename T, typename Acc>
+// output grid (pinned by tests/test_gemm_int.cpp). `Codes` names the
+// prepared weight codes, `Gemm` the integer GEMM (cnn/gemm_int.h).
+template <typename T, typename Acc, std::vector<T> prepared_weights::*Codes,
+          auto Gemm>
 tensor integer_forward(const lowered_gemm& g, const tensor& in,
                        const layer_quant& q, const tensor_shape& os)
 {
     const int lane = repr_bits(q.compute);
-    const detail::weight_grid<T>& w =
-        g.cache.get<T>(g.w, effective_bits(q.weight_bits, lane));
     const quant_params qx =
         choose_quant(in.flat(), effective_bits(q.input_bits, lane));
     const std::vector<T> xcodes = quantize_codes<T>(in.flat(), qx);
 
-    const double acc_step = w.step * qx.step;
-    const std::vector<Acc> bias = bias_codes<Acc>(g.b, acc_step);
+    const double acc_step = g.p.step * qx.step;
+    const std::vector<Acc> bias = bias_codes<Acc>(g.p.biases, acc_step);
     std::vector<Acc> acc(g.m * g.n);
-    gemm_codes(w.values.data(), g.lower(xcodes.data(), in.shape(), os),
-               bias.data(), acc.data(), g.m, g.k, g.n);
+    Gemm((g.p.*Codes).data(), g.lower(xcodes.data(), in.shape(), os),
+         bias.data(), acc.data(), g.m, g.k, g.n);
     return requantized_output(acc, os, acc_step, lane);
 }
 
@@ -238,11 +221,10 @@ tensor plane_forward(const lowered_gemm& g, const tensor& in,
         boff[r] = r / (kk * kk) * plane + r / kk % kk * wp + r % kk;
     }
 
-    const std::vector<float>& wq = g.cache.floats(g.w, q.weight_bits);
     tensor out(os);
     float* const of = out.flat().data();
     float* const wide = compact ? buf.data() + plane_floats : of;
-    gemm_blocked(wq.data(), x, g.b.data(), wide, g.m, g.k, n, boff.data());
+    gemm_blocked(g.p.panels.data(), x, wide, g.m, g.k, n, boff.data());
     if (compact) {
         for (std::size_t row = 0; row < g.m * oh; ++row) {
             const float* src = wide + row / oh * n + row % oh * wp;
@@ -258,9 +240,13 @@ tensor lowered_forward(const lowered_gemm& g, const tensor& in,
 {
     switch (q.compute) {
     case compute_mode::i8:
-        return integer_forward<std::int8_t, std::int32_t>(g, in, q, os);
+        return integer_forward<std::int8_t, std::int32_t,
+                               &prepared_weights::codes8, gemm_s8>(g, in, q,
+                                                                   os);
     case compute_mode::i16:
-        return integer_forward<std::int16_t, std::int64_t>(g, in, q, os);
+        return integer_forward<std::int16_t, std::int64_t,
+                               &prepared_weights::codes16, gemm_s16>(g, in,
+                                                                     q, os);
     case compute_mode::f32:
         break;
     }
@@ -269,71 +255,51 @@ tensor lowered_forward(const lowered_gemm& g, const tensor& in,
     }
     tensor xq;
     const tensor& x = maybe_quantized(in, q.input_bits, xq);
-    const std::vector<float>& w = g.cache.floats(g.w, q.weight_bits);
     tensor out(os);
-    gemm_blocked(w.data(), g.lower(x.flat().data(), in.shape(), os),
-                 g.b.data(), out.flat().data(), g.m, g.k, g.n);
-    return out;
-}
-
-// The engine whose weights a weight_grid<T> holds: the
-// representation half of the weight cache's key.
-template <typename T>
-constexpr compute_mode engine_of =
-    std::is_same_v<T, std::int8_t>    ? compute_mode::i8
-    : std::is_same_v<T, std::int16_t> ? compute_mode::i16
-                                      : compute_mode::f32;
-
-template <typename T>
-detail::weight_grid<T> quantize_weights(const std::vector<float>& w,
-                                        int bits)
-{
-    if constexpr (std::is_same_v<T, float>) {
-        return {quantized_weights(w, bits), 1.0};
+    if (g.kernel == 0) {
+        gemv_f32(g.p.weights.data(), x.flat().data(), g.p.biases.data(),
+                 out.flat().data(), g.m, g.k);
     } else {
-        const quant_params qp = choose_quant(w, bits);
-        return {quantize_codes<T>(w, qp), qp.step};
+        gemm_blocked(g.p.panels.data(),
+                     g.lower(x.flat().data(), in.shape(), os),
+                     out.flat().data(), g.m, g.k, g.n);
     }
+    return out;
 }
 
 } // namespace
 
-namespace detail {
-
-template <typename T>
-const weight_grid<T>& weight_cache::get(const std::vector<float>& w,
-                                        int bits) const
+std::shared_ptr<const prepared_weights>
+weighted_layer::prepare(const layer_quant& q) const
 {
-    const std::lock_guard<std::mutex> lock(mu_);
-    auto& slot = entries_[{bits, engine_of<T>}];
-    if (!slot) {
-        slot = std::make_unique<const entry>(quantize_weights<T>(w, bits));
+    auto p = std::make_shared<prepared_weights>();
+    if (q.compute != compute_mode::f32) {
+        const quant_params qp = choose_quant(
+            w_, effective_bits(q.weight_bits, repr_bits(q.compute)));
+        if (q.compute == compute_mode::i8) {
+            p->codes8 = quantize_codes<std::int8_t>(w_, qp);
+        } else {
+            p->codes16 = quantize_codes<std::int16_t>(w_, qp);
+        }
+        p->step = qp.step;
+        p->biases = b_;
+    } else if (panels_) {
+        p->panels = pack_panels(quantized_weights(w_, q.weight_bits).data(),
+                                b_.data(), b_.size(), w_.size() / b_.size());
+    } else {
+        p->weights = quantized_weights(w_, q.weight_bits);
+        p->biases = b_;
     }
-    return std::get<weight_grid<T>>(*slot);
+    return p;
 }
-
-template const weight_grid<float>&
-weight_cache::get<float>(const std::vector<float>&, int) const;
-template const weight_grid<std::int8_t>&
-weight_cache::get<std::int8_t>(const std::vector<float>&, int) const;
-template const weight_grid<std::int16_t>&
-weight_cache::get<std::int16_t>(const std::vector<float>&, int) const;
-
-void weight_cache::invalidate() const noexcept
-{
-    const std::lock_guard<std::mutex> lock(mu_);
-    entries_.clear();
-}
-
-} // namespace detail
 
 conv_layer::conv_layer(std::string name, int filters, int channels,
                        int kernel, int stride, int pad)
-    : name_(std::move(name)), f_(filters), c_(channels), k_(kernel),
-      s_(stride), p_(pad),
-      w_(static_cast<std::size_t>(filters) * channels * kernel * kernel,
-         0.0F),
-      b_(static_cast<std::size_t>(filters), 0.0F)
+    : weighted_layer(std::move(name),
+                     static_cast<std::size_t>(filters) * channels * kernel
+                         * kernel,
+                     static_cast<std::size_t>(filters), true),
+      f_(filters), c_(channels), k_(kernel), s_(stride), p_(pad)
 {
     if (filters < 1 || channels < 1 || kernel < 1 || stride < 1 || pad < 0) {
         throw std::invalid_argument("conv_layer: bad topology");
@@ -355,14 +321,13 @@ tensor_shape conv_layer::out_shape(const tensor_shape& in) const
     return {f_, oh, ow};
 }
 
-tensor conv_layer::forward(const tensor& in, const layer_quant& q) const
+tensor conv_layer::run(const tensor& in, const layer_quant& q,
+                       const prepared_weights* p) const
 {
     const tensor_shape os = out_shape(in.shape());
     // Weights are stored [F][C][K][K]: already the M x K row-major GEMM
     // operand with K indexed in (c, ky, kx) order, matching B's rows.
-    const lowered_gemm g{.w = w_,
-                         .b = b_,
-                         .cache = cache_,
+    const lowered_gemm g{.p = *p,
                          .m = static_cast<std::size_t>(f_),
                          .k = static_cast<std::size_t>(c_)
                               * static_cast<std::size_t>(k_)
@@ -435,7 +400,8 @@ std::uint64_t conv_layer::macs(const tensor_shape& in) const
            * static_cast<std::uint64_t>(k_);
 }
 
-tensor relu_layer::forward(const tensor& in, const layer_quant& q) const
+tensor relu_layer::run(const tensor& in, const layer_quant& q,
+                       const prepared_weights* /*p*/) const
 {
     tensor out = in;
     if (q.input_bits > 0) {
@@ -470,7 +436,8 @@ tensor_shape maxpool_layer::out_shape(const tensor_shape& in) const
 // max chains interleave. Per output the taps keep the reference order
 // (ky, then kx) and the same std::max step, so NaN taps are skipped and
 // the first of two equal-comparing zeros wins exactly as there.
-tensor maxpool_layer::forward(const tensor& in, const layer_quant& q) const
+tensor maxpool_layer::run(const tensor& in, const layer_quant& q,
+                          const prepared_weights* /*p*/) const
 {
     tensor xq;
     const tensor& x = maybe_quantized(in, q.input_bits, xq);
@@ -527,11 +494,11 @@ tensor maxpool_layer::reference_forward(const tensor& in,
 }
 
 fc_layer::fc_layer(std::string name, int outputs, int inputs)
-    : name_(std::move(name)), out_(outputs), in_(inputs),
-      w_(static_cast<std::size_t>(outputs) * static_cast<std::size_t>(
-             inputs),
-         0.0F),
-      b_(static_cast<std::size_t>(outputs), 0.0F)
+    : weighted_layer(std::move(name),
+                     static_cast<std::size_t>(outputs)
+                         * static_cast<std::size_t>(inputs),
+                     static_cast<std::size_t>(outputs), false),
+      out_(outputs), in_(inputs)
 {
     if (outputs < 1 || inputs < 1) {
         throw std::invalid_argument("fc_layer: bad topology");
@@ -547,11 +514,10 @@ tensor_shape fc_layer::out_shape(const tensor_shape& in) const
     return {out_, 1, 1};
 }
 
-tensor fc_layer::forward(const tensor& in, const layer_quant& q) const
+tensor fc_layer::run(const tensor& in, const layer_quant& q,
+                     const prepared_weights* p) const
 {
-    const lowered_gemm g{.w = w_,
-                         .b = b_,
-                         .cache = cache_,
+    const lowered_gemm g{.p = *p,
                          .m = static_cast<std::size_t>(out_),
                          .k = static_cast<std::size_t>(in_),
                          .n = 1};

@@ -13,21 +13,19 @@
 // of the datapath), matching how Envision computes. Under i16/i8 the same
 // lowering runs the true integer engine: operand codes at the lane width,
 // exact integer accumulation and a per-layer requantization
-// (cnn/gemm_int.h). Each weighted layer keeps one cache of its quantized
-// weights for both engines. The float reference path is untouched either
-// way -- it is the differential oracle both engines are tested against.
+// (cnn/gemm_int.h). The float reference path is untouched either way --
+// it is the differential oracle both engines are tested against.
+// A layer keeps no quantized weights: prepare() derives them per key and
+// a bound_network (cnn/network.h) holds them for as long as it lives.
 
 #pragma once
 
 #include "cnn/tensor.h"
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 namespace dvafs {
@@ -61,66 +59,44 @@ struct layer_quant {
     bool operator==(const layer_quant&) const = default;
 };
 
-// Internals of conv_layer and fc_layer, visible here only because the
-// layers hold a weight_cache by value.
-namespace detail {
-
-// A layer's weights on one quantization grid: integer codes with their
-// step for the i8/i16 engines (T = int8_t / int16_t), or the
-// fake-quantized float values themselves for the f32 path (T = float;
-// the scale is already applied, so `step` stays 1).
-template <typename T>
-struct weight_grid {
-    std::vector<T> values;
+// A snapshot of a weighted layer's weights and biases prepared for one
+// (weight_bits, compute) key. f32 conv: the fake-quantized weights and the
+// biases as GEMM panels (cnn/gemm.h pack_panels; 2x the weights' float
+// bytes); f32 fc: the fake-quantized matrix and the biases; i8/i16: the
+// weight codes, their step and the biases.
+struct prepared_weights {
+    std::vector<double> panels;
+    std::vector<float> weights;
+    std::vector<float> biases;
+    std::vector<std::int8_t> codes8;
+    std::vector<std::int16_t> codes16;
     double step = 1.0;
 };
-
-// Thread-safe per-layer cache of quantized weights, keyed by (bits,
-// representation): the sweep probes each (layer, bits, compute) triple
-// against the whole dataset, so the quantization pass runs once per key
-// instead of once per forward call. floats() with bits <= 0 returns the
-// original vector -- no lock, no copy. Entries live until invalidate(),
-// which every mutable weights() access calls; invalidating concurrently
-// with a forward pass is a data race on the caller, same as mutating
-// weights mid-forward.
-class weight_cache {
-public:
-    // T = float, int8_t or int16_t (see weight_grid).
-    template <typename T>
-    const weight_grid<T>& get(const std::vector<float>& w, int bits) const;
-
-    // The f32 path's weights at `bits`: `w` itself when bits <= 0.
-    const std::vector<float>& floats(const std::vector<float>& w,
-                                     int bits) const
-    {
-        return bits <= 0 ? w : get<float>(w, bits).values;
-    }
-
-    void invalidate() const noexcept;
-
-private:
-    using entry = std::variant<weight_grid<float>, weight_grid<std::int8_t>,
-                               weight_grid<std::int16_t>>;
-    mutable std::mutex mu_;
-    // Keyed by (bits, the engine the entry serves); unique_ptr entries
-    // keep references stable as the map grows.
-    mutable std::map<std::pair<int, compute_mode>,
-                     std::unique_ptr<const entry>>
-        entries_;
-};
-
-} // namespace detail
 
 class layer {
 public:
     virtual ~layer() = default;
     virtual const std::string& name() const noexcept = 0;
     virtual tensor_shape out_shape(const tensor_shape& in) const = 0;
-    // `q` quantizes this layer's weights and its input feature map.
-    virtual tensor forward(const tensor& in, const layer_quant& q) const = 0;
+    // This layer's weights prepared for q's (weight_bits, compute) key;
+    // null for a layer without weights.
+    virtual std::shared_ptr<const prepared_weights>
+    prepare(const layer_quant& /*q*/) const
+    {
+        return nullptr;
+    }
+    // The forward pass on `p`, prepared for q's key; `q` quantizes the
+    // input. Lock-free: one prepared state serves any number of threads.
+    virtual tensor run(const tensor& in, const layer_quant& q,
+                       const prepared_weights* p) const = 0;
+    // One-shot prepare(q), then run.
+    tensor forward(const tensor& in, const layer_quant& q) const
+    {
+        return run(in, q, prepare(q).get());
+    }
     // The pre-GEMM naive loops, kept as the differential-testing baseline
     // (bit-compatible with forward(); see gemm.h). Also re-quantizes
-    // weights per call, so benches can time the uncached path.
+    // weights per call.
     virtual tensor reference_forward(const tensor& in,
                                      const layer_quant& q) const
     {
@@ -129,8 +105,8 @@ public:
     // Multiply-accumulates per forward pass (0 for relu/pool).
     virtual std::uint64_t macs(const tensor_shape& in) const = 0;
     virtual std::size_t weight_count() const noexcept { return 0; }
-    // Mutable access for weight-generation and quantization sweeps.
-    // Implementations drop cached quantized weights before returning.
+    // Mutable access for weight generation; prepared snapshots keep the
+    // old values.
     virtual std::vector<float>* weights() noexcept { return nullptr; }
     virtual const std::vector<float>* weights() const noexcept
     {
@@ -138,33 +114,56 @@ public:
     }
 };
 
-// -- convolution (eq. 4) ------------------------------------------------------
-class conv_layer final : public layer {
+// conv and fc: m outputs, each a row of k weights (row-major, the GEMM's
+// A operand) and a bias.
+class weighted_layer : public layer {
 public:
-    // filters F, input channels C, kernel K, stride S, zero padding P.
-    conv_layer(std::string name, int filters, int channels, int kernel,
-               int stride, int pad);
-
     const std::string& name() const noexcept override { return name_; }
-    tensor_shape out_shape(const tensor_shape& in) const override;
-    tensor forward(const tensor& in, const layer_quant& q) const override;
-    tensor reference_forward(const tensor& in,
-                             const layer_quant& q) const override;
-    std::uint64_t macs(const tensor_shape& in) const override;
+    std::shared_ptr<const prepared_weights>
+    prepare(const layer_quant& q) const override;
     std::size_t weight_count() const noexcept override
     {
         return w_.size();
     }
-    std::vector<float>* weights() noexcept override
-    {
-        cache_.invalidate();
-        return &w_;
-    }
+    std::vector<float>* weights() noexcept override { return &w_; }
     const std::vector<float>* weights() const noexcept override
     {
         return &w_;
     }
     std::vector<float>& biases() noexcept { return b_; }
+
+protected:
+    // `panels`: the f32 engine runs the panel GEMM (conv), else the gemv
+    // on the float matrix (fc).
+    weighted_layer(std::string name, std::size_t weights, std::size_t m,
+                   bool panels)
+        : name_(std::move(name)), w_(weights, 0.0F), b_(m, 0.0F),
+          panels_(panels)
+    {
+    }
+
+    std::string name_;
+    std::vector<float> w_;
+    std::vector<float> b_;
+
+private:
+    bool panels_;
+};
+
+// -- convolution (eq. 4) ------------------------------------------------------
+class conv_layer final : public weighted_layer {
+public:
+    // filters F, input channels C, kernel K, stride S, zero padding P;
+    // weights stored [F][C][K][K].
+    conv_layer(std::string name, int filters, int channels, int kernel,
+               int stride, int pad);
+
+    tensor_shape out_shape(const tensor_shape& in) const override;
+    tensor run(const tensor& in, const layer_quant& q,
+               const prepared_weights* p) const override;
+    tensor reference_forward(const tensor& in,
+                             const layer_quant& q) const override;
+    std::uint64_t macs(const tensor_shape& in) const override;
 
     int filters() const noexcept { return f_; }
     int channels() const noexcept { return c_; }
@@ -173,15 +172,11 @@ public:
     int pad() const noexcept { return p_; }
 
 private:
-    std::string name_;
     int f_;
     int c_;
     int k_;
     int s_;
     int p_;
-    std::vector<float> w_; // [F][C][K][K]
-    std::vector<float> b_; // [F]
-    detail::weight_cache cache_;
 };
 
 // -- ReLU ----------------------------------------------------------------------
@@ -193,7 +188,8 @@ public:
     {
         return in;
     }
-    tensor forward(const tensor& in, const layer_quant& q) const override;
+    tensor run(const tensor& in, const layer_quant& q,
+               const prepared_weights* p) const override;
     std::uint64_t macs(const tensor_shape&) const override { return 0; }
 
 private:
@@ -206,9 +202,10 @@ public:
     maxpool_layer(std::string name, int size, int stride);
     const std::string& name() const noexcept override { return name_; }
     tensor_shape out_shape(const tensor_shape& in) const override;
-    // forward walks raw rows; reference_forward reads every tap through
+    // run walks raw rows; reference_forward reads every tap through
     // tensor::at. Same taps, same order, same bits.
-    tensor forward(const tensor& in, const layer_quant& q) const override;
+    tensor run(const tensor& in, const layer_quant& q,
+               const prepared_weights* p) const override;
     tensor reference_forward(const tensor& in,
                              const layer_quant& q) const override;
     std::uint64_t macs(const tensor_shape&) const override { return 0; }
@@ -220,39 +217,22 @@ private:
 };
 
 // -- fully connected -------------------------------------------------------------
-class fc_layer final : public layer {
+class fc_layer final : public weighted_layer {
 public:
+    // Weights stored [outputs][inputs].
     fc_layer(std::string name, int outputs, int inputs);
-    const std::string& name() const noexcept override { return name_; }
     tensor_shape out_shape(const tensor_shape& in) const override;
-    tensor forward(const tensor& in, const layer_quant& q) const override;
+    tensor run(const tensor& in, const layer_quant& q,
+               const prepared_weights* p) const override;
     tensor reference_forward(const tensor& in,
                              const layer_quant& q) const override;
     std::uint64_t macs(const tensor_shape& in) const override;
-    std::size_t weight_count() const noexcept override
-    {
-        return w_.size();
-    }
-    std::vector<float>* weights() noexcept override
-    {
-        cache_.invalidate();
-        return &w_;
-    }
-    const std::vector<float>* weights() const noexcept override
-    {
-        return &w_;
-    }
-    std::vector<float>& biases() noexcept { return b_; }
     int outputs() const noexcept { return out_; }
     int inputs() const noexcept { return in_; }
 
 private:
-    std::string name_;
     int out_;
     int in_;
-    std::vector<float> w_; // [out][in]
-    std::vector<float> b_;
-    detail::weight_cache cache_;
 };
 
 } // namespace dvafs

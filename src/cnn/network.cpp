@@ -1,6 +1,7 @@
 #include "cnn/network.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace dvafs {
 
@@ -19,29 +20,49 @@ tensor network::forward(const tensor& input,
                         const std::vector<layer_quant>& quant,
                         std::vector<tensor>* activations) const
 {
-    if (!(input.shape() == input_shape_)) {
-        throw std::invalid_argument("network::forward: input shape "
-                                    + input.shape().to_string()
-                                    + " != " + input_shape_.to_string());
-    }
-    return forward_from(0, input, quant, activations);
+    return bound_network(*this, quant).forward(input, activations);
 }
 
-tensor network::forward_from(std::size_t first, const tensor& x,
-                             const std::vector<layer_quant>& quant,
-                             std::vector<tensor>* activations) const
+bound_network::bound_network(const network& net,
+                             std::vector<layer_quant> overlay,
+                             const bound_network* base)
+    : net_(&net), overlay_(std::move(overlay))
 {
-    if (quant.size() != layers_.size()) {
+    if (overlay_.size() != net.depth()) {
         throw std::invalid_argument(
-            "network::forward: quant overlay size mismatch");
+            "bound_network: quant overlay size mismatch");
     }
-    if (first > layers_.size()) {
+    for (std::size_t i = 0; i < overlay_.size(); ++i) {
+        const layer_quant& q = overlay_[i];
+        prepared_.push_back(
+            base != nullptr && q.weight_bits == base->overlay_[i].weight_bits
+                    && q.compute == base->overlay_[i].compute
+                ? base->prepared_[i]
+                : net.at(i).prepare(q));
+    }
+}
+
+tensor bound_network::forward(const tensor& input,
+                              std::vector<tensor>* activations) const
+{
+    if (!(input.shape() == net_->input_shape())) {
+        throw std::invalid_argument("bound_network::forward: input shape "
+                                    + input.shape().to_string() + " != "
+                                    + net_->input_shape().to_string());
+    }
+    return forward_from(0, input, activations);
+}
+
+tensor bound_network::forward_from(std::size_t first, const tensor& x,
+                                   std::vector<tensor>* activations) const
+{
+    if (first > overlay_.size()) {
         throw std::invalid_argument(
-            "network::forward_from: start index out of range");
+            "bound_network::forward_from: start index out of range");
     }
     tensor a = x;
-    for (std::size_t i = first; i < layers_.size(); ++i) {
-        a = layers_[i]->forward(a, quant[i]);
+    for (std::size_t i = first; i < overlay_.size(); ++i) {
+        a = net_->at(i).run(a, overlay_[i], prepared_[i].get());
         if (activations != nullptr) {
             activations->push_back(a);
         }

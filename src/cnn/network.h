@@ -1,7 +1,7 @@
 // Sequential network container. A network stores its layers and weights
 // only; the precision each layer runs at is an external overlay (one
-// layer_quant per layer) passed to every forward, so one immutable network
-// can serve many concurrent precision probes.
+// layer_quant per layer), bound to it by a bound_network, so one immutable
+// network can serve many concurrent precision probes.
 
 #pragma once
 
@@ -39,26 +39,12 @@ public:
     // paper's Fig. 6 sweeps over.
     std::vector<std::size_t> weighted_layers() const;
 
-    // Forward pass under a quant overlay (one entry per layer); a
-    // default-constructed overlay, std::vector<layer_quant>(depth()), runs
-    // the float network. This is the const sweep path: the precision
-    // planner probes many configurations against one immutable network
-    // shared across threads (the sim_engine const-read contract). If
-    // `activations` is non-null it receives each layer's output (for
-    // sparsity and range statistics).
+    // One-shot bound_network(*this, quant).forward(input, activations). A
+    // default overlay, std::vector<layer_quant>(depth()), runs the float
+    // network.
     tensor forward(const tensor& input,
                    const std::vector<layer_quant>& quant,
                    std::vector<tensor>* activations = nullptr) const;
-
-    // Runs only layers [first, depth) on `x`, the activation *entering*
-    // layer `first`, under the overlay. This is the suffix path of the
-    // memoized batch_evaluator (cnn/quant_analysis.h): when an overlay
-    // perturbs no layer before `first`, the prefix activations are
-    // bit-identical to a cached base run and need not be recomputed.
-    // forward() is the first = 0 case after its input-shape check.
-    tensor forward_from(std::size_t first, const tensor& x,
-                        const std::vector<layer_quant>& quant,
-                        std::vector<tensor>* activations = nullptr) const;
 
     // End-to-end pass through layer::reference_forward (the pre-GEMM naive
     // loops, per-call weight quantization): the differential baseline for
@@ -76,6 +62,53 @@ private:
     std::string name_;
     tensor_shape input_shape_;
     std::vector<std::unique_ptr<layer>> layers_;
+};
+
+// A network bound to one quant overlay: each weighted layer's weights
+// prepared once (layer::prepare), held until the last binding sharing
+// them dies -- an f32 binding of VGG16-S holds about 1.2 MB of conv
+// panels, AlexNet-S 1.9 MB. forward() is const and lock-free, so one
+// binding serves any number of threads. A binding is a snapshot: after
+// mutating weights, rebind. The network must outlive the binding.
+class bound_network {
+public:
+    bound_network(const network& net, std::vector<layer_quant> overlay)
+        : bound_network(net, std::move(overlay), nullptr)
+    {
+    }
+    // Rebinds base's network, sharing base's prepared weights for every
+    // layer whose (weight_bits, compute) key is unchanged.
+    bound_network(const bound_network& base,
+                  std::vector<layer_quant> overlay)
+        : bound_network(*base.net_, std::move(overlay), &base)
+    {
+    }
+
+    const network& net() const noexcept { return *net_; }
+    const std::vector<layer_quant>& overlay() const noexcept
+    {
+        return overlay_;
+    }
+    // Layer i's prepared weights (null for a layer without weights).
+    const prepared_weights* prepared(std::size_t i) const
+    {
+        return prepared_.at(i).get();
+    }
+
+    // `activations`, when non-null, receives each layer's output;
+    // forward_from runs layers [first, depth) on `x`, layer first's input.
+    tensor forward(const tensor& input,
+                   std::vector<tensor>* activations = nullptr) const;
+    tensor forward_from(std::size_t first, const tensor& x,
+                        std::vector<tensor>* activations = nullptr) const;
+
+private:
+    bound_network(const network& net, std::vector<layer_quant> overlay,
+                  const bound_network* base);
+
+    const network* net_;
+    std::vector<layer_quant> overlay_;
+    std::vector<std::shared_ptr<const prepared_weights>> prepared_;
 };
 
 } // namespace dvafs

@@ -28,9 +28,9 @@ teacher_dataset make_teacher_dataset(const network& net,
     // Inputs are drawn serially (the RNG stream fixes them); only the
     // teacher forward passes fan out.
     data.labels.resize(data.inputs.size());
-    const std::vector<layer_quant> float_overlay(net.depth());
+    const bound_network teacher(net, std::vector<layer_quant>(net.depth()));
     parallel_for(data.inputs.size(), cfg.threads, [&](std::size_t i) {
-        data.labels[i] = argmax(net.forward(data.inputs[i], float_overlay));
+        data.labels[i] = argmax(teacher.forward(data.inputs[i]));
     });
     return data;
 }
@@ -40,8 +40,17 @@ teacher_dataset make_teacher_dataset(const network& net,
 batch_evaluator::batch_evaluator(const network& net,
                                  const teacher_dataset& data,
                                  unsigned threads)
-    : net_(net), data_(data), threads_(threads),
-      base_(net.depth()) // default base: the float network
+    : batch_evaluator(bound_network(net, std::vector<layer_quant>(
+                                             net.depth())), // the float net
+                      data, threads)
+{
+}
+
+batch_evaluator::batch_evaluator(bound_network base,
+                                 const teacher_dataset& data,
+                                 unsigned threads)
+    : net_(base.net()), data_(data), threads_(threads),
+      base_(std::move(base))
 {
 }
 
@@ -51,10 +60,10 @@ void batch_evaluator::set_base(std::vector<layer_quant> base)
         throw std::invalid_argument(
             "batch_evaluator: base overlay size mismatch");
     }
-    if (base == base_) {
+    if (base == base_.overlay()) {
         return; // keep the cache
     }
-    base_ = std::move(base);
+    base_ = bound_network(base_, std::move(base));
     cache_built_ = false;
     acts_.clear();
     order_.clear();
@@ -68,7 +77,7 @@ void batch_evaluator::ensure_cache() const
     acts_.assign(data_.inputs.size(), {});
     parallel_for(data_.inputs.size(), threads_, [&](std::size_t i) {
         acts_[i].reserve(net_.depth());
-        net_.forward(data_.inputs[i], base_, &acts_[i]);
+        base_.forward(data_.inputs[i], &acts_[i]);
     });
     cache_built_ = true;
 }
@@ -76,8 +85,9 @@ void batch_evaluator::ensure_cache() const
 std::size_t batch_evaluator::suffix_start(
     const std::vector<layer_quant>& overlay) const
 {
+    const std::vector<layer_quant>& base = base_.overlay();
     std::size_t p = 0;
-    while (p < base_.size() && overlay[p] == base_[p]) {
+    while (p < base.size() && overlay[p] == base[p]) {
         ++p;
     }
     return p;
@@ -96,14 +106,14 @@ void batch_evaluator::check_overlay(
 }
 
 bool batch_evaluator::agrees(std::size_t i, std::size_t p,
-                             const std::vector<layer_quant>& overlay) const
+                             const bound_network& probe) const
 {
     int pred;
     if (p == net_.depth()) {
         pred = argmax(acts_[i].back());
     } else {
         const tensor& start = p == 0 ? data_.inputs[i] : acts_[i][p - 1];
-        pred = argmax(net_.forward_from(p, start, overlay));
+        pred = argmax(probe.forward_from(p, start));
     }
     return pred == data_.labels[i];
 }
@@ -146,9 +156,10 @@ double batch_evaluator::accuracy(
     if (p > 0) {
         ensure_cache();
     }
+    const bound_network probe(base_, overlay);
     std::vector<unsigned char> agree(data_.inputs.size(), 0);
     parallel_for(data_.inputs.size(), threads_, [&](std::size_t i) {
-        agree[i] = agrees(i, p, overlay) ? 1 : 0;
+        agree[i] = agrees(i, p, probe) ? 1 : 0;
     });
     const std::size_t n =
         std::accumulate(agree.begin(), agree.end(), std::size_t{0});
@@ -175,6 +186,7 @@ bool batch_evaluator::passes(const std::vector<layer_quant>& overlay,
 
     const std::size_t p = suffix_start(overlay);
     const std::vector<std::size_t>& order = probe_order();
+    const bound_network probe(base_, overlay);
     // One input per worker per chunk; misses are counted between chunks.
     // The decision is exact, so it is the same at any worker count.
     const std::size_t chunk = resolve_threads(threads_, n);
@@ -186,7 +198,7 @@ bool batch_evaluator::passes(const std::vector<layer_quant>& overlay,
     while (misses < fail_at && misses + (n - begin) >= fail_at) {
         const std::size_t count = std::min(chunk, n - begin);
         parallel_for(count, threads_, [&](std::size_t k) {
-            miss[k] = agrees(order[begin + k], p, overlay) ? 0 : 1;
+            miss[k] = agrees(order[begin + k], p, probe) ? 0 : 1;
         });
         misses += std::accumulate(
             miss.begin(), miss.begin() + static_cast<std::ptrdiff_t>(count),
@@ -267,7 +279,7 @@ std::vector<layer_sparsity> batch_evaluator::sparsity() const
     if (data_.inputs.empty()) {
         throw std::invalid_argument("batch_evaluator: empty dataset");
     }
-    for (const layer_quant& q : base_) {
+    for (const layer_quant& q : base_.overlay()) {
         if (!(q == layer_quant{})) {
             throw std::logic_error(
                 "batch_evaluator::sparsity: needs the float base");
@@ -317,12 +329,11 @@ double relative_accuracy(const network& net, const teacher_dataset& data,
     if (data.inputs.empty()) {
         throw std::invalid_argument("relative_accuracy: empty dataset");
     }
+    const bound_network bound(net, overlay);
     std::vector<unsigned char> agree(data.inputs.size(), 0);
     parallel_for(data.inputs.size(), threads, [&](std::size_t i) {
         agree[i] =
-            argmax(net.forward(data.inputs[i], overlay)) == data.labels[i]
-                ? 1
-                : 0;
+            argmax(bound.forward(data.inputs[i])) == data.labels[i] ? 1 : 0;
     });
     const std::size_t n =
         std::accumulate(agree.begin(), agree.end(), std::size_t{0});

@@ -11,9 +11,9 @@
 // so for a probe whose overlay matches the evaluator's base configuration
 // on layers 0..p-1, the activations entering layer p are bit-identical to
 // the base run's -- only the suffix p..depth-1 is recomputed, from a
-// per-input activation cache. Probes additionally fan out across the
-// dataset on the shared pool discipline of util/parallel.h, so results are
-// bit-identical for any thread count.
+// per-input activation cache; each probe rebinds the bound base, preparing
+// only the weights it changes. Probes also fan out across the dataset on
+// util/parallel.h, so results are bit-identical for any thread count.
 //
 // Sweep and refinement probes are pass/fail, so they run through
 // batch_evaluator::passes: inputs are visited hardest first (smallest
@@ -85,13 +85,19 @@ public:
     // reduced in index order.
     batch_evaluator(const network& net, const teacher_dataset& data,
                     unsigned threads = 0);
+    // Based at an existing binding, sharing all of its prepared weights.
+    batch_evaluator(bound_network base, const teacher_dataset& data,
+                    unsigned threads = 0);
 
     // Replaces the memoization base overlay (default: no quantization,
     // i.e. the float network -- what the Fig. 6 sweep reuses). The
     // per-input activation cache is dropped and lazily rebuilt under the
     // new base on the next probe that can reuse a prefix.
     void set_base(std::vector<layer_quant> base);
-    const std::vector<layer_quant>& base() const noexcept { return base_; }
+    const std::vector<layer_quant>& base() const noexcept
+    {
+        return base_.overlay();
+    }
 
     // Relative accuracy at `overlay`: per input, the cached base
     // activations cover the longest prefix of layers whose overlay entry
@@ -129,9 +135,6 @@ public:
     // default (float) base, which is what Table III measures.
     std::vector<layer_sparsity> sparsity() const;
 
-    const network& net() const noexcept { return net_; }
-    const teacher_dataset& data() const noexcept { return data_; }
-
 private:
     void ensure_cache() const;
     void check_overlay(const std::vector<layer_quant>& overlay) const;
@@ -139,14 +142,14 @@ private:
     // Whether input i's argmax under `overlay` (recomputed from layer p)
     // matches its teacher label.
     bool agrees(std::size_t i, std::size_t p,
-                const std::vector<layer_quant>& overlay) const;
+                const bound_network& probe) const;
     // passes()' input order, built with the activation cache.
     const std::vector<std::size_t>& probe_order() const;
 
     const network& net_;
     const teacher_dataset& data_;
     unsigned threads_;
-    std::vector<layer_quant> base_;
+    bound_network base_;
     mutable bool cache_built_ = false;
     mutable std::vector<std::vector<tensor>> acts_; // [input][layer]
     mutable std::vector<std::size_t> order_; // empty until first passes()

@@ -182,8 +182,9 @@ precision_planner::layer_frontiers_from_workloads(
     // doubles as the reference probe).
     std::optional<batch_evaluator> eval;
     if (price_accuracy) {
-        eval.emplace(net, *data, threads);
-        eval->set_base(requirements_overlay(net, reqs, compute));
+        eval.emplace(bound_network(net, requirements_overlay(net, reqs,
+                                                             compute)),
+                     *data, threads);
     }
     const double acc_ref =
         price_accuracy ? eval->accuracy(eval->base()) : 1.0;

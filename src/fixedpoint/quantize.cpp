@@ -49,12 +49,10 @@ quant_params choose_quant(std::span<const float> data, int bits)
     // max |v| as the IEEE bit pattern with the sign cleared: for
     // non-negative floats the integer order is the float order, and every
     // NaN or inf pattern is >= the pattern of inf -- so one integer max
-    // finds the magnitude and the non-finite case together, in any order.
-    std::uint32_t max_bits = 0;
-    for (const float v : data) {
-        max_bits = std::max(max_bits, std::bit_cast<std::uint32_t>(v)
-                                          & 0x7fffffffU);
-    }
+    // (the vec absmax_bits kernel) finds the magnitude and the non-finite
+    // case together, in any order.
+    const std::uint32_t max_bits =
+        vec::active().absmax_bits(data.data(), data.size());
     require_finite(max_bits < 0x7f800000U, "choose_quant");
     const double max_abs =
         static_cast<double>(std::bit_cast<float>(max_bits));

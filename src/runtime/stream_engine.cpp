@@ -164,13 +164,13 @@ void gate_plan(adaptive_governor& gov, const network& net,
 
 // Prices an escalation on the live window -- the newest probe_window frames
 // of the log, all served by the outgoing plan: the probe's batch_evaluator
-// is based at the outgoing overlay, so the candidate recomputes only the
-// layers it changed.
+// is based at the outgoing plan's binding, so the candidate prepares and
+// recomputes only the layers it changed.
 void price_on_window(replan_event& dev, const network& net,
                      const scenario_phase& ph, const scenario& sc,
                      const fault_injector* faults,
                      const std::vector<frame_result>& log,
-                     const network_plan& outgoing, const stream_config& cfg)
+                     const bound_network& outgoing, const stream_config& cfg)
 {
     const auto window = static_cast<std::size_t>(cfg.probe_window);
     std::vector<int> labels;
@@ -178,10 +178,10 @@ void price_on_window(replan_event& dev, const network& net,
         labels.push_back(log[i].teacher);
     }
     const window_probe probe(
-        net,
+        outgoing,
         phase_frames(net, ph, sc, faults, log[log.size() - window].frame,
                      log.back().frame + 1),
-        std::move(labels), plan_overlay(net, outgoing), cfg.threads);
+        std::move(labels), cfg.threads);
     dev.window_accuracy_before = probe.accuracy();
     dev.window_accuracy_after = probe.accuracy(plan_overlay(net, dev.plan));
 }
@@ -240,10 +240,17 @@ stream_result stream_engine::run(const scenario& sc,
     }
     res.prepare_ms = elapsed_ms_since(t0);
 
+    // The float teachers, bound once per network for the whole run.
+    std::vector<bound_network> teachers;
+    for (const network& net : sc.networks) {
+        teachers.emplace_back(net, std::vector<layer_quant>(net.depth()));
+    }
+
     std::uint64_t g = 0; // global frame index
     const network* prev_net = nullptr;
     network_plan active;
     int active_version = 0;
+    std::optional<bound_network> served; // `active`, bound at activation
     std::optional<replan_event> pending; // the re-plan in flight
     std::uint64_t activate_at = 0;
     int phase_replans = 0;
@@ -263,9 +270,21 @@ stream_result stream_engine::run(const scenario& sc,
         res.replans.push_back(std::move(ev));
     };
 
+    // Activates and binds `plan`, rebinding from the outgoing plan's
+    // binding on the same network, else from the teacher.
+    const auto activate = [&](const bound_network& teacher,
+                              const network_plan& plan, int version) {
+        active = plan;
+        active_version = version;
+        served = bound_network(
+            served && &served->net() == &teacher.net() ? *served : teacher,
+            plan_overlay(teacher.net(), plan));
+    };
+
     for (std::size_t pi = 0; pi < sc.phases.size(); ++pi) {
         const scenario_phase& ph = sc.phases[pi];
         const network& net = sc.networks[ph.network];
+        const bound_network& teacher = teachers[ph.network];
         const double period_ms = 1000.0 / ph.target_fps;
         const std::size_t phase_first = res.frames.size();
         const std::uint64_t phase_end =
@@ -283,14 +302,12 @@ stream_result stream_engine::run(const scenario& sc,
                                            : replan_reason::phase_change,
                                     g));
         if (&net != prev_net && activate_at > g) {
-            active = governor_.prepare(net).fallback;
-            active_version = 0;
+            activate(teacher, governor_.prepare(net).fallback, 0);
         }
 
         while (g < phase_end) {
             if (pending && g >= activate_at) {
-                active = pending->plan;
-                active_version = pending->plan_version;
+                activate(teacher, pending->plan, pending->plan_version);
                 pending.reset();
             }
             // Admit up to max_in_flight frames, but never across a plan
@@ -305,9 +322,9 @@ stream_result stream_engine::run(const scenario& sc,
                 period_ms * (faults ? faults->period_scale(g) : 1.0);
             const double sscale = faults ? faults->service_scale(g) : 1.0;
             scheduler_.run_batch(
-                net, active, phase_frames(net, ph, sc, faults, g, batch_end),
-                g, pi, active_version, eff_period, sscale, res.frames,
-                res.ledger);
+                *served, teacher, active,
+                phase_frames(net, ph, sc, faults, g, batch_end), g, pi,
+                active_version, eff_period, sscale, res.frames, res.ledger);
             if (faults && faults->active(g)) {
                 res.stats.faulted_frames += batch_end - g;
             }
@@ -355,7 +372,7 @@ stream_result stream_engine::run(const scenario& sc,
             probe.escalated(dev.plan_stale);
             res.stats.stale_escalations += dev.plan_stale;
             ++res.stats.escalations;
-            price_on_window(dev, net, ph, sc, faults, res.frames, active,
+            price_on_window(dev, net, ph, sc, faults, res.frames, *served,
                             cfg_);
             issue(net, std::move(dev));
         }

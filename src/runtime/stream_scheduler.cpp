@@ -24,7 +24,8 @@ std::vector<layer_quant> plan_overlay(const network& net,
     return overlay;
 }
 
-void stream_scheduler::run_batch(const network& net,
+void stream_scheduler::run_batch(const bound_network& served,
+                                 const bound_network& teacher,
                                  const network_plan& plan,
                                  const std::vector<tensor>& frames,
                                  std::uint64_t first_frame_index,
@@ -33,17 +34,13 @@ void stream_scheduler::run_batch(const network& net,
                                  std::vector<frame_result>& out,
                                  energy_ledger& ledger) const
 {
-    const std::vector<layer_quant> overlay = plan_overlay(net, plan);
-    const std::vector<layer_quant> float_overlay(net.depth());
-
     // Quantized + teacher forwards fan out per frame into preallocated
     // slots; the serial tail below reads them in index order, so the log
     // and the ledger are bit-identical for any thread count.
     std::vector<std::pair<int, int>> argmaxes(frames.size());
     parallel_for(frames.size(), threads_, [&](std::size_t i) {
-        argmaxes[i].first = argmax(net.forward(frames[i], overlay));
-        argmaxes[i].second =
-            argmax(net.forward(frames[i], float_overlay));
+        argmaxes[i].first = argmax(served.forward(frames[i]));
+        argmaxes[i].second = argmax(teacher.forward(frames[i]));
     });
 
     for (std::size_t i = 0; i < frames.size(); ++i) {
@@ -74,10 +71,17 @@ void stream_scheduler::run_batch(const network& net,
 window_probe::window_probe(const network& net, std::vector<tensor> window,
                            std::vector<int> teacher_labels,
                            std::vector<layer_quant> base, unsigned threads)
-    : data_{std::move(window), std::move(teacher_labels)},
-      eval_(net, data_, threads)
+    : window_probe(bound_network(net, std::move(base)), std::move(window),
+                   std::move(teacher_labels), threads)
 {
-    eval_.set_base(std::move(base));
+}
+
+window_probe::window_probe(const bound_network& base,
+                           std::vector<tensor> window,
+                           std::vector<int> teacher_labels, unsigned threads)
+    : data_{std::move(window), std::move(teacher_labels)},
+      eval_(base, data_, threads)
+{
 }
 
 } // namespace dvafs

@@ -1,11 +1,11 @@
 // Batched frame execution for the streaming runtime.
 //
 // The scheduler owns the per-frame hot path: it forwards in-flight frames
-// through the phase's network under the active plan's quantization overlay
-// (fanned out on util/parallel with per-frame result slots, so outcomes
-// are bit-identical for any thread count), scores each frame against the
-// float teacher, and attributes every frame's energy to the energy ledger
-// per power domain from the plan's envision power decomposition.
+// through the active plan's binding (fanned out on util/parallel with
+// per-frame result slots, so outcomes are bit-identical for any thread
+// count), scores each frame against the bound float teacher, and
+// attributes every frame's energy to the energy ledger per power domain
+// from the plan's envision power decomposition.
 //
 // Drift diagnosis rides on cnn/quant_analysis's batch_evaluator: a
 // window_probe bases the evaluator at the active plan's overlay over the
@@ -47,7 +47,8 @@ public:
     // threads = 0 -> hardware default (the parallel_for convention).
     explicit stream_scheduler(unsigned threads = 0) : threads_(threads) {}
 
-    // Runs `frames` through `net` under `plan`, appending one result per
+    // Runs `frames` through `served` (bound to plan_overlay(net, plan))
+    // and `teacher` (bound to the float overlay), appending one result per
     // frame (input order) to `out` and attributing each frame's energy to
     // `ledger` per power domain. `period_ms` is the *effective* frame
     // period for the per-frame deadline flag (the engine shrinks it under
@@ -55,7 +56,8 @@ public:
     // modeled service time (>1 under an injected service overrun), so a
     // scripted fault shows up as honest per-frame latency without
     // touching the energy attribution.
-    void run_batch(const network& net, const network_plan& plan,
+    void run_batch(const bound_network& served,
+                   const bound_network& teacher, const network_plan& plan,
                    const std::vector<tensor>& frames,
                    std::uint64_t first_frame_index, std::size_t phase,
                    int plan_version, double period_ms,
@@ -77,6 +79,9 @@ public:
     window_probe(const network& net, std::vector<tensor> window,
                  std::vector<int> teacher_labels,
                  std::vector<layer_quant> base, unsigned threads = 0);
+    // Based at the serving binding itself: the base prepares nothing.
+    window_probe(const bound_network& base, std::vector<tensor> window,
+                 std::vector<int> teacher_labels, unsigned threads = 0);
 
     double accuracy() const { return eval_.accuracy(eval_.base()); }
     double accuracy(const std::vector<layer_quant>& overlay) const

@@ -24,7 +24,6 @@ void error_stats::add(double exact, double approx) noexcept
     }
     sq_sum_ += e * e;
     err_sum_ += e;
-    abs_sum_ += std::abs(e);
     max_abs_ = std::max(max_abs_, std::abs(e));
 }
 

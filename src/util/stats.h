@@ -38,7 +38,7 @@ private:
 };
 
 // Accumulates error metrics of an approximate value stream against an exact
-// reference stream: RMSE, mean error (bias), mean absolute error, maximum
+// reference stream: RMSE, mean error (bias), maximum
 // absolute error, and the error rate (fraction of non-exact results).
 class error_stats {
 public:
@@ -52,10 +52,6 @@ public:
     double mean_error() const noexcept
     {
         return n_ ? err_sum_ / static_cast<double>(n_) : 0.0;
-    }
-    double mean_abs_error() const noexcept
-    {
-        return n_ ? abs_sum_ / static_cast<double>(n_) : 0.0;
     }
     double max_abs_error() const noexcept { return max_abs_; }
     double error_rate() const noexcept
@@ -78,7 +74,6 @@ private:
     std::uint64_t nonzero_ = 0;
     double sq_sum_ = 0.0;
     double err_sum_ = 0.0;
-    double abs_sum_ = 0.0;
     double max_abs_ = 0.0;
 };
 

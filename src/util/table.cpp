@@ -71,17 +71,6 @@ void ascii_table::add_row(std::vector<std::string> cells)
     rows_.push_back(std::move(cells));
 }
 
-void ascii_table::add_row_numeric(const std::vector<double>& cells,
-                                  int precision)
-{
-    std::vector<std::string> row;
-    row.reserve(cells.size());
-    for (const double v : cells) {
-        row.push_back(fmt_double(v, precision));
-    }
-    add_row(std::move(row));
-}
-
 void ascii_table::print(std::ostream& os) const
 {
     std::vector<std::size_t> width(headers_.size(), 0);

@@ -22,9 +22,6 @@ public:
     // Appends a row; the row is padded/truncated to the header width.
     void add_row(std::vector<std::string> cells);
 
-    // Convenience: converts each double with fmt_double.
-    void add_row_numeric(const std::vector<double>& cells, int precision = 3);
-
     std::size_t rows() const noexcept { return rows_.size(); }
     std::size_t columns() const noexcept { return headers_.size(); }
 

@@ -20,8 +20,7 @@
 // Everything here lives in the backend's namespace, so each backend gets
 // its own fully-specialized copy under its own compile flags. No shared
 // templates are instantiated with shared types (see backend_prelude.h
-// for why); in particular the blocking avoids std::min, the float GEMM's
-// packing scratch is a local new[] buffer rather than a std::vector, and
+// for why); in particular the blocking avoids std::min and
 // eval_gate_kind is instantiated with the local `bword`.
 // scripts/check_vec_symbols.py checks the rule on the x86 objects.
 
@@ -64,7 +63,7 @@ inline std::uint64_t shift_transitions(const std::uint64_t* cur,
 
 // A tile_rows x G*W block of the 8 x 24 tile (G <= 3): tile_rows x G
 // accumulators of W doubles. B's row r starts at b + boff[r] (b + r * n
-// when boff is null, see gemm_f32_impl). Per k step, G widening loads of
+// when boff is null, see gemm_f32). Per k step, G widening loads of
 // the B row, then per row one broadcast and one FMA per accumulator --
 // bit for bit the scalar tile's multiply and add, since a float product
 // is exact in double (cnn/gemm.h). Only the last group of a column tail
@@ -363,99 +362,24 @@ inline void exec_gates(const gate_run_args& g)
 
 // -- GEMM blocking drivers ----------------------------------------------------
 
-// Float GEMM. Every output starts from its bias (or 0.0) and adds
-// double(a) * double(b) with k ascending, one rounding per step (the
-// scalar reference's multiply and add, the vector body's FMA) -- the
-// cnn/gemm.h contract -- so only the assignment of outputs to tiles and
-// lanes differs between backends, and no backend changes a bit.
-// B's row r starts at b + boff[r], or at b + r * n when boff is null (a
-// dense B); conv layers pass shifted views of one padded input plane
-// (cnn/gemm.h). A dense n == 1 (every fc layer) is a matrix-vector
-// product vectorized across rows (f32_gemv). Otherwise A is packed into
-// 8-row panels of doubles in per-thread scratch -- the bias row first,
-// then k groups of eight (rows past m are zero and never stored) -- and
-// an 8 x 24 register tile walks the 24-column n-tiles in the outer loop,
-// so one n-tile of B stays in cache while the packed panels stream past
-// it.
-//
-// The panels are packed as many at a time as fit 15360 doubles (120 KiB;
-// at least one): stream workers are short-lived threads that each pack
-// anew, and a buffer below the allocator's default 128 KiB mmap
-// threshold neither maps and unmaps pages per thread nor raises that
-// threshold for every later allocation. The zoo's wide-m layers all have
-// small n, so re-reading B once per batch of panels is cheap.
-inline constexpr std::size_t f32_pack_doubles = 15360;
-
-// Per-thread packing buffer. A plain new[] rather than std::vector: a
-// backend TU must not instantiate shared templates (backend_prelude.h).
-struct f64_scratch {
-    double* data = nullptr;
-    std::size_t size = 0;
-    f64_scratch() = default;
-    f64_scratch(const f64_scratch&) = delete;
-    f64_scratch& operator=(const f64_scratch&) = delete;
-    ~f64_scratch() { delete[] data; }
-};
-
-inline double* packed_panels(std::size_t doubles)
+// Float GEMM over packed A panels (cnn/gemm.h pack_panels). Every output
+// starts from its panel start value and adds double(a) * double(b) with k
+// ascending, one rounding per step (the scalar multiply and add, the
+// vector FMA) -- the cnn/gemm.h contract -- so no backend changes a bit.
+// B's row r starts at b + boff[r], or at b + r * n when boff is null. An
+// 8 x 24 register tile walks the 24-column n-tiles in the outer loop, so
+// one n-tile of B stays in cache while the panels stream past it.
+inline void gemm_f32(const double* panels, const float* b, float* c,
+                     std::size_t m, std::size_t k, std::size_t n,
+                     const std::size_t* boff)
 {
-    thread_local f64_scratch s;
-    if (doubles > s.size) {
-        double* const fresh = new double[doubles];
-        delete[] s.data;
-        s.data = fresh;
-        s.size = doubles;
-    }
-    return s.data;
-}
-
-// Packs rows [m0, m0 + 8) of A (and their bias) into one panel.
-inline void pack_panel(const float* a, const float* bias, std::size_t m,
-                       std::size_t k, std::size_t m0, double* dst)
-{
-    const std::size_t mb = m - m0 < 8 ? m - m0 : 8;
-    for (std::size_t i = 0; i < 8; ++i) {
-        dst[i] = i < mb && bias != nullptr ? static_cast<double>(bias[m0 + i])
-                                           : 0.0;
-    }
-    for (std::size_t r = 0; r < k; ++r) {
-        double* const col = dst + 8 + 8 * r;
-        for (std::size_t i = 0; i < 8; ++i) {
-            col[i] = i < mb ? static_cast<double>(a[(m0 + i) * k + r]) : 0.0;
-        }
-    }
-}
-
-inline void gemm_f32_impl(const float* a, const float* b,
-                          const float* bias, float* c, std::size_t m,
-                          std::size_t k, std::size_t n,
-                          const std::size_t* boff)
-{
-    // The vector f32_gemv reads a dense B and addresses rows by 32-bit
-    // gather offsets (up to 7 * k); a row-offset B or rows too long for
-    // that take the panel path, which gives the same bits.
-    if (n == 1 && boff == nullptr && k < (std::size_t{1} << 26)) {
-        f32_gemv(a, b, bias, c, m, k);
-        return;
-    }
-    const std::size_t panels = (m + 7) / 8;
     const std::size_t stride = 8 * (k + 1);
-    std::size_t batch = f32_pack_doubles / stride;
-    batch = batch < 1 ? 1 : (batch > panels ? panels : batch);
-    double* const packed = packed_panels(batch * stride);
-    for (std::size_t p0 = 0; p0 < panels; p0 += batch) {
-        const std::size_t pn = panels - p0 < batch ? panels - p0 : batch;
-        for (std::size_t p = 0; p < pn; ++p) {
-            pack_panel(a, bias, m, k, 8 * (p0 + p), packed + p * stride);
-        }
-        for (std::size_t n0 = 0; n0 < n; n0 += 24) {
-            const std::size_t nb = n - n0 < 24 ? n - n0 : 24;
-            for (std::size_t p = 0; p < pn; ++p) {
-                const std::size_t m0 = 8 * (p0 + p);
-                const std::size_t mb = m - m0 < 8 ? m - m0 : 8;
-                f32_tile(packed + p * stride, b + n0, boff,
-                         c + m0 * n + n0, k, n, mb, nb);
-            }
+    for (std::size_t n0 = 0; n0 < n; n0 += 24) {
+        const std::size_t nb = n - n0 < 24 ? n - n0 : 24;
+        for (std::size_t m0 = 0; m0 < m; m0 += 8) {
+            const std::size_t mb = m - m0 < 8 ? m - m0 : 8;
+            f32_tile(panels + m0 / 8 * stride, b + n0, boff,
+                     c + m0 * n + n0, k, n, mb, nb);
         }
     }
 }
@@ -536,10 +460,12 @@ inline constexpr kernel_table k_table = {
     &shift_transitions,
     &transpose64,
     &exec_gates,
-    &gemm_f32_impl,
+    &gemm_f32,
+    &f32_gemv,
     &gemm_int<16, std::int8_t, std::int32_t, &s8_dot>,
     &gemm_int<8, std::int16_t, std::int64_t, &s16_dot>,
     &quantize_f32,
+    &absmax_bits,
 };
 
 const kernel_table* table() noexcept

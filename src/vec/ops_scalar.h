@@ -52,7 +52,7 @@ inline void transpose64(std::uint64_t x[64])
 #ifndef DVAFS_VEC_HAVE_F32_TILE
 #define DVAFS_VEC_HAVE_F32_TILE 1
 // One 8 x nb float tile (nb <= 24) over a packed A panel (kernels_body.h
-// gemm_f32_impl): panel[0..8) holds the eight rows' start values (bias or
+// gemm_f32): panel[0..8) holds the eight rows' start values (bias or
 // 0.0), then k groups of eight doubles, one per row. `b` and `c` point at
 // the tile's first column of B and of its first C row; B's row r starts
 // boff[r] floats past `b` (r * n when boff is null), C has row stride n.
@@ -151,6 +151,20 @@ inline bool quantize_f32(const float* x, std::size_t n, double step,
     return true;
 }
 #endif
+
+// choose_quant's magnitude scan (vec.h): an unsigned max reduction that
+// each backend TU's flags vectorize (vpmaxud); a max is order-free, so
+// every backend gives this loop's result bit for bit.
+inline std::uint32_t absmax_bits(const float* x, std::size_t n)
+{
+    std::uint32_t m = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t b =
+            __builtin_bit_cast(std::uint32_t, x[i]) & 0x7fffffffU;
+        m = b > m ? b : m;
+    }
+    return m;
+}
 
 #ifndef DVAFS_VEC_HAVE_S8_DOT
 #define DVAFS_VEC_HAVE_S8_DOT 1

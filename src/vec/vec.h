@@ -95,13 +95,16 @@ struct kernel_table {
     // Gate-run executor for the compiled sim (gate_words per net).
     void (*exec_gates)(const gate_run_args& run);
     // Blocked GEMMs, C = bias + A(m x k) * B(k x n). Float keeps the
-    // cnn/gemm.h accumulation contract and reads B(r, j) at
-    // b[boff[r] + j], or at b[r * n + j] when boff is null; integer
-    // kernels read a dense B and are exact (int8 under the k <= 66571
-    // int32 overflow contract of cnn/gemm_int.h).
-    void (*gemm_f32)(const float* a, const float* b, const float* bias,
-                     float* c, std::size_t m, std::size_t k, std::size_t n,
+    // cnn/gemm.h accumulation contract: gemm_f32 reads A and bias as
+    // pack_panels panels and B(r, j) at b[boff[r] + j] (b[r * n + j] when
+    // boff is null); gemv_f32 is n == 1 on a row-major A, k < 2^26.
+    // Integer kernels read a dense B and are exact (int8 under the
+    // k <= 66571 int32 overflow contract of cnn/gemm_int.h).
+    void (*gemm_f32)(const double* panels, const float* b, float* c,
+                     std::size_t m, std::size_t k, std::size_t n,
                      const std::size_t* boff);
+    void (*gemv_f32)(const float* a, const float* b, const float* bias,
+                     float* c, std::size_t m, std::size_t k);
     void (*gemm_s8)(const std::int8_t* a, const std::int8_t* b,
                     const std::int32_t* bias, std::int32_t* c,
                     std::size_t m, std::size_t k, std::size_t n);
@@ -117,6 +120,9 @@ struct kernel_table {
     bool (*quantize_f32)(const float* x, std::size_t n, double step,
                          double lo, double hi, float* fake,
                          std::int32_t* codes);
+    // choose_quant's scan: max over n floats of (bits & 0x7fffffff), 0
+    // when n == 0; NaN and +-inf give >= 0x7f800000.
+    std::uint32_t (*absmax_bits)(const float* x, std::size_t n);
 };
 
 // Per-backend tables. A backend whose ISA the *build* cannot target

@@ -167,26 +167,40 @@ TEST(gemm, matches_naive_triple_loop)
             const float* const biases[] = {bias.data(), nullptr};
             for (const float* bp : biases) {
                 const std::vector<float> want = naive_gemm(a, b, bp, m, k, n);
-                for (const vec::isa level : vec::available()) {
-                    // A guard band after C catches a store past a tail.
-                    constexpr float guard = 12345.0F;
-                    std::vector<float> c(m * n + 32, guard);
-                    vec::table_for(level)->gemm_f32(a.data(), b.data(), bp,
-                                                    c.data(), m, k, n,
-                                                    nullptr);
-                    for (std::size_t e = m * n; e < c.size(); ++e) {
-                        ASSERT_EQ(c[e], guard)
-                            << vec::isa_name(level) << " " << m << "x" << k
-                            << "x" << n << " wrote past C";
-                    }
-                    c.resize(m * n);
-                    for (std::size_t e = 0; e < c.size(); ++e) {
-                        ASSERT_TRUE(same_bits(c[e], want[e]))
-                            << vec::isa_name(level) << " " << m << "x" << k
-                            << "x" << n << mode_names[mode]
-                            << (bp == nullptr ? " no bias" : "") << " @ ("
-                            << e / n << "," << e % n << "): " << c[e]
-                            << " vs " << want[e];
+                const std::vector<double> panels =
+                    pack_panels(a.data(), bp, m, k);
+                // The panel GEMM, and at n == 1 also the gemv on A's
+                // floats.
+                for (int form = 0; form < (n == 1 ? 2 : 1); ++form) {
+                    for (const vec::isa level : vec::available()) {
+                        const vec::kernel_table& t = *vec::table_for(level);
+                        // A guard band after C catches a store past a tail.
+                        constexpr float guard = 12345.0F;
+                        std::vector<float> c(m * n + 32, guard);
+                        if (form == 0) {
+                            t.gemm_f32(panels.data(), b.data(), c.data(), m,
+                                       k, n, nullptr);
+                        } else {
+                            t.gemv_f32(a.data(), b.data(), bp, c.data(), m,
+                                       k);
+                        }
+                        const char* const what =
+                            form == 0 ? " gemm" : " gemv";
+                        for (std::size_t e = m * n; e < c.size(); ++e) {
+                            ASSERT_EQ(c[e], guard)
+                                << vec::isa_name(level) << what << " " << m
+                                << "x" << k << "x" << n << " wrote past C";
+                        }
+                        c.resize(m * n);
+                        for (std::size_t e = 0; e < c.size(); ++e) {
+                            ASSERT_TRUE(same_bits(c[e], want[e]))
+                                << vec::isa_name(level) << what << " " << m
+                                << "x" << k << "x" << n << mode_names[mode]
+                                << (bp == nullptr ? " no bias" : "")
+                                << " @ (" << e / n << "," << e % n
+                                << "): " << c[e]
+                                << " vs " << want[e];
+                        }
                     }
                 }
             }
@@ -256,7 +270,11 @@ TEST(gemm, null_bias_starts_from_zero)
     const std::vector<float> a = {1.0F, 2.0F};
     const std::vector<float> b = {3.0F, 4.0F};
     std::vector<float> c(1);
-    gemm_blocked(a.data(), b.data(), nullptr, c.data(), 1, 2, 1);
+    gemm_blocked(pack_panels(a.data(), nullptr, 1, 2).data(), b.data(),
+                 c.data(), 1, 2, 1);
+    EXPECT_EQ(c[0], 11.0F);
+    c[0] = 0.0F;
+    gemv_f32(a.data(), b.data(), nullptr, c.data(), 1, 2);
     EXPECT_EQ(c[0], 11.0F);
 }
 
@@ -419,9 +437,12 @@ TEST(gemm_forward, stride1_conv_matches_im2col_gemm_bitwise_property)
                         std::vector<float> want(static_cast<std::size_t>(f)
                                                 * n);
                         ASSERT_TRUE(vec::force_isa(vec::isa::scalar));
-                        gemm_blocked(wq.data(), cols.data(),
-                                     conv.biases().data(), want.data(),
-                                     static_cast<std::size_t>(f),
+                        const std::size_t m = static_cast<std::size_t>(f);
+                        gemm_blocked(pack_panels(wq.data(),
+                                                 conv.biases().data(), m,
+                                                 cols.size() / n)
+                                         .data(),
+                                     cols.data(), want.data(), m,
                                      cols.size() / n, n);
                         for (const vec::isa level : vec::available()) {
                             ASSERT_TRUE(vec::force_isa(level));
@@ -532,52 +553,6 @@ TEST(gemm_forward, network_forward_matches_reference_end_to_end)
                                net->name() + " " + vec::isa_name(level));
         }
     }
-}
-
-TEST(weight_cache, mutating_weights_invalidates)
-{
-    conv_layer conv("c", 2, 1, 3, 1, 1);
-    pcg32 rng(5);
-    fill_gaussian(*conv.weights(), rng);
-    tensor in({1, 6, 6});
-    fill_gaussian(in.flat(), rng);
-    const layer_quant q{.weight_bits = 5, .input_bits = 0};
-
-    const tensor first = conv.forward(in, q);
-    // Cached second pass: identical.
-    expect_float_equal(conv.forward(in, q), first, "cached repeat");
-
-    // Mutate the weights through the invalidating accessor: the quantized
-    // path must see the new values, not the stale cache.
-    for (float& w : *conv.weights()) {
-        w += 1.0F;
-    }
-    const tensor after = conv.forward(in, q);
-    expect_float_equal(after, conv.reference_forward(in, q),
-                       "post-mutation");
-    bool any_diff = false;
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        any_diff |= first.flat()[i] != after.flat()[i];
-    }
-    EXPECT_TRUE(any_diff);
-}
-
-TEST(weight_cache, bits_zero_returns_input_without_copy)
-{
-    const detail::weight_cache cache;
-    const std::vector<float> w = {1.0F, -2.0F, 3.0F};
-    // The unquantized case must hand back the very same vector.
-    EXPECT_EQ(&cache.floats(w, 0), &w);
-    EXPECT_EQ(&cache.floats(w, -3), &w);
-    // Quantized requests come from the cache (stable address, new data).
-    const std::vector<float>& q4 = cache.floats(w, 4);
-    EXPECT_NE(&q4, &w);
-    EXPECT_EQ(&cache.floats(w, 4), &q4);
-    // The integer codes at the same bits are a separate entry.
-    const auto& c4 = cache.get<std::int8_t>(w, 4);
-    EXPECT_EQ(&cache.get<std::int8_t>(w, 4), &c4);
-    EXPECT_EQ(c4.values, (std::vector<std::int8_t>{2, -5, 7}));
-    EXPECT_EQ(&cache.floats(w, 4), &q4);
 }
 
 } // namespace

@@ -11,14 +11,23 @@
 //    quantization error -- half an output code from the requantization,
 //    half an accumulator code from the integer bias, plus float-storage
 //    rounding of the fake-quantized oracle operands.
+//
+// The bound_network suite pins the prepared-weights lifecycle (the f32
+// engine included): bound outputs equal network::forward and the
+// reference on every zoo net, engine and ISA; a rebind shares unchanged
+// layers; a binding is a snapshot of the weights; batch_evaluator's
+// probes still read its suffix cache; and one binding serves concurrent
+// forwards (TSan via the `threaded` label).
 
 #include "cnn/gemm.h"
 #include "cnn/gemm_int.h"
 #include "cnn/layers.h"
 #include "cnn/network.h"
+#include "cnn/quant_analysis.h"
 #include "cnn/zoo.h"
 #include "fixedpoint/quantize.h"
 #include "util/parallel.h"
+#include "vec/vec.h"
 
 #include "util/rng.h"
 
@@ -26,6 +35,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -60,8 +70,7 @@ void expect_float_equal(const tensor& a, const tensor& b,
     }
 }
 
-// Const weight access: the non-const weights() accessor invalidates the
-// layer's weight cache, which these oracles must not do.
+// Const weight access for the oracles.
 const std::vector<float>& weight_view(const layer& l)
 {
     return *l.weights();
@@ -426,35 +435,6 @@ TEST(gemm_int_forward, narrow_and_default_bits_use_the_integer_grid)
                   "i8 at 4-bit grid");
 }
 
-TEST(gemm_int_forward, weight_cache_invalidates_on_mutation)
-{
-    pcg32 rng(5);
-    conv_layer conv("c", 2, 1, 3, 1, 1);
-    fill_gaussian(*conv.weights(), rng);
-    tensor in({1, 6, 6});
-    fill_gaussian(in.flat(), rng);
-    const layer_quant q{.weight_bits = 8, .input_bits = 8,
-                        .compute = compute_mode::i8};
-
-    const tensor first = conv.forward(in, q);
-    expect_float_equal(conv.forward(in, q), first, "cached repeat");
-
-    for (float& w : *conv.weights()) {
-        w += 1.0F;
-    }
-    const tensor after = conv.forward(in, q);
-    // A fresh layer with the mutated weights is the uncached oracle.
-    conv_layer fresh("c", 2, 1, 3, 1, 1);
-    *fresh.weights() = weight_view(conv);
-    fresh.biases() = conv.biases();
-    expect_float_equal(after, fresh.forward(in, q), "post-mutation");
-    bool any_diff = false;
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        any_diff |= first.flat()[i] != after.flat()[i];
-    }
-    EXPECT_TRUE(any_diff);
-}
-
 TEST(gemm_int_forward, network_overlay_selects_the_integer_engine)
 {
     const network net = make_lenet5({.seed = 9});
@@ -492,60 +472,292 @@ TEST(gemm_int_forward, network_overlay_selects_the_integer_engine)
     expect_float_equal(out8, x, "i8 network == layer-by-layer");
 }
 
-// Concurrent forwards of one shared layer fill its weight cache from many
-// threads at once (one entry per (bits, engine) key, first use racing).
-// Each output must be bit-identical to a serial forward on a freshly built
-// layer with the same weights. Run under TSan via the `threaded` label.
-TEST(gemm_int_forward, concurrent_forwards_share_one_weight_cache)
+// -- bound_network -------------------------------------------------------------
+
+// One overlay per engine over a network's weighted layers, at mixed bits
+// (0: float under f32, the full lane under i16/i8).
+std::vector<std::vector<layer_quant>> engine_overlays(const network& net)
+{
+    const int weight_bits[] = {6, 3, 8, 0, 5};
+    const int input_bits[] = {5, 7, 0, 4, 8, 6};
+    std::vector<std::vector<layer_quant>> out;
+    for (const compute_mode cm :
+         {compute_mode::f32, compute_mode::i16, compute_mode::i8}) {
+        std::vector<layer_quant> overlay(net.depth());
+        std::size_t w = 0;
+        for (const std::size_t li : net.weighted_layers()) {
+            overlay[li] = {.weight_bits = weight_bits[w % 5],
+                           .input_bits = input_bits[w % 6],
+                           .compute = cm};
+            ++w;
+        }
+        out.push_back(std::move(overlay));
+    }
+    return out;
+}
+
+// The grid an integer engine runs a requested width on.
+int lane_bits(int requested, compute_mode cm)
+{
+    const int lane = repr_bits(cm);
+    return requested > 0 ? std::min(requested, lane) : lane;
+}
+
+// On every zoo network, engine and available ISA, a bound network's
+// output is bit-identical to network::forward and to a chain of one-shot
+// layer::forward calls at the same overlay, and
+// meets reference_forward per the engines' contracts: float-equal for
+// f32; for i16/i8 layer by layer, within the oracle tolerance of the
+// float reference on the same operand grids.
+TEST(bound_network, zoo_outputs_match_network_forward_and_reference)
+{
+    const vec::isa restore = vec::active_isa();
+    for (const network& net :
+         {make_lenet5({.seed = 9}), make_alexnet_scaled({.seed = 9}),
+          make_vgg16_scaled({.seed = 9})}) {
+        pcg32 rng(77);
+        tensor in(net.input_shape());
+        fill_gaussian(in.flat(), rng, 0.3);
+        for (const std::vector<layer_quant>& overlay : engine_overlays(net)) {
+            const bound_network bound(net, overlay);
+            for (const vec::isa level : vec::available()) {
+                ASSERT_TRUE(vec::force_isa(level));
+                const compute_mode cm =
+                    overlay[net.weighted_layers().front()].compute;
+                const std::string what = net.name() + " "
+                                         + to_string(cm) + " "
+                                         + vec::isa_name(level);
+                std::vector<tensor> acts;
+                const tensor got = bound.forward(in, &acts);
+                expect_float_equal(got, net.forward(in, overlay),
+                                   what + " vs network::forward");
+                tensor layered = in; // each layer prepared on its own
+                for (std::size_t i = 0; i < net.depth(); ++i) {
+                    layered = net.at(i).forward(layered, overlay[i]);
+                }
+                expect_float_equal(got, layered, what + " vs layer::forward");
+                if (cm == compute_mode::f32) {
+                    expect_float_equal(got, net.reference_forward(in, overlay),
+                                       what + " vs reference_forward");
+                    continue;
+                }
+                for (std::size_t i = 0; i < net.depth(); ++i) {
+                    const tensor& x = i == 0 ? in : acts[i - 1];
+                    const layer& l = net.at(i);
+                    const std::string at = what + " layer " + l.name();
+                    if (l.weight_count() == 0) {
+                        expect_float_equal(acts[i],
+                                           l.reference_forward(x, overlay[i]),
+                                           at);
+                        continue;
+                    }
+                    const layer_quant grid{
+                        .weight_bits = lane_bits(overlay[i].weight_bits, cm),
+                        .input_bits = lane_bits(overlay[i].input_bits, cm)};
+                    const tensor want = l.reference_forward(x, grid);
+                    const double acc_step =
+                        choose_quant(weight_view(l), grid.weight_bits).step
+                        * choose_quant(x.flat(), grid.input_bits).step;
+                    expect_within(acts[i], want,
+                                  oracle_tolerance(acts[i], want, acc_step,
+                                                   repr_bits(cm)),
+                                  at);
+                }
+            }
+        }
+    }
+    ASSERT_TRUE(vec::force_isa(restore));
+}
+
+// A rebind shares its base's prepared weights (the same object) for every
+// layer whose (weight_bits, compute) key is unchanged: an input-bits
+// probe prepares nothing, a weight-bits or engine change re-prepares only
+// its layer, and layers without weights hold nothing. Outputs equal a
+// fresh binding's.
+TEST(bound_network, rebind_shares_unchanged_layers)
+{
+    const network net = make_lenet5({.seed = 9});
+    const std::vector<std::size_t> weighted = net.weighted_layers();
+    std::vector<layer_quant> base(net.depth());
+    for (const std::size_t li : weighted) {
+        base[li] = {.weight_bits = 6, .input_bits = 6};
+    }
+    const bound_network bound(net, base);
+    for (std::size_t i = 0; i < net.depth(); ++i) {
+        EXPECT_EQ(bound.prepared(i) != nullptr,
+                  net.at(i).weight_count() > 0)
+            << net.at(i).name();
+    }
+    pcg32 rng(3);
+    tensor in(net.input_shape());
+    fill_gaussian(in.flat(), rng, 0.3);
+
+    const std::size_t probed = weighted[1];
+    std::vector<layer_quant> input_probe = base;
+    input_probe[probed].input_bits = 3;
+    std::vector<layer_quant> weight_probe = base;
+    weight_probe[probed].weight_bits = 3;
+    std::vector<layer_quant> engine_probe = base;
+    engine_probe[probed].compute = compute_mode::i8;
+    for (const auto& [overlay, moved] :
+         {std::pair{input_probe, false}, std::pair{weight_probe, true},
+          std::pair{engine_probe, true}}) {
+        const bound_network probe(bound, overlay);
+        for (std::size_t i = 0; i < net.depth(); ++i) {
+            EXPECT_EQ(probe.prepared(i) == bound.prepared(i),
+                      !(moved && i == probed))
+                << net.at(i).name();
+        }
+        expect_float_equal(probe.forward(in),
+                           bound_network(net, overlay).forward(in),
+                           "rebind vs fresh binding");
+    }
+}
+
+// A binding is a snapshot: mutating weights and biases afterwards leaves
+// its output unchanged (and a rebind from it, which shares every
+// unchanged key, too); a fresh binding -- like the one-shot
+// network::forward -- sees the new values. Every engine.
+TEST(bound_network, mutation_after_binding_needs_a_rebind)
+{
+    pcg32 rng(5);
+    network net("mutable", tensor_shape{1, 6, 6});
+    auto conv_owner = std::make_unique<conv_layer>("c", 2, 1, 3, 1, 1);
+    auto fc_owner = std::make_unique<fc_layer>("f", 3, 72);
+    conv_layer& conv = *conv_owner;
+    fc_layer& fc = *fc_owner;
+    net.add(std::move(conv_owner));
+    net.add(std::move(fc_owner));
+    tensor in({1, 6, 6});
+    fill_gaussian(in.flat(), rng);
+    for (const compute_mode cm :
+         {compute_mode::f32, compute_mode::i16, compute_mode::i8}) {
+        fill_gaussian(*conv.weights(), rng);
+        fill_gaussian(conv.biases(), rng);
+        fill_gaussian(*fc.weights(), rng);
+        fill_gaussian(fc.biases(), rng);
+        const std::vector<layer_quant> overlay(
+            2, {.weight_bits = 5, .input_bits = 6, .compute = cm});
+        const bound_network bound(net, overlay);
+        const tensor first = bound.forward(in);
+        const std::string what = to_string(cm);
+
+        for (float& w : *conv.weights()) {
+            w += 1.0F;
+        }
+        for (float& b : fc.biases()) {
+            b -= 0.5F;
+        }
+        expect_float_equal(bound.forward(in), first, what + " snapshot");
+        expect_float_equal(bound_network(bound, overlay).forward(in), first,
+                           what + " rebind shares the snapshot");
+        const tensor after = bound_network(net, overlay).forward(in);
+        expect_float_equal(after, net.forward(in, overlay),
+                           what + " fresh binding");
+        if (cm == compute_mode::f32) {
+            expect_float_equal(after, net.reference_forward(in, overlay),
+                               what + " fresh binding vs reference");
+        }
+        bool any_diff = false;
+        for (std::size_t i = 0; i < first.size(); ++i) {
+            any_diff |= first.flat()[i] != after.flat()[i];
+        }
+        EXPECT_TRUE(any_diff) << what;
+    }
+}
+
+// batch_evaluator binds its base once and runs each probe as a rebind;
+// its suffix cache must still serve every probe's prefix. Overwriting the
+// dataset's inputs after the cache is built (which the evaluator's
+// contract forbids, done here on purpose to observe the cache) leaves a
+// probe that moves only the last weighted layer scoring the original
+// inputs, while a probe moving the first layer has no prefix to reuse and
+// scores the overwritten ones. Both ways to base an evaluator: set_base,
+// and construction from a binding (window_probe's way).
+TEST(bound_network, batch_evaluator_probes_read_the_suffix_cache)
+{
+    const network net = make_lenet5({.seed = 9});
+    const std::vector<std::size_t> weighted = net.weighted_layers();
+    std::vector<layer_quant> base(net.depth());
+    for (const std::size_t li : weighted) {
+        base[li] = {.weight_bits = 8, .input_bits = 8};
+    }
+    std::vector<layer_quant> last = base;
+    last[weighted.back()].weight_bits = 2;
+    std::vector<layer_quant> first = base;
+    first[weighted.front()].weight_bits = 2;
+    for (const bool from_binding : {false, true}) {
+        teacher_dataset data =
+            make_teacher_dataset(net, {.images = 6, .seed = 3});
+        const teacher_dataset original = data;
+        batch_evaluator eval =
+            from_binding ? batch_evaluator(bound_network(net, base), data, 2)
+                         : batch_evaluator(net, data, 2);
+        eval.set_base(base);
+        EXPECT_EQ(eval.accuracy(base),
+                  relative_accuracy(net, original, base, 1));
+
+        for (tensor& x : data.inputs) {
+            std::fill(x.flat().begin(), x.flat().end(), 0.5F);
+        }
+        EXPECT_EQ(eval.accuracy(last),
+                  relative_accuracy(net, original, last, 1));
+        EXPECT_EQ(eval.accuracy(first), relative_accuracy(net, data, first, 1));
+        EXPECT_NE(relative_accuracy(net, data, base, 1),
+                  relative_accuracy(net, original, base, 1))
+            << "the overwritten inputs must score differently";
+    }
+}
+
+// Concurrent forwards on shared bindings -- every engine, a conv, relu
+// and fc network -- are bit-identical to serial forwards on fresh
+// bindings. Run under TSan via the `threaded` label.
+TEST(bound_network, concurrent_forwards_share_one_binding)
 {
     pcg32 rng(606);
-    conv_layer conv("c", 4, 3, 3, 1, 1);
-    fill_gaussian(*conv.weights(), rng);
-    fill_gaussian(conv.biases(), rng);
-    fc_layer fc("f", 10, 48);
-    fill_gaussian(*fc.weights(), rng);
-    fill_gaussian(fc.biases(), rng);
-    tensor conv_in({3, 7, 7});
-    fill_gaussian(conv_in.flat(), rng);
-    tensor fc_in({48, 1, 1});
-    fill_gaussian(fc_in.flat(), rng);
+    network net("shared", tensor_shape{3, 7, 7});
+    auto conv = std::make_unique<conv_layer>("c", 4, 3, 3, 1, 1);
+    fill_gaussian(*conv->weights(), rng);
+    fill_gaussian(conv->biases(), rng);
+    auto fc = std::make_unique<fc_layer>("f", 10, 196);
+    fill_gaussian(*fc->weights(), rng);
+    fill_gaussian(fc->biases(), rng);
+    net.add(std::move(conv));
+    net.add(std::make_unique<relu_layer>("r"));
+    net.add(std::move(fc));
 
-    std::vector<layer_quant> configs;
+    std::vector<std::vector<layer_quant>> overlays;
     for (const compute_mode cm :
          {compute_mode::f32, compute_mode::i16, compute_mode::i8}) {
         for (const int bits : {0, 3, 6, 8}) {
-            configs.push_back(
-                {.weight_bits = bits, .input_bits = bits, .compute = cm});
+            const layer_quant q{
+                .weight_bits = bits, .input_bits = bits, .compute = cm};
+            overlays.push_back({q, layer_quant{}, q});
         }
     }
-    // Every config several times over, so fills and hits interleave.
+    std::vector<bound_network> bound;
+    for (const std::vector<layer_quant>& o : overlays) {
+        bound.emplace_back(net, o);
+    }
+    std::vector<tensor> inputs(3, tensor(net.input_shape()));
+    for (tensor& x : inputs) {
+        fill_gaussian(x.flat(), rng);
+    }
+    // Every binding several times over each input, interleaved.
     constexpr std::size_t kRepeats = 4;
-    const std::size_t jobs = 2 * configs.size() * kRepeats;
+    const std::size_t n = overlays.size();
+    const std::size_t jobs = n * inputs.size() * kRepeats;
     std::vector<tensor> got(jobs);
-    const layer& shared_conv = conv;
-    const layer& shared_fc = fc;
     parallel_for(jobs, 4, [&](std::size_t j) {
-        const layer_quant& q = configs[(j / 2) % configs.size()];
-        got[j] = j % 2 == 0 ? shared_conv.forward(conv_in, q)
-                            : shared_fc.forward(fc_in, q);
+        got[j] = bound[j % n].forward(inputs[j / n % inputs.size()]);
     });
-
     for (std::size_t j = 0; j < jobs; ++j) {
-        const layer_quant& q = configs[(j / 2) % configs.size()];
-        const std::string what =
-            std::string(j % 2 == 0 ? "conv " : "fc ") + to_string(q.compute)
-            + " bits=" + std::to_string(q.weight_bits);
-        if (j % 2 == 0) {
-            conv_layer fresh("c", 4, 3, 3, 1, 1);
-            *fresh.weights() = weight_view(conv);
-            fresh.biases() = conv.biases();
-            expect_float_equal(got[j], fresh.forward(conv_in, q), what);
-        } else {
-            fc_layer fresh("f", 10, 48);
-            *fresh.weights() = weight_view(fc);
-            fresh.biases() = fc.biases();
-            expect_float_equal(got[j], fresh.forward(fc_in, q), what);
-        }
+        const std::vector<layer_quant>& o = overlays[j % n];
+        expect_float_equal(
+            got[j],
+            bound_network(net, o).forward(inputs[j / n % inputs.size()]),
+            std::string(to_string(o[0].compute)) + " bits="
+                + std::to_string(o[0].weight_bits));
     }
 }
 

@@ -132,7 +132,10 @@ TEST(stream_scheduler, ledger_attribution_matches_plan_energy)
     const stream_scheduler sched(1);
     std::vector<frame_result> out;
     energy_ledger ledger;
-    sched.run_batch(net, plan, frames, 0, 0, 1, 40.0, 1.0, out, ledger);
+    const bound_network served(net, plan_overlay(net, plan));
+    const bound_network teacher(net, std::vector<layer_quant>(net.depth()));
+    sched.run_batch(served, teacher, plan, frames, 0, 0, 1, 40.0, 1.0, out,
+                    ledger);
 
     ASSERT_EQ(out.size(), 3U);
     for (std::size_t i = 0; i < out.size(); ++i) {

@@ -1,7 +1,8 @@
 // Differential suite for the host-SIMD layer (src/vec/): every backend
 // available on this host must be bit-identical to the scalar overlay on
 // every kernel -- the fused toggle kernel, the 64x64 bit transpose, the
-// float GEMM, the quantizer and the int8/int16 widening MAC kernels --
+// float GEMM and gemv, the quantizer, the magnitude scan and the
+// int8/int16 widening MAC kernels --
 // over random inputs, ragged sizes, signed extremes and IEEE corner
 // values.
 // Plus the dispatch contracts: DVAFS_FORCE_ISA round-trip via
@@ -11,6 +12,7 @@
 #include "vec/vec.h"
 
 #include "circuit/compiled_sim.h"
+#include "cnn/gemm.h"
 #include "circuit/gate_kinds.h"
 #include "circuit/netlist.h"
 #include "fixedpoint/bitops.h"
@@ -222,22 +224,33 @@ TEST_F(vec_test, gemm_f32_bit_identical)
             }
             const float* const biases[] = {bias.data(), nullptr};
             for (const float* bp : biases) {
+                const std::vector<double> panels =
+                    pack_panels(a.data(), bp, sh.m, sh.k);
                 std::vector<float> ref(sh.m * sh.n);
-                scalar_table().gemm_f32(a.data(), b.data(), bp, ref.data(),
+                scalar_table().gemm_f32(panels.data(), b.data(), ref.data(),
                                         sh.m, sh.k, sh.n, nullptr);
-                for (const vec::isa level : other_backends()) {
+                // Every backend's panel GEMM, and at n == 1 every
+                // backend's gemv on the unpacked A (scalar's included),
+                // gives the scalar panel GEMM's bits.
+                for (const vec::isa level : vec::available()) {
+                    const vec::kernel_table& t = *vec::table_for(level);
                     std::vector<float> c(sh.m * sh.n);
-                    vec::table_for(level)->gemm_f32(a.data(), b.data(), bp,
-                                                    c.data(), sh.m, sh.k,
-                                                    sh.n, nullptr);
+                    std::vector<float> v(sh.m);
+                    t.gemm_f32(panels.data(), b.data(), c.data(), sh.m,
+                               sh.k, sh.n, nullptr);
+                    if (sh.n == 1) {
+                        t.gemv_f32(a.data(), b.data(), bp, v.data(), sh.m,
+                                   sh.k);
+                    }
                     for (std::size_t e = 0; e < c.size(); ++e) {
-                        ASSERT_TRUE(same_bits(c[e], ref[e]))
+                        ASSERT_TRUE(same_bits(c[e], ref[e])
+                                    && (sh.n != 1 || same_bits(v[e], ref[e])))
                             << vec::isa_name(level) << " " << sh.m << "x"
                             << sh.k << "x" << sh.n
                             << mode_names[mode]
                             << (bp == nullptr ? " no bias" : "")
-                            << " element " << e << ": " << c[e] << " vs "
-                            << ref[e];
+                            << " element " << e << ": " << c[e] << " / "
+                            << (sh.n == 1 ? v[e] : c[e]) << " vs " << ref[e];
                     }
                 }
             }
@@ -249,8 +262,7 @@ TEST_F(vec_test, gemm_f32_bit_identical)
 // that are overlapping shifted views of one buffer, as the stride-1 conv
 // lowering makes them (cnn/gemm.h). The scalar table must give the bits
 // of a dense GEMM over the same rows gathered into a k x n matrix, and
-// every backend those of the scalar table -- n == 1 included, which a
-// row-offset B sends down the panel path instead of the dense gemv.
+// every backend those of the scalar table, n == 1 included.
 TEST_F(vec_test, gemm_f32_row_offsets_bit_identical)
 {
     pcg32 rng(505);
@@ -283,15 +295,16 @@ TEST_F(vec_test, gemm_f32_row_offsets_bit_identical)
                     const std::string what =
                         std::to_string(m) + "x" + std::to_string(k) + "x"
                         + std::to_string(n) + mode_names[mode];
+                    const std::vector<double> panels =
+                        pack_panels(a.data(), bias.data(), m, k);
                     std::vector<float> want(m * n);
-                    scalar_table().gemm_f32(a.data(), dense.data(),
-                                            bias.data(), want.data(), m, k,
-                                            n, nullptr);
+                    scalar_table().gemm_f32(panels.data(), dense.data(),
+                                            want.data(), m, k, n, nullptr);
                     for (const vec::isa level : vec::available()) {
                         std::vector<float> c(m * n);
                         vec::table_for(level)->gemm_f32(
-                            a.data(), plane.data(), bias.data(), c.data(), m,
-                            k, n, boff.data());
+                            panels.data(), plane.data(), c.data(), m, k, n,
+                            boff.data());
                         for (std::size_t e = 0; e < c.size(); ++e) {
                             ASSERT_TRUE(same_bits(c[e], want[e]))
                                 << vec::isa_name(level) << " " << what
@@ -368,6 +381,52 @@ TEST_F(vec_test, quantize_f32_bit_identical)
                     y.data(), len, 0.5, -128.0, 127.0, nullptr,
                     codes.data()))
                     << vec::isa_name(level) << " len " << len;
+            }
+        }
+    }
+}
+
+// The magnitude scan: under every backend, the max of the sign-cleared
+// bit patterns, as a plain loop computes it, over ragged lengths (every
+// tail of the 2W-lane and 4W-lane steps) with NaN, +-inf, -0, subnormals
+// and the largest finite float placed anywhere, the tail included.
+TEST_F(vec_test, absmax_bits_matches_plain_max)
+{
+    pcg32 rng(909);
+    const float specials[] = {
+        std::numeric_limits<float>::quiet_NaN(),
+        -std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+        -0.0F,
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min() * 77.0F,
+        std::numeric_limits<float>::max(),
+        -std::numeric_limits<float>::max()};
+    for (std::size_t len = 0; len <= 70; ++len) {
+        for (int trial = 0; trial < 12; ++trial) {
+            std::vector<float> x(len);
+            for (float& v : x) {
+                v = trial == 0   ? -0.0F // all negative zeros: result 0
+                    : trial == 1 ? std::numeric_limits<float>::denorm_min()
+                                       * static_cast<float>(rng.bounded(9))
+                                 : static_cast<float>(
+                                       rng.gaussian(0.0, 2.0));
+            }
+            if (trial >= 3 && len > 0) {
+                x[rng.bounded(static_cast<std::uint32_t>(len))] =
+                    specials[static_cast<std::size_t>(trial - 3)];
+            }
+            std::uint32_t want = 0;
+            for (const float v : x) {
+                want = std::max(want,
+                                std::bit_cast<std::uint32_t>(v) & 0x7fffffffU);
+            }
+            for (const vec::isa level : vec::available()) {
+                ASSERT_EQ(vec::table_for(level)->absmax_bits(x.data(), len),
+                          want)
+                    << vec::isa_name(level) << " len " << len << " trial "
+                    << trial;
             }
         }
     }
