@@ -1,9 +1,33 @@
 #include "cnn/network.h"
 
+#include <atomic>
 #include <stdexcept>
 #include <utility>
 
 namespace dvafs {
+
+std::uint64_t network::next_version() noexcept
+{
+    static std::atomic<std::uint64_t> counter{0};
+    return ++counter;
+}
+
+network::network(network&& other) noexcept
+    : name_(std::move(other.name_)), input_shape_(other.input_shape_),
+      layers_(std::move(other.layers_))
+{
+    other.version_ = next_version();
+}
+
+network& network::operator=(network&& other) noexcept
+{
+    name_ = std::move(other.name_);
+    input_shape_ = other.input_shape_;
+    layers_ = std::move(other.layers_);
+    version_ = next_version();
+    other.version_ = next_version();
+    return *this;
+}
 
 std::vector<std::size_t> network::weighted_layers() const
 {
@@ -45,23 +69,24 @@ bound_network::bound_network(const network& net,
 tensor bound_network::forward(const tensor& input,
                               std::vector<tensor>* activations) const
 {
-    if (!(input.shape() == net_->input_shape())) {
-        throw std::invalid_argument("bound_network::forward: input shape "
-                                    + input.shape().to_string() + " != "
-                                    + net_->input_shape().to_string());
-    }
-    return forward_from(0, input, activations);
+    return forward_range(0, overlay_.size(), input, activations);
 }
 
-tensor bound_network::forward_from(std::size_t first, const tensor& x,
-                                   std::vector<tensor>* activations) const
+tensor bound_network::forward_range(std::size_t first, std::size_t last,
+                                    const tensor& x,
+                                    std::vector<tensor>* activations) const
 {
-    if (first > overlay_.size()) {
+    if (first > last || last > overlay_.size()) {
         throw std::invalid_argument(
-            "bound_network::forward_from: start index out of range");
+            "bound_network::forward_range: layer range out of bounds");
+    }
+    if (first == 0 && !(x.shape() == net_->input_shape())) {
+        throw std::invalid_argument("bound_network: input shape "
+                                    + x.shape().to_string() + " != "
+                                    + net_->input_shape().to_string());
     }
     tensor a = x;
-    for (std::size_t i = first; i < overlay_.size(); ++i) {
+    for (std::size_t i = first; i < last; ++i) {
         a = net_->at(i).run(a, overlay_[i], prepared_[i].get());
         if (activations != nullptr) {
             activations->push_back(a);

@@ -2,11 +2,19 @@
 // only; the precision each layer runs at is an external overlay (one
 // layer_quant per layer), bound to it by a bound_network, so one immutable
 // network can serve many concurrent precision probes.
+//
+// Every network carries a version stamp drawn from one process-wide
+// counter, so no two networks (or two versions of one) ever share a stamp.
+// It is renewed on construction, on both sides of a move, and on every
+// non-const access (add, at): a caller that saw stamp v and sees it again
+// knows no layer was reached for writing in between. Holding a layer&
+// from at() across that window is not seen; take at() again to write.
 
 #pragma once
 
 #include "cnn/layers.h"
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,19 +28,26 @@ public:
     {
     }
 
-    network(network&&) = default;
-    network& operator=(network&&) = default;
+    network(network&& other) noexcept;
+    network& operator=(network&& other) noexcept;
 
     const std::string& name() const noexcept { return name_; }
     const tensor_shape& input_shape() const noexcept { return input_shape_; }
+    // See the header comment; never 0.
+    std::uint64_t version() const noexcept { return version_; }
 
     void add(std::unique_ptr<layer> l)
     {
+        version_ = next_version();
         layers_.push_back(std::move(l));
     }
 
     std::size_t depth() const noexcept { return layers_.size(); }
-    layer& at(std::size_t i) { return *layers_.at(i); }
+    layer& at(std::size_t i)
+    {
+        version_ = next_version();
+        return *layers_.at(i);
+    }
     const layer& at(std::size_t i) const { return *layers_.at(i); }
 
     // Indices of the layers that carry weights (conv + fc): the layers the
@@ -59,9 +74,12 @@ public:
     tensor_shape output_shape() const;
 
 private:
+    static std::uint64_t next_version() noexcept;
+
     std::string name_;
     tensor_shape input_shape_;
     std::vector<std::unique_ptr<layer>> layers_;
+    std::uint64_t version_ = next_version();
 };
 
 // A network bound to one quant overlay: each weighted layer's weights
@@ -96,11 +114,12 @@ public:
     }
 
     // `activations`, when non-null, receives each layer's output;
-    // forward_from runs layers [first, depth) on `x`, layer first's input.
+    // forward_range runs layers [first, last) on `x`, layer first's input.
     tensor forward(const tensor& input,
                    std::vector<tensor>* activations = nullptr) const;
-    tensor forward_from(std::size_t first, const tensor& x,
-                        std::vector<tensor>* activations = nullptr) const;
+    tensor forward_range(std::size_t first, std::size_t last,
+                         const tensor& x,
+                         std::vector<tensor>* activations = nullptr) const;
 
 private:
     bound_network(const network& net, std::vector<layer_quant> overlay,

@@ -52,6 +52,24 @@ batch_evaluator::batch_evaluator(bound_network base,
     : net_(base.net()), data_(data), threads_(threads),
       base_(std::move(base))
 {
+    const std::size_t depth = net_.depth();
+    for (const std::size_t li : net_.weighted_layers()) {
+        if (li > 0) {
+            kept_.push_back(li - 1);
+        }
+    }
+    if (depth > 0) {
+        kept_.push_back(depth - 1); // the logits
+    }
+    resume_.resize(depth + 1);
+    resume_[0] = {0, npos};
+    std::size_t slot = 0;
+    for (std::size_t p = 1; p <= depth; ++p) {
+        resume_[p] = resume_[p - 1];
+        if (slot < kept_.size() && kept_[slot] == p - 1) {
+            resume_[p] = {p, slot++};
+        }
+    }
 }
 
 void batch_evaluator::set_base(std::vector<layer_quant> base)
@@ -76,10 +94,22 @@ void batch_evaluator::ensure_cache() const
     }
     acts_.assign(data_.inputs.size(), {});
     parallel_for(data_.inputs.size(), threads_, [&](std::size_t i) {
-        acts_[i].reserve(net_.depth());
-        base_.forward(data_.inputs[i], &acts_[i]);
+        std::vector<tensor>& kept = acts_[i];
+        kept.reserve(kept_.size()); // `x` below survives each push_back
+        std::size_t first = 0;
+        for (const std::size_t li : kept_) {
+            const tensor& x = kept.empty() ? data_.inputs[i] : kept.back();
+            kept.push_back(base_.forward_range(first, li + 1, x));
+            first = li + 1;
+        }
     });
     cache_built_ = true;
+}
+
+const tensor& batch_evaluator::resume_input(std::size_t i,
+                                            resume_point r) const
+{
+    return r.slot == npos ? data_.inputs[i] : acts_[i][r.slot];
 }
 
 std::size_t batch_evaluator::suffix_start(
@@ -108,13 +138,12 @@ void batch_evaluator::check_overlay(
 bool batch_evaluator::agrees(std::size_t i, std::size_t p,
                              const bound_network& probe) const
 {
-    int pred;
-    if (p == net_.depth()) {
-        pred = argmax(acts_[i].back());
-    } else {
-        const tensor& start = p == 0 ? data_.inputs[i] : acts_[i][p - 1];
-        pred = argmax(probe.forward_from(p, start));
-    }
+    const resume_point r = resume_[p];
+    const tensor& start = resume_input(i, r);
+    const int pred = r.layer == net_.depth()
+                         ? argmax(start)
+                         : argmax(probe.forward_range(
+                               r.layer, net_.depth(), start));
     return pred == data_.labels[i];
 }
 
@@ -308,10 +337,8 @@ std::vector<layer_sparsity> batch_evaluator::sparsity() const
     ensure_cache();
     for (std::size_t i = 0; i < data_.inputs.size(); ++i) {
         for (std::size_t k = 0; k < weighted.size(); ++k) {
-            const std::size_t li = weighted[k];
-            const tensor& input_fm =
-                (li == 0) ? data_.inputs[i] : acts_[i][li - 1];
-            out[k].input_sparsity += input_fm.sparsity();
+            out[k].input_sparsity +=
+                resume_input(i, resume_[weighted[k]]).sparsity();
         }
     }
     for (layer_sparsity& s : out) {

@@ -84,21 +84,48 @@ network_plan precision_planner::plan_with_requirements(
     return plan_internal(net, reqs, sparsity, nullptr);
 }
 
+plan_basis precision_planner::basis(
+    const network& net, const std::vector<layer_quant_requirement>& reqs,
+    const std::vector<layer_sparsity>& sparsity, compute_mode compute) const
+{
+    plan_basis b;
+    b.network_name = net.name();
+    b.workloads = build_workloads(net, reqs, sparsity, compute);
+    // 16-bit baseline: same workloads, full precision, no mode scaling
+    // (sparsity levels kept -- they are workload facts). At 16 b the
+    // measured activity divisor is 1 by construction, so the closed-form
+    // baseline is shared by every policy and savings factors compare.
+    std::vector<layer_workload> base = b.workloads;
+    for (layer_workload& w : base) {
+        w.weight_bits = 16;
+        w.input_bits = 16;
+    }
+    b.baseline_energy_mj =
+        runner_.run_network(b.network_name, base).total_energy_mj;
+    return b;
+}
+
 network_plan precision_planner::plan_from_frontiers(
     const network& net, const std::vector<layer_quant_requirement>& reqs,
     const std::vector<layer_sparsity>& sparsity,
     const std::vector<layer_frontier>& frontiers, double accuracy_budget,
     double latency_budget_ms) const
 {
-    const std::vector<layer_workload> workloads =
-        build_workloads(net, reqs, sparsity);
-    if (frontiers.size() != workloads.size()) {
+    return plan_from_frontiers(basis(net, reqs, sparsity), frontiers,
+                               accuracy_budget, latency_budget_ms);
+}
+
+network_plan precision_planner::plan_from_frontiers(
+    const plan_basis& basis, const std::vector<layer_frontier>& frontiers,
+    double accuracy_budget, double latency_budget_ms) const
+{
+    if (frontiers.size() != basis.workloads.size()) {
         throw std::invalid_argument(
             "precision_planner: frontier count mismatch");
     }
 
     network_plan np;
-    np.network_name = net.name();
+    np.network_name = basis.network_name;
     np.policy = plan_policy::frontier_search;
     np.accuracy_budget = accuracy_budget;
     np.latency_budget_ms = latency_budget_ms;
@@ -109,12 +136,14 @@ network_plan precision_planner::plan_from_frontiers(
     np.planned_accuracy_loss = sel.accuracy_loss;
     np.deadline_met = sel.feasible;
 
+    np.layers.reserve(frontiers.size());
     for (std::size_t k = 0; k < frontiers.size(); ++k) {
         np.layers.push_back(assemble_frontier_layer(
-            runner_, workloads[k], frontiers[k].points[sel.indices[k]]));
+            runner_, basis.workloads[k],
+            frontiers[k].points[sel.indices[k]]));
     }
 
-    finish_plan(np, workloads);
+    finish_plan(np, basis);
     if (latency_budget_ms > 0.0 && np.total_time_ms > latency_budget_ms) {
         np.deadline_met = false;
     }
@@ -315,8 +344,8 @@ network_plan precision_planner::plan_internal(
     const teacher_dataset* data, unsigned threads,
     compute_mode compute) const
 {
-    const std::vector<layer_workload> workloads =
-        build_workloads(net, reqs, sparsity, compute);
+    const plan_basis b = basis(net, reqs, sparsity, compute);
+    const std::vector<layer_workload>& workloads = b.workloads;
     // Joint accuracy at the requirements, when a frontier pass measures it
     // anyway (NaN = not measured).
     double acc_ref = std::numeric_limits<double>::quiet_NaN();
@@ -413,16 +442,16 @@ network_plan precision_planner::plan_internal(
                                         compute);
     }
 
-    finish_plan(np, workloads);
+    finish_plan(np, b);
     return np;
 }
 
-void precision_planner::finish_plan(
-    network_plan& np, const std::vector<layer_workload>& workloads) const
+void precision_planner::finish_plan(network_plan& np,
+                                    const plan_basis& basis) const
 {
     double total_mmacs = 0.0;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        total_mmacs += static_cast<double>(workloads[i].macs) * 1e-6;
+    for (std::size_t i = 0; i < basis.workloads.size(); ++i) {
+        total_mmacs += static_cast<double>(basis.workloads[i].macs) * 1e-6;
         np.total_energy_mj += np.layers[i].energy_mj;
         np.total_time_ms += np.layers[i].time_ms;
     }
@@ -432,18 +461,7 @@ void precision_planner::finish_plan(
     np.avg_power_mw = m.avg_power_mw;
     np.tops_per_w = m.tops_per_w;
 
-    // 16-bit baseline: same workloads, full precision, no mode scaling
-    // (sparsity levels kept -- they are workload facts). At 16 b the
-    // measured activity divisor is 1 by construction, so the closed-form
-    // baseline is shared by every policy and savings factors compare.
-    std::vector<layer_workload> base = workloads;
-    for (layer_workload& w : base) {
-        w.weight_bits = 16;
-        w.input_bits = 16;
-    }
-    const network_run base_run =
-        runner_.run_network(np.network_name, base);
-    np.baseline_energy_mj = base_run.total_energy_mj;
+    np.baseline_energy_mj = basis.baseline_energy_mj;
     np.savings_factor = np.total_energy_mj > 0.0
                             ? np.baseline_energy_mj / np.total_energy_mj
                             : 1.0;

@@ -111,6 +111,17 @@ struct network_plan {
     double planned_accuracy_loss = 0.0;
 };
 
+// What plan_from_frontiers reads of a network besides its frontiers: the
+// layer workloads at the requirements and sparsity, and the energy of the
+// same workloads at 16 b. It depends only on (network, requirements,
+// sparsity), so a caller that re-plans one network often builds it once
+// (the adaptive governor does at admission and on each requirement raise).
+struct plan_basis {
+    std::string network_name;
+    std::vector<layer_workload> workloads;
+    double baseline_energy_mj = 0.0;
+};
+
 class precision_planner {
 public:
     explicit precision_planner(const envision_model& model,
@@ -154,15 +165,29 @@ public:
         const std::vector<layer_sparsity>& sparsity,
         const teacher_dataset* data = nullptr, unsigned threads = 0) const;
 
+    // The plan_basis of `net` at `reqs` and `sparsity`, its layers on
+    // the `compute` engine.
+    plan_basis basis(const network& net,
+                     const std::vector<layer_quant_requirement>& reqs,
+                     const std::vector<layer_sparsity>& sparsity,
+                     compute_mode compute = compute_mode::f32) const;
+
     // Streaming re-plan API (src/runtime/): assembles a plan by DP over
     // *precomputed* layer frontiers under an accuracy and a per-frame
     // latency budget -- no sweeps, no dataset probes, no gate-level
-    // measurement, so a re-plan against cached frontiers costs about
-    // 0.013 ms at the median and 0.07 ms at p99 (e2ebench `replan`, 4-vCPU
-    // AVX-512 host; the adaptive governor's hot path). When no selection
-    // meets both budgets the per-layer minimum-time fallback is returned
-    // with deadline_met = false. Build the frontiers with `time_pareto`
-    // set, or fast points may have been pruned before the DP sees them.
+    // measurement. Against a prebuilt basis a decision costs the DP plus
+    // one layer_runner pass over the picks: e2ebench `replan` reads about
+    // 0.007 ms at the median and 0.06 ms at p99 per decision, verify
+    // included (4-vCPU AVX-512 host; the adaptive governor's hot path).
+    // When no selection meets both budgets the per-layer minimum-time
+    // fallback is returned with deadline_met = false. Build the frontiers
+    // with `time_pareto` set, or fast points may have been pruned before
+    // the DP sees them.
+    network_plan plan_from_frontiers(
+        const plan_basis& basis,
+        const std::vector<layer_frontier>& frontiers,
+        double accuracy_budget, double latency_budget_ms) const;
+    // The same plan, building the basis on the call.
     network_plan plan_from_frontiers(
         const network& net,
         const std::vector<layer_quant_requirement>& reqs,
@@ -203,8 +228,7 @@ private:
         unsigned threads = 0,
         compute_mode compute = compute_mode::f32) const;
 
-    void finish_plan(network_plan& np,
-                     const std::vector<layer_workload>& workloads) const;
+    void finish_plan(network_plan& np, const plan_basis& basis) const;
 
     layer_runner runner_;
     planner_config cfg_;

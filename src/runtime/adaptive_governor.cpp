@@ -184,22 +184,28 @@ adaptive_governor::prepare_mutable(const network& net)
         // State is keyed by name so a governor survives its networks
         // being rebuilt between runs (same seeds => same network). Guard
         // against a *different* network reusing the name with the
-        // fingerprint captured at prepare time -- on every hit, not just
-        // on a new address: the cached pointer may dangle and a freed
-        // block can be reused, so address identity proves nothing.
-        if (it->second.depth != net.depth()
-            || it->second.total_macs != net.total_macs()
-            || it->second.weight_digest != weight_digest_of(net)) {
-            throw std::invalid_argument(
-                "adaptive_governor: two different networks named "
-                + net.name());
+        // fingerprint captured at prepare time -- on every new version
+        // stamp, not just on a new address: the cached pointer may dangle
+        // and a freed block can be reused, so address identity proves
+        // nothing, while a stamp is never issued twice.
+        network_state& st = it->second;
+        if (st.verified_version != net.version()) {
+            if (st.depth != net.depth()
+                || st.total_macs != net.total_macs()
+                || st.weight_digest != weight_digest_of(net)) {
+                throw std::invalid_argument(
+                    "adaptive_governor: two different networks named "
+                    + net.name());
+            }
+            st.verified_version = net.version();
         }
-        it->second.net = &net;
-        return it->second;
+        st.net = &net;
+        return st;
     }
 
     network_state st;
     st.net = &net;
+    st.verified_version = net.version();
     st.depth = net.depth();
     st.total_macs = net.total_macs();
     st.weight_digest = weight_digest_of(net);
@@ -230,10 +236,11 @@ adaptive_governor::prepare_mutable(const network& net)
         }
     }
     // The boot fallback is a cheap heuristic plan (the frontier cache is
-    // warm by now either way); recomputing it keeps the blob independent
-    // of planner internals.
+    // warm by now either way); recomputing it, and the plan basis, keeps
+    // the blob independent of planner internals.
     st.fallback = boot_planner_.plan_with_requirements(net, st.reqs,
                                                        st.sparsity);
+    st.basis = planner_.basis(net, st.reqs, st.sparsity);
     return states_.emplace(net.name(), std::move(st)).first->second;
 }
 
@@ -272,8 +279,8 @@ replan_event adaptive_governor::replan_with(const network& net,
     ev.frame = frame;
     ev.accuracy_budget = accuracy_budget;
     ev.latency_budget_ms = latency_budget_ms;
-    ev.plan = planner_.plan_from_frontiers(net, st.reqs, st.sparsity,
-                                           st.frontiers, accuracy_budget,
+    ev.plan = planner_.plan_from_frontiers(st.basis, st.frontiers,
+                                           accuracy_budget,
                                            latency_budget_ms);
     ev.planning_ms = elapsed_ms_since(t0);
     return ev;
@@ -349,6 +356,7 @@ replan_event adaptive_governor::escalate(const network& net,
                 net, st.reqs, st.data, cfg_.sweep.threads);
             st.fallback = boot_planner_.plan_with_requirements(
                 net, st.reqs, st.sparsity);
+            st.basis = planner_.basis(net, st.reqs, st.sparsity);
             rebuilt = true;
         } else {
             stale = true;

@@ -6,9 +6,9 @@
 // frontier shared process-wide through frontier_cache; its sweeps run on
 // the compiled mode-specialized gate engine of circuit/compiled_sim.h)
 // and a fast *re-plan* (precision_planner::plan_from_frontiers: a DP over
-// the cached frontiers under the phase's accuracy and latency budgets;
-// e2ebench `replan` measures p50 ~0.013 ms and p99 ~0.07 ms per decision
-// on a 4-vCPU AVX-512 host).
+// the cached frontiers under the phase's accuracy and latency budgets,
+// against a plan basis built at admission; e2ebench `replan` measures p50
+// ~0.007 ms and p99 ~0.06 ms per decision on a 4-vCPU AVX-512 host).
 // That split is what lets the stream engine swap operating points at phase
 // boundaries and on drift without stalling the stream: re-planning costs a
 // fraction of one frame period.
@@ -100,14 +100,23 @@ public:
         // once the original network is destroyed; these stay
         // comparable): structure plus a sampled weight checksum, so two
         // same-architecture networks built from different seeds do not
-        // silently share planning state.
+        // silently share planning state. It is compared once per network
+        // version (network::version): `verified_version` is the stamp
+        // that last matched, and a call with that same stamp skips the
+        // comparison. Stamps are never reused, so a rebuilt, moved or
+        // written-to network -- even one at a reused address -- is
+        // compared again.
         std::size_t depth = 0;
         std::uint64_t total_macs = 0;
         std::uint64_t weight_digest = 0;
+        std::uint64_t verified_version = 0;
         teacher_dataset data;
         std::vector<layer_quant_requirement> reqs;
         std::vector<layer_sparsity> sparsity;
         std::vector<layer_frontier> frontiers;
+        // What every re-plan reads besides the frontiers (workloads at
+        // reqs and sparsity, 16 b baseline); rebuilt whenever reqs change.
+        plan_basis basis;
         double reference_accuracy = 1.0; // joint accuracy at reqs
         // Heuristic boot plan: what interim frames run on while the first
         // frontier plan for a newly entered network is still in flight.

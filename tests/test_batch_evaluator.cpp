@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -328,6 +329,82 @@ TEST_F(batch_evaluator_test, passes_property_equals_accuracy_at_target)
                         << " accuracy " << acc << " target " << t;
                 }
             }
+        }
+    }
+}
+
+// Sparsity from full float forwards: the baseline of
+// zoo_results_match_full_forwards.
+std::vector<double> naive_input_sparsity(const network& net,
+                                         const teacher_dataset& data)
+{
+    const std::vector<std::size_t> weighted = net.weighted_layers();
+    std::vector<double> out(weighted.size(), 0.0);
+    for (const tensor& x : data.inputs) {
+        std::vector<tensor> acts;
+        net.forward(x, std::vector<layer_quant>(net.depth()), &acts);
+        for (std::size_t k = 0; k < weighted.size(); ++k) {
+            out[k] += (weighted[k] == 0 ? x : acts[weighted[k] - 1])
+                          .sparsity();
+        }
+    }
+    for (double& v : out) {
+        v /= static_cast<double>(data.inputs.size());
+    }
+    return out;
+}
+
+// The evaluator caches only each weighted layer's input and the logits.
+// On every runtime zoo network its accuracy, passes and sparsity still
+// equal full forwards -- for probes first differing at a weighted layer
+// and for probes first differing at a ReLU or pool, which resume from the
+// nearest cached input before it.
+TEST(batch_evaluator_cache, zoo_results_match_full_forwards)
+{
+    quant_sweep_config c;
+    c.images = 4;
+    std::vector<network> nets;
+    nets.push_back(make_lenet5({.seed = 5}));
+    nets.push_back(make_alexnet_scaled({.seed = 5}));
+    nets.push_back(make_vgg16_scaled({.seed = 5}));
+    for (const network& net : nets) {
+        SCOPED_TRACE(net.name());
+        const teacher_dataset data = make_teacher_dataset(net, c);
+        const batch_evaluator eval(net, data, 2);
+        const std::vector<std::size_t> weighted = net.weighted_layers();
+
+        std::vector<std::vector<layer_quant>> probes;
+        for (const std::size_t li : weighted) {
+            std::vector<layer_quant> o(net.depth());
+            o[li] = {.weight_bits = 3, .input_bits = 4};
+            probes.push_back(o);
+        }
+        for (std::size_t li = 0; li < net.depth(); ++li) {
+            if (net.at(li).weight_count() > 0) {
+                continue;
+            }
+            std::vector<layer_quant> o(net.depth());
+            o[li] = {.weight_bits = 0, .input_bits = 2};
+            const auto next = std::upper_bound(weighted.begin(),
+                                               weighted.end(), li);
+            if (next != weighted.end()) {
+                o[*next] = {.weight_bits = 2, .input_bits = 0};
+            }
+            probes.push_back(o);
+        }
+        for (const auto& overlay : probes) {
+            const double acc = naive_accuracy(net, data, overlay);
+            EXPECT_EQ(eval.accuracy(overlay), acc);
+            for (const double t : {0.25, 0.5, 0.75, 1.0}) {
+                EXPECT_EQ(eval.passes(overlay, t), acc >= t);
+            }
+        }
+
+        const std::vector<layer_sparsity> got = eval.sparsity();
+        const std::vector<double> want = naive_input_sparsity(net, data);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t k = 0; k < got.size(); ++k) {
+            EXPECT_EQ(got[k].input_sparsity, want[k]) << got[k].layer_name;
         }
     }
 }

@@ -108,5 +108,61 @@ TEST(network, rejects_overlay_of_wrong_size)
                  std::invalid_argument);
 }
 
+// forward_range runs any [first, last) slice: chained slices reproduce the
+// whole forward bit for bit; a reversed or overlong range, or a
+// wrong-shaped network input, throws.
+TEST(network, bound_forward_range_chains_slices)
+{
+    const network net = tiny_net();
+    const bound_network bound(net, float_overlay(net));
+    tensor in({1, 8, 8});
+    pcg32 rng(4);
+    for (float& v : in.flat()) {
+        v = static_cast<float>(rng.gaussian(0.0, 1.0));
+    }
+    const tensor whole = bound.forward(in);
+    const tensor mid = bound.forward_range(0, 2, in);
+    const tensor out = bound.forward_range(2, net.depth(), mid);
+    ASSERT_EQ(out.shape(), whole.shape());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(out.flat()[i], whole.flat()[i]);
+    }
+    EXPECT_THROW((void)bound.forward_range(2, 1, mid), std::invalid_argument);
+    EXPECT_THROW((void)bound.forward_range(0, net.depth() + 1, in),
+                 std::invalid_argument);
+    EXPECT_THROW((void)bound.forward_range(0, 2, tensor({1, 4, 4})),
+                 std::invalid_argument);
+}
+
+// The version stamp: unique per network, renewed by every non-const
+// access and on both sides of a move, kept by const reads.
+TEST(network, version_stamp_renews_on_writes_and_moves)
+{
+    network a = tiny_net();
+    const network b = tiny_net();
+    EXPECT_NE(a.version(), b.version());
+
+    const std::uint64_t v = a.version();
+    const network& ca = a;
+    (void)ca.at(0);
+    (void)ca.forward(tensor({1, 8, 8}), float_overlay(ca));
+    EXPECT_EQ(a.version(), v);
+    (void)a.at(0);
+    EXPECT_NE(a.version(), v);
+
+    const std::uint64_t before = a.version();
+    network moved = std::move(a);
+    EXPECT_NE(moved.version(), before);
+    EXPECT_NE(a.version(), before);
+    EXPECT_NE(a.version(), moved.version());
+    network target = tiny_net();
+    const std::uint64_t target_before = target.version();
+    const std::uint64_t source_before = moved.version();
+    target = std::move(moved);
+    EXPECT_NE(target.version(), target_before);
+    EXPECT_NE(target.version(), source_before);
+    EXPECT_NE(moved.version(), source_before);
+}
+
 } // namespace
 } // namespace dvafs

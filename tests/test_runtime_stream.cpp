@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 namespace dvafs {
 namespace {
@@ -343,6 +344,44 @@ TEST(stream_engine, engine_reuse_across_rebuilt_scenarios)
     const network reseeded = make_lenet5({.seed = 12345});
     EXPECT_THROW(engine.governor().prepare(reseeded),
                  std::invalid_argument);
+}
+
+// The fingerprint is compared once per network version stamp, and replan()
+// -- not only prepare() -- runs that comparison: a different network at
+// the very address of the admitted one, or the admitted one written to
+// through at(), is refused; a network moved from an admitted one is not.
+TEST(adaptive_governor, replan_checks_each_new_network_version)
+{
+    const envision_model model;
+    adaptive_governor gov(model, small_governor());
+    scenario_phase ph;
+    ph.name = "guard";
+    ph.target_fps = 25.0;
+    ph.accuracy_budget = 0.02;
+    const auto replan = [&](const network& net) {
+        return gov.replan(net, ph, replan_reason::phase_change, 0);
+    };
+
+    std::optional<network> slot;
+    slot.emplace(make_lenet5({.seed = 7}));
+    gov.prepare(*slot);
+    const network_plan admitted = replan(*slot).plan;
+    const network* const address = &*slot;
+    slot.reset();
+    slot.emplace(make_lenet5({.seed = 12345}));
+    ASSERT_EQ(&*slot, address);
+    EXPECT_THROW(replan(*slot), std::invalid_argument);
+
+    network rebuilt = make_lenet5({.seed = 7});
+    ASSERT_NO_THROW(replan(rebuilt));
+    network moved = std::move(rebuilt);
+    network_plan plan;
+    ASSERT_NO_THROW(plan = replan(moved).plan);
+    EXPECT_EQ(plan.total_energy_mj, admitted.total_energy_mj);
+
+    const std::size_t li = moved.weighted_layers().front();
+    (*moved.at(li).weights())[0] += 1.0F;
+    EXPECT_THROW(replan(moved), std::invalid_argument);
 }
 
 // An impossible frame rate falls back to the minimum-time plan with
@@ -898,6 +937,120 @@ TEST(stream_engine, valve_holds_under_persistent_energy_pressure)
     EXPECT_EQ(res.stats.recover_events, 0);
     const frame_result& last = res.frames.back();
     EXPECT_LT(last.energy_mj, nominal);
+}
+
+// Every field of two plans, exactly.
+void expect_same_plan(const network_plan& a, const network_plan& b)
+{
+    EXPECT_EQ(a.network_name, b.network_name);
+    EXPECT_EQ(a.policy, b.policy);
+    EXPECT_EQ(a.accuracy_budget, b.accuracy_budget);
+    EXPECT_EQ(a.relative_accuracy, b.relative_accuracy);
+    EXPECT_EQ(a.total_energy_mj, b.total_energy_mj);
+    EXPECT_EQ(a.total_time_ms, b.total_time_ms);
+    EXPECT_EQ(a.fps, b.fps);
+    EXPECT_EQ(a.avg_power_mw, b.avg_power_mw);
+    EXPECT_EQ(a.tops_per_w, b.tops_per_w);
+    EXPECT_EQ(a.baseline_energy_mj, b.baseline_energy_mj);
+    EXPECT_EQ(a.savings_factor, b.savings_factor);
+    EXPECT_EQ(a.latency_budget_ms, b.latency_budget_ms);
+    EXPECT_EQ(a.deadline_met, b.deadline_met);
+    EXPECT_EQ(a.planned_accuracy_loss, b.planned_accuracy_loss);
+    ASSERT_EQ(a.layers.size(), b.layers.size());
+    for (std::size_t k = 0; k < a.layers.size(); ++k) {
+        const layer_plan& x = a.layers[k];
+        const layer_plan& y = b.layers[k];
+        SCOPED_TRACE(x.layer_name);
+        EXPECT_EQ(x.layer_name, y.layer_name);
+        EXPECT_EQ(x.weight_bits, y.weight_bits);
+        EXPECT_EQ(x.input_bits, y.input_bits);
+        EXPECT_EQ(x.mode.mode, y.mode.mode);
+        EXPECT_EQ(x.mode.weight_bits, y.mode.weight_bits);
+        EXPECT_EQ(x.mode.input_bits, y.mode.input_bits);
+        EXPECT_EQ(x.mode.f_mhz, y.mode.f_mhz);
+        EXPECT_EQ(x.mode.vdd, y.mode.vdd);
+        EXPECT_EQ(x.mode.weight_sparsity, y.mode.weight_sparsity);
+        EXPECT_EQ(x.mode.input_sparsity, y.mode.input_sparsity);
+        EXPECT_EQ(x.point, y.point);
+        EXPECT_EQ(x.activity_divisor, y.activity_divisor);
+        EXPECT_EQ(x.accuracy_loss, y.accuracy_loss);
+        EXPECT_EQ(x.power_mw, y.power_mw);
+        EXPECT_EQ(x.energy_mj, y.energy_mj);
+        EXPECT_EQ(x.time_ms, y.time_ms);
+        EXPECT_EQ(x.report.power_mw, y.report.power_mw);
+        EXPECT_EQ(x.report.as_mw, y.report.as_mw);
+        EXPECT_EQ(x.report.guard_mw, y.report.guard_mw);
+        EXPECT_EQ(x.report.fixed_mw, y.report.fixed_mw);
+        EXPECT_EQ(x.report.mem_mw, y.report.mem_mw);
+        EXPECT_EQ(x.report.gops, y.report.gops);
+        EXPECT_EQ(x.report.tops_per_w, y.report.tops_per_w);
+        EXPECT_EQ(x.report.energy_per_op_pj, y.report.energy_per_op_pj);
+    }
+}
+
+// The governor plans against the basis it built at admission; each plan
+// equals the planner's one-call plan_from_frontiers on the same state, in
+// every field, over a budget x deadline x valve-level grid -- and again
+// after a stage-two escalation raised the requirements and rebuilt the
+// frontiers.
+TEST(adaptive_governor, replans_equal_plan_from_frontiers_on_the_zoo)
+{
+    const envision_model model;
+    const governor_config g = small_governor();
+    planner_config pc;
+    pc.accuracy_budget = 1.0;
+    pc.budget_resolution = g.budget_resolution;
+    pc.time_pareto = true;
+    pc.frontier = g.frontier;
+    const precision_planner planner(model, pc);
+
+    std::vector<network> nets;
+    nets.push_back(make_lenet5({.seed = 7}));
+    nets.push_back(make_alexnet_scaled({.seed = 7}));
+    nets.push_back(make_vgg16_scaled({.seed = 7}));
+    for (const network& net : nets) {
+        SCOPED_TRACE(net.name());
+        adaptive_governor gov(model, g);
+        const adaptive_governor::network_state& st = gov.prepare(net);
+        const auto expect_reference = [&](const replan_event& ev) {
+            expect_same_plan(
+                ev.plan, planner.plan_from_frontiers(
+                             net, st.reqs, st.sparsity, st.frontiers,
+                             ev.accuracy_budget, ev.latency_budget_ms));
+        };
+        const auto check_grid = [&] {
+            const double fastest = frontier_min_time_ms(st.frontiers);
+            for (const double budget : {0.0, 0.02, 0.1}) {
+                // Below the fastest selection (the fallback), near it, and
+                // loose.
+                for (const double stretch : {0.5, 1.1, 3.0, 1e3}) {
+                    scenario_phase ph;
+                    ph.name = "grid";
+                    ph.accuracy_budget = budget;
+                    ph.target_fps = 1000.0 / (stretch * fastest);
+                    expect_reference(gov.replan(
+                        net, ph, replan_reason::phase_change, 0));
+                    for (const int level : {1, 3}) {
+                        expect_reference(gov.replan_valve(
+                            net, ph, replan_reason::shed, 0, level, 0.02,
+                            stretch * fastest));
+                    }
+                }
+            }
+        };
+        check_grid();
+
+        scenario_phase ladder;
+        ladder.name = "ladder";
+        ladder.accuracy_budget = 0.0; // straight to stage two
+        ladder.target_fps = 1.0;
+        const std::vector<layer_quant_requirement> before = st.reqs;
+        const replan_event ev = gov.escalate(net, ladder, 0);
+        ASSERT_TRUE(ev.rebuilt_frontiers);
+        ASSERT_NE(st.reqs[0].min_weight_bits, before[0].min_weight_bits);
+        expect_reference(ev);
+        check_grid();
+    }
 }
 
 } // namespace
